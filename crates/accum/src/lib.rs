@@ -79,9 +79,8 @@ pub trait Accumulator<S: Semiring>: Send {
     /// (together with its value) into `out`. This performs the mask
     /// intersection for the vanilla kernel and the final gather
     /// (`C[i,:] = acc.gather()`) for all kernels. The sink decides where
-    /// the row lands: growable `Vec`s ([`VecSink`]) for the legacy
-    /// fragment path, or a preallocated mask-bounded slot ([`SlotSink`])
-    /// for in-place assembly.
+    /// the row lands: growable `Vec`s ([`VecSink`]), or the preallocated
+    /// mask-bounded slot ([`SlotSink`]) the driver assembles in place.
     fn gather_into<W: RowSink<S::T> + ?Sized>(&mut self, mask_cols: &[Idx], out: &mut W);
 
     /// Convenience wrapper over [`gather_into`](Self::gather_into) that

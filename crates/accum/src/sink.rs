@@ -2,10 +2,10 @@
 //!
 //! Kernels emit each surviving `(column, value)` pair of `C[i,:]` through a
 //! [`RowSink`] instead of pushing into concrete `Vec`s, so the same
-//! monomorphised kernel serves two assembly strategies:
+//! monomorphised kernel serves every destination:
 //!
-//! * [`VecSink`] — growable buffers, used by the legacy fragment-then-stitch
-//!   path (and by tests that want plain `Vec`s);
+//! * [`VecSink`] — growable buffers, for callers (and tests) that want
+//!   plain `Vec`s;
 //! * [`SlotSink`] — a cursor over a *preallocated* slot slice. The driver
 //!   sizes row `i`'s slot as `[mask.row_ptr[i], mask.row_ptr[i+1])`, which
 //!   is a hard bound: every gathered entry is a mask entry, so

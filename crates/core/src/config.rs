@@ -55,9 +55,12 @@ impl IterationSpace {
 /// `RunStats::overbook_spills`).
 ///
 /// Only the hash accumulator family is overbookable — dense accumulators
-/// are sized by `ncols`, not by row bounds — and the legacy fragment
-/// assembly path always runs at the full bound. Elsewhere the policy is
-/// accepted and ignored.
+/// are sized by `ncols`, not by row bounds, and the sort accumulator has
+/// no overflow latch. Elsewhere the policy is accepted and ignored. Every
+/// caller honours it alike — one-shot [`crate::spgemm`], a reused
+/// [`crate::Plan`], a fused [`crate::PlanGraph`] (whose quantile is taken
+/// over every node's rows) and the service batch all run the same tile
+/// engine.
 ///
 /// Marked `#[non_exhaustive]`: downstream `match`es need a wildcard arm.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -236,36 +239,6 @@ impl KernelPolicy {
     }
 }
 
-/// How the per-row kernel outputs become the final CSR matrix.
-///
-/// Marked `#[non_exhaustive]`: downstream `match`es need a wildcard arm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Assembly {
-    /// Mask-bounded in-place assembly: the output `cols`/`vals` buffers are
-    /// preallocated once at `nnz(M)` capacity, each row writes directly
-    /// into its slot `[mask.row_ptr[i], mask.row_ptr[i+1])` (valid because
-    /// `nnz(C[i,:]) ≤ nnz(M[i,:])`), and a parallel compaction pass
-    /// squeezes out the per-row slack. No per-tile fragments, no serial
-    /// full-output copy.
-    InPlace,
-    /// Historical fragment-then-stitch: each tile accumulates into local
-    /// growable buffers and a serial pass re-copies the entire output.
-    /// Kept as a reference implementation (the property suite asserts
-    /// bit-identity against it) and for A/B benchmarking.
-    Legacy,
-}
-
-impl Assembly {
-    /// Label used in benchmark reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Assembly::InPlace => "inplace",
-            Assembly::Legacy => "legacy-stitch",
-        }
-    }
-}
-
 /// Full driver configuration — the cross product the Fig. 10/11 sweeps
 /// explore.
 ///
@@ -286,9 +259,6 @@ pub struct Config {
     /// Per-row kernel policy: accumulator family/width, iteration space,
     /// scratch overbooking, SIMD selection (§III-B/C, Fig. 13/14).
     pub kernel: KernelPolicy,
-    /// Output assembly strategy (not a paper axis — both produce
-    /// bit-identical results; `InPlace` is the fast path).
-    pub assembly: Assembly,
 }
 
 impl Default for Config {
@@ -304,7 +274,6 @@ impl Default for Config {
             tiling: TilingStrategy::FlopBalanced,
             schedule: Schedule::Dynamic { chunk: 1 },
             kernel: KernelPolicy::default(),
-            assembly: Assembly::InPlace,
         }
     }
 }
@@ -313,8 +282,12 @@ impl Default for Config {
 /// recommended defaults:
 ///
 /// ```
-/// use mspgemm_core::Config;
-/// let cfg = Config::builder().n_threads(2).n_tiles(512).hybrid(1.0).build();
+/// use mspgemm_core::{Config, KernelPolicy};
+/// let cfg = Config::builder()
+///     .n_threads(2)
+///     .n_tiles(512)
+///     .kernel_policy(KernelPolicy::new().hybrid(1.0))
+///     .build();
 /// assert_eq!(cfg.n_tiles, 512);
 /// ```
 ///
@@ -357,44 +330,9 @@ impl ConfigBuilder {
     }
 
     /// Set the whole per-row kernel policy — accumulator, iteration space,
-    /// overbooking, SIMD — in one value. This replaces the deprecated
-    /// per-knob setters below.
+    /// overbooking, SIMD — in one value.
     pub fn kernel_policy(mut self, kernel: KernelPolicy) -> Self {
         self.cfg.kernel = kernel;
-        self
-    }
-
-    /// Accumulator family and marker width (§III-C).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `kernel_policy(KernelPolicy::new().accumulator(..))`"
-    )]
-    pub fn accumulator(mut self, accumulator: AccumulatorKind) -> Self {
-        self.cfg.kernel.accumulator = accumulator;
-        self
-    }
-
-    /// Iteration space (§III-B).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `kernel_policy(KernelPolicy::new().iteration(..))`"
-    )]
-    pub fn iteration(mut self, iteration: IterationSpace) -> Self {
-        self.cfg.kernel.iteration = iteration;
-        self
-    }
-
-    /// Shorthand for the hybrid iteration space at co-iteration factor κ
-    /// (Eq. 3); κ = 1 is the paper's validated default.
-    #[deprecated(since = "0.2.0", note = "use `kernel_policy(KernelPolicy::new().hybrid(..))`")]
-    pub fn hybrid(mut self, kappa: f64) -> Self {
-        self.cfg.kernel.iteration = IterationSpace::Hybrid { kappa };
-        self
-    }
-
-    /// Output assembly strategy.
-    pub fn assembly(mut self, assembly: Assembly) -> Self {
-        self.cfg.assembly = assembly;
         self
     }
 
@@ -421,18 +359,6 @@ impl Config {
         ConfigBuilder { cfg: self }
     }
 
-    /// The accumulator axis of the kernel policy.
-    #[deprecated(since = "0.2.0", note = "read `config.kernel.accumulator`")]
-    pub fn accumulator(&self) -> AccumulatorKind {
-        self.kernel.accumulator
-    }
-
-    /// The iteration-space axis of the kernel policy.
-    #[deprecated(since = "0.2.0", note = "read `config.kernel.iteration`")]
-    pub fn iteration(&self) -> IterationSpace {
-        self.kernel.iteration
-    }
-
     /// Resolve `n_threads == 0` to the machine's parallelism.
     pub fn resolved_threads(&self) -> usize {
         if self.n_threads > 0 {
@@ -450,21 +376,16 @@ impl Config {
     }
 
     /// Compact label for reports: `balanced/dynamic/2048/hash32/hybrid(k=1)`.
-    /// The assembly axis (and the kernel policy's overbook/SIMD axes) are
-    /// appended only when they deviate from the defaults, so historical
-    /// labels stay stable.
+    /// The kernel policy's overbook/SIMD axes are appended only when they
+    /// deviate from the defaults, so historical labels stay stable.
     pub fn label(&self) -> String {
-        let base = format!(
+        format!(
             "{}/{}/{}/{}",
             self.tiling.label(),
             self.schedule.label(),
             self.n_tiles,
             self.kernel.label()
-        );
-        match self.assembly {
-            Assembly::InPlace => base,
-            Assembly::Legacy => format!("{base}/{}", self.assembly.label()),
-        }
+        )
     }
 }
 
@@ -482,7 +403,6 @@ mod tests {
         assert_eq!(c.kernel.accumulator, AccumulatorKind::Hash(MarkerWidth::W32));
         assert_eq!(c.kernel.overbook, Overbook::Off, "overbooking is opt-in");
         assert_eq!(c.kernel.simd, SimdMode::Auto);
-        assert_eq!(c.assembly, Assembly::InPlace);
     }
 
     #[test]
@@ -513,7 +433,6 @@ mod tests {
                     .overbook(Overbook::p90())
                     .simd(SimdMode::Scalar),
             )
-            .assembly(Assembly::Legacy)
             .build();
         assert_eq!(cfg.n_threads, 3);
         assert_eq!(cfg.n_tiles, 64);
@@ -523,7 +442,6 @@ mod tests {
         assert_eq!(cfg.kernel.iteration, IterationSpace::CoIterate);
         assert_eq!(cfg.kernel.overbook, Overbook::Quantile { q: 0.90 });
         assert_eq!(cfg.kernel.simd, SimdMode::Scalar);
-        assert_eq!(cfg.assembly, Assembly::Legacy);
     }
 
     #[test]
@@ -541,22 +459,6 @@ mod tests {
         assert_eq!(derived.kernel.iteration, cfg.kernel.iteration);
         let via_from: ConfigBuilder = cfg.into();
         assert_eq!(via_from.build(), cfg);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_per_knob_shims_still_work() {
-        // the pre-KernelPolicy spelling must keep building the same config
-        let old = Config::builder()
-            .accumulator(AccumulatorKind::Dense(MarkerWidth::W16))
-            .iteration(IterationSpace::MaskAccumulate)
-            .build();
-        assert_eq!(old.kernel.accumulator, AccumulatorKind::Dense(MarkerWidth::W16));
-        assert_eq!(old.kernel.iteration, IterationSpace::MaskAccumulate);
-        assert_eq!(old.accumulator(), old.kernel.accumulator);
-        assert_eq!(old.iteration(), old.kernel.iteration);
-        let hybrid = Config::builder().hybrid(2.0).build();
-        assert!(matches!(hybrid.kernel.iteration, IterationSpace::Hybrid { kappa } if kappa == 2.0));
     }
 
     #[test]
@@ -578,8 +480,5 @@ mod tests {
         assert!(l.contains("hybrid"));
         assert_eq!(IterationSpace::Vanilla.label(), "vanilla");
         assert_eq!(IterationSpace::CoIterate.label(), "coiterate");
-        assert!(!l.contains("legacy"), "in-place default leaves the label unchanged");
-        let legacy = Config { assembly: Assembly::Legacy, ..Config::default() };
-        assert!(legacy.label().ends_with("/legacy-stitch"));
     }
 }

@@ -21,7 +21,9 @@
 //! measures exactly this crossover.
 
 use crate::config::Config;
-use mspgemm_sched::{run_tiles, tile::uniform_tiles};
+use crate::driver::pool_error;
+use crate::executor::Executor;
+use mspgemm_sched::{tile::uniform_tiles, PoolRunError};
 use mspgemm_sparse::{Csc, Csr, Idx, Semiring, SparseError};
 use std::sync::OnceLock;
 
@@ -96,12 +98,15 @@ pub fn masked_spgemm_dot<S: Semiring>(
     let results: Vec<OnceLock<TileOut<S::T>>> =
         (0..tiles.len()).map(|_| OnceLock::new()).collect();
 
-    let outcome = run_tiles(
+    // one run on the process-wide executor's persistent pool, serialised
+    // with every other run on it
+    let exec = Executor::global().shared();
+    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+    let outcome = exec.pool.run_tiles(
         n_threads,
         tiles.len(),
         config.schedule,
-        |_| (),
-        |_, t| {
+        |_, _, t| {
             let tile = tiles[t];
             let mut row_nnz = Vec::with_capacity(tile.len());
             let mut cols = Vec::new();
@@ -128,7 +133,11 @@ pub fn masked_spgemm_dot<S: Semiring>(
     // No degraded retry here: the dot kernel has no alternative
     // configuration to fall back across, so a failed tile surfaces
     // directly (the first failure names the tile).
-    if let Err(exec) = outcome {
+    if let Err(err) = outcome {
+        let exec = match err {
+            PoolRunError::Tiles(exec) => exec,
+            PoolRunError::Pool(e) => return Err(pool_error(e)),
+        };
         let first = &exec.failures[0];
         let tile = tiles.get(first.tile).copied().unwrap_or(mspgemm_sched::Tile {
             lo: 0,

@@ -1,79 +1,83 @@
-//! The parallel masked-SpGEMM driver: tiling × scheduling × accumulator ×
-//! iteration space, assembled exactly as the paper's experiments require.
+//! The tile engine: one execution path for every masked product.
 //!
-//! Pipeline per call (all passes are `O(nnz)` or better):
+//! A one-shot [`spgemm`], a reused [`crate::Plan`], a fused
+//! [`crate::PlanGraph`] and a service batch all reach `run_jobs` as
+//! *jobs*: a frozen chain of one or more masked products (a single product
+//! is a one-node chain with inputs `[A, B, M]`), its concrete inputs, and
+//! its cross-run scratch. Pipeline per job (all passes `O(nnz)` or
+//! better):
 //!
-//! 1. the symbolic phase — shape validation, Eq. 2 work estimation, tiling
-//!    and slot layout — captured in a `PlanCore` (built per
-//!    call by [`spgemm`], built *once* by [`crate::Executor::plan`] and
-//!    reused across calls);
-//! 2. run the tiles on the executor's persistent worker pool
-//!    ([`mspgemm_sched::WorkerPool`]); each worker's accumulator lives in
-//!    its cross-run [`mspgemm_sched::WorkerScratch`], keyed by plan
-//!    identity, so it persists across every tile the worker claims — and,
-//!    under a reused plan, across every *run*;
-//! 3. assemble the output CSR.
+//! 1. the symbolic prologue — shape validation, Eq. 2 work estimation,
+//!    tiling, accumulator bounds and per-node slot layout — frozen by
+//!    `crate::graph::freeze` (per call for [`spgemm`], once per
+//!    [`crate::Plan`] / [`crate::PlanGraph`], once per cached service plan);
+//! 2. one pool dispatch ([`mspgemm_sched::WorkerPool::run_tiles_multi`])
+//!    that runs the *whole chain per tile*: the worker that finishes node
+//!    `j`'s rows `[lo, hi)` immediately runs node `j+1` on the same rows,
+//!    reading its predecessor's output straight out of the slot window it
+//!    just wrote. A batch multiplexes every job's tiles onto the same
+//!    dispatch;
+//! 3. one settle routine per job: cancellation, the degraded serial retry,
+//!    and output assembly.
 //!
 //! # Output assembly
 //!
-//! The default ([`Assembly::InPlace`]) exploits the mask's hard bound
-//! `nnz(C[i,:]) ≤ nnz(M[i,:])`: the plan sizes the output `cols`/`vals`
-//! buffers at `nnz(M)` once, each tile claims its disjoint slot range
-//! through [`mspgemm_sched::DisjointSlots`] and the kernels write rows
-//! straight into their slots (zero steady-state allocation); a compaction
-//! pass then squeezes out the per-row slack and builds the final
-//! `row_ptr` — and when there is no slack the slot buffers *are* the
-//! output, with nothing copied at all. Under a reused plan the slot
-//! buffers themselves survive across runs in the plan's
-//! `PlanScratch`, resized without clearing (every
-//! surviving row slot is rewritten before compaction reads it).
-//! [`Assembly::Legacy`] keeps the historical fragment-then-stitch pipeline
-//! (per-tile growable buffers + serial full-output copy) as the
-//! bit-identical reference.
+//! The engine exploits the mask's hard bound `nnz(C[i,:]) ≤ nnz(M[i,:])`:
+//! every node owns slot buffers sized at `nnz(M)`, each tile claims its
+//! disjoint slot windows through [`mspgemm_sched::DisjointSlots`] and the
+//! kernels write rows straight into their slots (zero steady-state
+//! allocation); a compaction pass then squeezes out the per-row slack and
+//! builds the final `row_ptr` — and when there is no slack the slot
+//! buffers *are* the output, with nothing copied at all. The slot buffers
+//! and the per-worker accumulator cells live in the job's
+//! `PlanScratch`, so a reused plan re-executes without allocating them
+//! (reused buffers are resized without clearing: every surviving row slot
+//! is rewritten before compaction reads it).
 //!
 //! # Fault tolerance
 //!
 //! Tile execution is panic-isolated (see `mspgemm_sched`): a kernel that
-//! unwinds loses only its own tile, and the driver retries each lost tile
-//! **once, serially, with the conservative configuration** — the vanilla
-//! saxpy kernel over a dense `u64`-marker accumulator — before giving up.
-//! All kernels accumulate each output row's products in the same `k`
-//! order, so a successful retry is bit-identical to what the original
-//! configuration would have produced. Only if the degraded retry *also*
-//! fails does the call surface [`SparseError::TileFailed`], naming the
-//! tile and its row range; internal invariant breaks surface as
-//! [`SparseError::Internal`]. A panic that escapes tile isolation inside
-//! the pool infrastructure poisons the executor —
-//! [`SparseError::ExecutorPoisoned`] — but never the process. Either way
-//! [`RunStats::retried_tiles`] / [`RunStats::failed_tiles`] make any
-//! degradation observable.
+//! unwinds loses only its own tile, and the settle routine retries each
+//! lost tile **once, serially, with the conservative configuration** — the
+//! vanilla saxpy kernel over a dense `u64`-marker accumulator, every node
+//! of the chain in order — before giving up. All kernels accumulate each
+//! output row's products in the same `k` order, so a successful retry is
+//! bit-identical to what the original configuration would have produced.
+//! Only if the degraded retry *also* fails does the call surface
+//! [`SparseError::TileFailed`], naming the tile and its row range; internal
+//! invariant breaks surface as [`SparseError::Internal`]. A panic that
+//! escapes tile isolation inside the pool infrastructure poisons the
+//! executor — [`SparseError::ExecutorPoisoned`] — but never the process.
+//! Either way [`RunStats::retried_tiles`] / [`RunStats::failed_tiles`] make
+//! any degradation observable.
 
-use crate::config::{Assembly, Config, IterationSpace};
+use crate::config::{Config, IterationSpace};
 use crate::executor::{Executor, ExecutorShared};
+use crate::graph::{GraphCore, NodePlan, OperandRef, PostOpSpec};
 use crate::kernels::{
     row_coiterate, row_hybrid, row_mask_accumulate, row_vanilla, tally_row_hybrid, HybridStats,
+    RowRead,
 };
-use crate::plan::{PlanCore, PlanScratch};
+use crate::plan::{AccCell, AccSlot, PlanScratch, SlotBufs};
 use mspgemm_accum::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, MarkerWidth, RowSink,
-    SlotSink, SortAccumulator, VecSink,
+    Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, FusedStage,
+    HashAccumulator, MarkerWidth, RowSink, SlotSink, SortAccumulator,
 };
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
-    catch_tile_panic, CancelToken, DisjointSlots, ExecError, MultiRun, PoolError, PoolRunError,
-    Schedule, ThreadReport, Tile, TileFailure, WorkerScratch,
+    catch_tile_panic, CancelToken, DisjointSlots, MultiRun, PoolError, Schedule, ThreadReport,
+    Tile, TileFailure, WorkerScratch,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Measurements from one driver invocation.
 #[derive(Clone, Debug)]
 pub struct RunStats {
-    /// Wall time of the parallel section + stitch, **excluding** the
+    /// Wall time of the parallel section + assembly, **excluding** the
     /// degraded serial retries (matching how the paper times the kernel:
     /// a fault-recovery pass is not part of the measured configuration).
     /// The retry window is reported separately in
@@ -85,15 +89,15 @@ pub struct RunStats {
     /// revalidation for [`crate::plan::Plan::execute`].
     pub setup: Duration,
     /// Wall time of the degraded serial retry pass (zero when no tile
-    /// failed). Previously this window was silently folded into
-    /// [`elapsed`](Self::elapsed), so a run that recovered from faults
-    /// looked slower than the configuration it was measuring.
+    /// failed), reported apart from [`elapsed`](Self::elapsed) so a run
+    /// that recovered from faults does not look slower than the
+    /// configuration it was measuring.
     pub retry_elapsed: Duration,
     /// Per-thread execution reports (tiles run, busy time).
     pub thread_reports: Vec<ThreadReport>,
     /// Total Eq. 2 work estimate.
     pub estimated_work: u64,
-    /// Entries in the output.
+    /// Entries in the output (summed over a graph's output nodes).
     pub output_nnz: usize,
     /// Tiles actually used (after resolution/clamping).
     pub n_tiles: usize,
@@ -113,7 +117,8 @@ pub struct RunStats {
     /// correctness one). Always zero when overbooking is off.
     pub overbook_spills: u64,
     /// Counter/histogram deltas attributable to this run, present iff
-    /// metrics were armed (`MSPGEMM_METRICS` or [`obs::arm_metrics`]).
+    /// metrics were armed (`MSPGEMM_METRICS` or [`obs::arm_metrics`]) and
+    /// the run was not multiplexed with other jobs.
     pub metrics: Option<obs::MetricsSnapshot>,
 }
 
@@ -128,14 +133,6 @@ impl RunStats {
     pub fn total(&self) -> Duration {
         self.setup + self.elapsed + self.retry_elapsed
     }
-}
-
-/// One tile's output fragment.
-struct TileResult<T> {
-    /// nnz of each row in the tile, in order.
-    row_nnz: Vec<u32>,
-    cols: Vec<Idx>,
-    vals: Vec<T>,
 }
 
 /// Compute `C = M ⊙ (A × B)` with the given configuration, on the
@@ -169,777 +166,786 @@ pub(crate) fn pool_error(e: PoolError) -> SparseError {
     }
 }
 
-/// Execute a prepared plan core on an executor: the numeric phase shared
-/// by every entry point ([`spgemm`], [`crate::Executor::execute`],
-/// [`crate::plan::Plan::execute`]). Holds the executor's run lock for the
-/// whole run so per-run metric deltas never interleave.
-pub(crate) fn run_plan<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    setup: Duration,
-) -> Result<(Csr<S::T>, RunStats), SparseError> {
-    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-
-    let metrics_on = obs::armed();
-    let before = if metrics_on { Some(obs::snapshot()) } else { None };
-    obs::incr(obs::Counter::DriverRuns);
-
-    let start = Instant::now();
-    let (result, reports, retry) =
-        dispatch_accumulator::<S>(exec, core, scratch, cancel, a, b, mask)?;
-    // the degraded retry window is timed inside the run; subtract it so
-    // `elapsed` measures the configuration, not the recovery
-    let elapsed = start.elapsed().saturating_sub(retry.elapsed);
-
-    // mask bound minus realised output: the per-row slack the in-place
-    // assembly preallocates and then compacts away (identical under the
-    // legacy path — the outputs are bit-identical)
-    obs::add(
-        obs::Counter::DriverSlackNnz,
-        (mask.nnz() - result.nnz()) as u64,
-    );
-
-    let metrics = before.map(|b| obs::snapshot().delta_since(&b));
-    let stats = RunStats {
-        elapsed,
-        setup,
-        retry_elapsed: retry.elapsed,
-        thread_reports: reports,
-        estimated_work: core.estimated_work,
-        output_nnz: result.nnz(),
-        n_tiles: core.tiles.len(),
-        n_threads: core.n_threads,
-        retried_tiles: retry.recovered,
-        failed_tiles: retry.failed,
-        overbook_spills: retry.spills,
-        metrics,
-    };
-    Ok((result, stats))
-}
-
-/// What the degraded-retry pass did, threaded up into [`RunStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct RetryStats {
-    /// Tiles that failed in the parallel phase.
-    failed: usize,
-    /// Tiles recovered by the serial degraded retry.
-    recovered: usize,
-    /// Wall time of the retry pass.
-    elapsed: Duration,
-    /// Overbooked-accumulator spill recomputes performed by the parallel
-    /// phase (not a retry stat, but threaded through the same per-run
-    /// accounting into [`RunStats::overbook_spills`]).
-    spills: u64,
-}
-
-/// Monomorphise on the accumulator family × marker width — and on the
-/// metering flag: armed runs use the counting (`METER = true`)
-/// accumulator instantiations, unarmed runs compile to instantiations
-/// whose hot loops are instruction-identical to the uninstrumented
-/// baseline. Arming is checked once per driver call, never per element.
-/// (The worker-persistent accumulator cache keys on `TypeId`, so flipping
-/// the flag between runs transparently rebuilds the scratch.)
-fn dispatch_accumulator<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError> {
-    if obs::armed() {
-        dispatch_metered::<S, true>(exec, core, scratch, cancel, a, b, mask)
-    } else {
-        dispatch_metered::<S, false>(exec, core, scratch, cancel, a, b, mask)
-    }
-}
-
-fn dispatch_metered<S: Semiring, const METER: bool>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError> {
-    let ncols = b.ncols();
-    // The maker takes the accumulator's row capacity so the run paths can
-    // size worker accumulators at the plan's *overbooked* bound and spill
-    // rebuilds at the hard bound from one closure (dense ignores it — its
-    // table is the full column range either way).
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => {
-            let full = core.max_row_entries;
-            match w {
-                MarkerWidth::W8 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W16 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                // The 8-lane probe wants 32-bit keys *and* marks, so W32 is
-                // the only width with a vector instantiation. Only
-                // `SimdMode::Force` resolves `simd_probe` on: slack-sized
-                // tables keep chains inside the scalar fast path, so Auto
-                // keeps the scalar probe (see the plan prologue).
-                MarkerWidth::W32 if core.simd_probe => {
-                    run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                        HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                    })
-                }
-                MarkerWidth::W32 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W64 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-            }
-        }
-        AccumulatorKind::Sort => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-            SortAccumulator::<S>::new(cap)
-        }),
-    }
-}
-
-/// One prepared product inside a [`run_plan_batch`] call: a plan core,
-/// its operands and cross-run scratch, plus the fairness weight the
-/// multiplexed tile interleave gives this job.
-pub(crate) struct BatchJob<'r, S: Semiring> {
-    pub(crate) core: &'r PlanCore,
-    pub(crate) a: &'r Csr<S::T>,
-    pub(crate) b: &'r Csr<S::T>,
-    pub(crate) mask: &'r Csr<S::T>,
-    pub(crate) scratch: Option<&'r mut PlanScratch<S>>,
-    /// Tiles this job contributes per round of the interleaved claim
-    /// order (see [`mspgemm_sched::MultiRun::weight`]).
-    pub(crate) weight: u32,
-    /// Symbolic-phase wall time attributed to this job (plan lookup /
-    /// preparation on the submitter side), reported in its `RunStats`.
-    pub(crate) setup: Duration,
+/// One chain to run: a frozen core, the concrete inputs it was frozen
+/// against (positional), and its cross-run scratch.
+pub(crate) struct Job<'r, S: Semiring> {
+    pub(crate) core: &'r GraphCore<S::T>,
+    pub(crate) inputs: &'r [&'r Csr<S::T>],
+    pub(crate) scratch: &'r mut PlanScratch<S::T>,
     /// Cooperative cancellation for this job alone: when the token fires
     /// (client cancel or enforced deadline) the claim loop stops issuing
-    /// this job's tiles and the settle phase reports
-    /// [`SparseError::Cancelled`] / [`SparseError::DeadlineExceeded`]
-    /// instead of finishing the product. Sibling jobs are untouched.
+    /// this job's tiles and settle reports [`SparseError::Cancelled`] /
+    /// [`SparseError::DeadlineExceeded`]. Sibling jobs are untouched.
     pub(crate) cancel: Option<&'r CancelToken>,
+    /// Tiles this job contributes per round of a batch's interleaved claim
+    /// order (see [`mspgemm_sched::MultiRun::weight`]).
+    pub(crate) weight: u32,
+    /// Symbolic-phase wall time attributed to this job, reported in its
+    /// `RunStats`.
+    pub(crate) setup: Duration,
+    /// Products plus fused post-ops a [`crate::PlanGraph`] execution
+    /// counts as `fusion.ops_fused` (zero for plain products), recorded
+    /// inside the run's metrics window.
+    pub(crate) fused_ops: u64,
 }
 
-/// Per-job slot buffers for the multiplexed phase, adopted from the job's
-/// plan scratch or freshly built.
-struct BatchBufs<S: Semiring> {
-    cols: Vec<Idx>,
-    vals: Vec<S::T>,
-    nnz: Vec<u32>,
+/// A job's outcome: its marked output nodes (in node order) and stats.
+pub(crate) type JobResult<T> = Result<(Vec<Csr<T>>, RunStats), SparseError>;
+
+/// The single output of a one-node job.
+pub(crate) fn only_output<T>(outcome: JobResult<T>) -> Result<(Csr<T>, RunStats), SparseError> {
+    let (outs, stats) = outcome?;
+    match outs.into_iter().next() {
+        Some(c) => Ok((c, stats)),
+        None => Err(SparseError::Internal { detail: "product produced no output".to_string() }),
+    }
 }
 
-/// The shared-buffer views one multiplexed job exposes to its tile body.
-struct JobViews<'b, S: Semiring> {
-    cols: DisjointSlots<'b, Idx>,
-    vals: DisjointSlots<'b, S::T>,
-    nnz: DisjointSlots<'b, u32>,
-    completed: Vec<OnceLock<()>>,
-    duplicate: Mutex<Option<usize>>,
-    /// Overbook spill recomputes performed by this job's tiles (workers
-    /// interleave jobs, so the count must be per-view, not per-worker).
-    spills: AtomicU64,
-}
-
-/// Build one job's type-erased tile body for the multiplexed run,
-/// monomorphised on its accumulator. Unlike the single-run path, the
-/// accumulator cannot live in the worker's [`WorkerScratch`] — that cache
-/// has exactly one slot, and workers interleave tiles from *different*
-/// jobs, so parking per-job state there would rebuild it on every job
-/// switch. Each job instead reads a per-worker accumulator cell from its
-/// plan scratch (`PlanScratch::accums`), built lazily on the worker's
-/// first tile of this job and *persisted across runs* of the leased
-/// plan. A cell holding a stale type (different accumulator family, or
-/// the `METER` flag flipped by arming metrics) fails the downcast and is
-/// rebuilt from clean. A mid-tile panic poisons the cell's mutex; the
-/// poisoned lock is treated as "state may be mid-update, rebuild from
-/// clean" — the exact analogue of `WorkerScratch::invalidate`.
-fn batch_body_with<'x, S, A, F>(
-    core: &'x PlanCore,
-    a: &'x Csr<S::T>,
-    b: &'x Csr<S::T>,
-    mask: &'x Csr<S::T>,
-    views: &'x JobViews<'x, S>,
-    accs: &'x [Mutex<Option<Box<dyn Any + Send>>>],
-    make_acc: F,
-) -> Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x>
-where
-    S: Semiring,
-    A: Accumulator<S> + Send + 'static,
-    F: Fn(usize) -> A + Sync + 'x,
-{
-    let iteration = core.config.kernel.iteration;
-    let simd = core.simd;
-    let overbook = core.overbook_row_entries;
-    let full_cap = core.max_row_entries;
-    let tiles = &core.tiles;
-    Box::new(move |t, ws, tile_idx| {
-        failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-        if ws.current_tile_abandoned() {
-            // the watchdog already handed this tile to the degraded
-            // serial path; leave it uncompleted and let settle own it
-            return;
-        }
-        let (Some(sc), Some(sv), Some(rn)) =
-            (views.cols.take(tile_idx), views.vals.take(tile_idx), views.nnz.take(tile_idx))
-        else {
-            let mut guard = views.duplicate.lock().unwrap_or_else(|e| e.into_inner());
-            guard.get_or_insert(tile_idx);
-            return;
-        };
-        let cell_mutex = &accs[t % accs.len()];
-        let mut cell = match cell_mutex.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                // a sibling tile of this job panicked while updating this
-                // worker's accumulator: rebuild from clean
-                cell_mutex.clear_poison();
-                let mut guard = poisoned.into_inner();
-                *guard = None;
-                guard
-            }
-        };
-        // the cached slot holds the worker table plus the spill scratch
-        // so both stay warm across tiles
-        if !cell.as_ref().is_some_and(|boxed| boxed.as_ref().is::<(A, OverbookSpill<S, A>)>()) {
-            // drop the stale value first so peak memory is one scratch
-            *cell = None;
-            *cell = Some(Box::new((make_acc(overbook), OverbookSpill::<S, A>::new())));
-        }
-        let Some(pair) = cell
-            .as_deref_mut()
-            .and_then(|boxed| boxed.downcast_mut::<(A, OverbookSpill<S, A>)>())
-        else {
-            // unreachable: the branch above just installed the pair.
-            // Bailing leaves the tile uncompleted, which the settle phase
-            // repairs through the degraded serial retry.
-            return;
-        };
-        let (acc, spill_acc) = (&mut pair.0, &mut pair.1);
-        let mut hstats = HybridStats::armed();
-        let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-        let spilled = compute_tile_slots_sparse::<S, A, _>(
-            tiles[tile_idx],
-            &core.nonempty[nlo..nhi],
-            core.slot_ranges[tile_idx].0,
-            iteration,
-            simd,
-            overbook,
-            &|| make_acc(full_cap),
-            a,
-            b,
-            mask,
-            acc,
-            spill_acc,
-            &mut hstats,
-            sc,
-            sv,
-            rn,
-        );
-        if spilled > 0 {
-            views.spills.fetch_add(spilled, Ordering::Relaxed);
-        }
-        if !ws.current_tile_abandoned() {
-            let _ = views.completed[tile_idx].set(());
-        }
+/// Run one job alone (see [`run_jobs`]).
+pub(crate) fn run_job<S: Semiring>(exec: &ExecutorShared, job: Job<'_, S>) -> JobResult<S::T> {
+    run_jobs(exec, vec![job]).pop().unwrap_or_else(|| {
+        Err(SparseError::Internal { detail: "job never settled".to_string() })
     })
 }
 
-/// Dispatch [`batch_body_with`] on the job's accumulator family × marker
-/// width × metering flag — the batch-path mirror of [`dispatch_metered`].
-fn batch_body<'x, S: Semiring, const METER: bool>(
-    core: &'x PlanCore,
-    a: &'x Csr<S::T>,
-    b: &'x Csr<S::T>,
-    mask: &'x Csr<S::T>,
-    views: &'x JobViews<'x, S>,
-    accs: &'x [Mutex<Option<Box<dyn Any + Send>>>],
-) -> Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x> {
-    let ncols = b.ncols();
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => {
-            let full = core.max_row_entries;
-            match w {
-                MarkerWidth::W8 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W16 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                // W32 is the only width with a vector probe; see `dispatch_metered`
-                MarkerWidth::W32 if core.simd_probe => {
-                    batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                        HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                    })
-                }
-                MarkerWidth::W32 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W64 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-            }
-        }
-        AccumulatorKind::Sort => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-            SortAccumulator::<S>::new(cap)
-        }),
-    }
-}
-
-/// Finish one multiplexed job after the parallel phase: degraded serial
-/// retry for lost tiles, row-pointer prefix sum, stitch-failpoint replay,
-/// compaction (or zero-copy adoption when there is no slack), and scratch
-/// hand-back — step for step the tail of [`run_inplace`]. Compaction is
-/// always serial here: the batch path exists for many *small* products,
-/// and nesting pool runs per job inside a settled batch would serialize
-/// against the very synchronisation the batch amortised away.
-#[allow(clippy::too_many_arguments)]
-fn settle_batch_job<S: Semiring>(
-    core: &PlanCore,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    mut slot_cols: Vec<Idx>,
-    mut slot_vals: Vec<S::T>,
-    mut row_nnz: Vec<u32>,
-    completed: &[OnceLock<()>],
-    duplicate: Option<usize>,
-    spills: u64,
-    parallel_failures: &[TileFailure],
-    cancel: Option<&CancelToken>,
-    scratch: Option<&mut PlanScratch<S>>,
-) -> Result<(Csr<S::T>, RetryStats), SparseError> {
-    if let Some(tile_idx) = duplicate {
-        return Err(SparseError::Internal { detail: format!("tile {tile_idx} executed twice") });
-    }
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let tiles = &core.tiles;
-
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> =
-        (0..tiles.len()).filter(|&i| completed[i].get().is_none()).collect();
-    // A cancelled job's skipped tiles are deliberately missing: report the
-    // cancellation (attributed to the deadline when that is what fired)
-    // instead of serially finishing a product nobody wants. A job whose
-    // every tile finished before the cancel was observed still settles.
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats { failed: missing.len(), spills, ..RetryStats::default() };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        let (slo, shi) = core.slot_ranges[tile_idx];
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_tile_slots::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-                &mut slot_cols[slo..shi],
-                &mut slot_vals[slo..shi],
-                &mut row_nnz[tile.lo..tile.hi],
-            );
-        });
-        match attempt {
-            Ok(()) => {
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    let (row_ptr, output_nnz) = build_row_ptr(nrows, &core.nonempty, &row_nnz);
-
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..tiles.len() {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-    obs::add(obs::Counter::DriverSlackNnz, (mask.nnz() - output_nnz) as u64);
-
-    if output_nnz == core.bound {
-        // no slack: the slot buffers are the output (see `run_inplace`)
-        if let Some(s) = scratch {
-            s.row_nnz = row_nnz;
-            return Ok((
-                Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-                retry,
-            ));
-        }
-        return Ok((
-            Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-            retry,
-        ));
-    }
-
-    let mut out_cols = vec![0 as Idx; output_nnz];
-    let mut out_vals = vec![S::zero(); output_nnz];
-    let res = catch_tile_panic(|| {
-        for (idx, t) in tiles.iter().enumerate() {
-            let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-            let (nlo, nhi) = core.nonempty_ranges[idx];
-            let bytes = copy_tile_rows::<S>(
-                *t,
-                &core.nonempty[nlo..nhi],
-                &row_ptr,
-                &slot_cols,
-                &slot_vals,
-                &mut out_cols[dlo..dhi],
-                &mut out_vals[dlo..dhi],
-            );
-            obs::add(obs::Counter::DriverCompactionBytes, bytes);
-        }
-    });
-    if let Err(msg) = res {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-    if let Some(s) = scratch {
-        s.slot_cols = slot_cols;
-        s.slot_vals = slot_vals;
-        s.row_nnz = row_nnz;
-    }
-    Ok((Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals), retry))
-}
-
-/// Execute a *batch* of prepared products in one run-lock window, with
-/// every in-place job's tiles multiplexed onto a single pool
-/// synchronisation ([`mspgemm_sched::WorkerPool::run_tiles_multi`]) —
-/// the coalescing path the concurrent service uses for many small masked
-/// products. Legacy-assembly jobs (and a lone in-place job) run
-/// sequentially inside the same window instead; results come back in
-/// submission order, each job settling from its own failure accounting so
-/// one tenant's tile panics never fail a sibling's product.
+/// Execute jobs in one run-lock window and one pool dispatch, then settle
+/// each from its own failure accounting (so one tenant's tile panics never
+/// fail a sibling's product). Results come back in job order.
 ///
-/// Per-job `RunStats` caveats, by construction of the shared run:
-/// `thread_reports` are the whole batch's (workers interleave jobs, so
-/// busy time is not attributable per job), `elapsed` is the shared
-/// parallel window plus the job's own serial settling, and `metrics` is
-/// `None` (process-global counter deltas cannot be split across
-/// multiplexed jobs).
-pub(crate) fn run_plan_batch<S: Semiring>(
+/// A lone job claims its tiles under its configured schedule and reports
+/// its own thread reports and (when armed) a metrics delta. A batch
+/// interleaves every job's tiles at per-tile granularity; its per-job
+/// `RunStats` carry the whole batch's `thread_reports` (workers interleave
+/// jobs, so busy time is not attributable per job), an `elapsed` of the
+/// shared parallel window plus the job's own settling, and `metrics: None`
+/// (process-global counter deltas cannot be split across jobs).
+pub(crate) fn run_jobs<S: Semiring>(
     exec: &ExecutorShared,
-    mut jobs: Vec<BatchJob<'_, S>>,
-) -> Vec<Result<(Csr<S::T>, RunStats), SparseError>> {
+    mut jobs: Vec<Job<'_, S>>,
+) -> Vec<JobResult<S::T>> {
     let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-    let n = jobs.len();
-    let mut results: Vec<Option<Result<(Csr<S::T>, RunStats), SparseError>>> =
-        (0..n).map(|_| None).collect();
+    let n_jobs = jobs.len();
+    let before = (n_jobs == 1 && obs::armed()).then(obs::snapshot);
+    let start = Instant::now();
+    let n_threads = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1);
+    let schedule = match jobs.as_slice() {
+        [job] => job.core.config.schedule,
+        _ => Schedule::Dynamic { chunk: 1 },
+    };
+    for job in jobs.iter_mut() {
+        obs::incr(obs::Counter::DriverRuns);
+        obs::add(obs::Counter::FusionOpsFused, job.fused_ops);
+        note_overbook_savings::<S>(job.core);
+        job.scratch.fit(job.core, S::zero(), n_threads);
+    }
 
-    let multi: Vec<usize> = {
-        let inplace: Vec<usize> = (0..n)
-            .filter(|&j| matches!(jobs[j].core.config.assembly, Assembly::InPlace))
+    // --- parallel phase: claim slot windows, build each job's tile body,
+    // one dispatch for all of them ---
+    let metered = obs::armed();
+    let (outcome, tallies) = {
+        let mut ledgers: Vec<Ledger<'_, S::T>> = Vec::with_capacity(jobs.len());
+        let mut views = Vec::with_capacity(jobs.len());
+        for job in jobs.iter_mut() {
+            let PlanScratch { slots, accums } = &mut *job.scratch;
+            match Ledger::new(job.core, slots) {
+                Ok(l) => ledgers.push(l),
+                Err(detail) => {
+                    let e = SparseError::Internal { detail };
+                    return (0..n_jobs).map(|_| Err(e.clone())).collect();
+                }
+            }
+            views.push((job.core, job.inputs, accums.as_slice(), job.cancel, job.weight));
+        }
+        let bodies: Vec<TileFn<'_>> = views
+            .iter()
+            .zip(&ledgers)
+            .map(|(&(core, inputs, cells, _, _), ledger)| {
+                let body = TileBody { core, inputs, cells, ledger };
+                dispatch_accumulator::<S, _>(core, metered, body)
+            })
             .collect();
-        // a single in-place job gains nothing from the interleave and
-        // would lose the worker-persistent accumulator; run it alone
-        if inplace.len() >= 2 { inplace } else { Vec::new() }
+        let runs: Vec<MultiRun<'_>> = views
+            .iter()
+            .zip(&bodies)
+            .map(|(&(core, _, _, cancel, weight), body)| MultiRun {
+                n_tiles: core.tiles.len(),
+                weight,
+                cancel,
+                body: body.as_ref(),
+            })
+            .collect();
+        let outcome = exec.pool.run_tiles_multi(n_threads, schedule, &runs);
+        drop(runs);
+        drop(bodies);
+        (outcome, ledgers.into_iter().map(Ledger::finish).collect::<Vec<_>>())
+    };
+    let par_elapsed = start.elapsed();
+    let out = match outcome {
+        Ok(out) => out,
+        Err(e) => {
+            let e = pool_error(e);
+            return (0..n_jobs).map(|_| Err(e.clone())).collect();
+        }
     };
 
-    // --- sequential jobs: legacy assembly, or a batch too small to
-    // multiplex. Same lock window, classic single-run path. ---
-    for j in 0..n {
-        if multi.contains(&j) {
-            continue;
-        }
-        obs::incr(obs::Counter::DriverRuns);
-        let jstart = Instant::now();
-        let job = &mut jobs[j];
-        let outcome = dispatch_accumulator::<S>(
-            exec,
-            job.core,
-            job.scratch.as_deref_mut(),
-            job.cancel,
-            job.a,
-            job.b,
-            job.mask,
-        );
-        results[j] = Some(match outcome {
-            Ok((c, reports, retry)) => {
-                obs::add(obs::Counter::DriverSlackNnz, (job.mask.nnz() - c.nnz()) as u64);
-                let elapsed = jstart.elapsed().saturating_sub(retry.elapsed);
-                let output_nnz = c.nnz();
-                Ok((
-                    c,
-                    RunStats {
-                        elapsed,
-                        setup: job.setup,
-                        retry_elapsed: retry.elapsed,
-                        thread_reports: reports,
-                        estimated_work: job.core.estimated_work,
-                        output_nnz,
-                        n_tiles: job.core.tiles.len(),
-                        n_threads: job.core.n_threads,
-                        retried_tiles: retry.recovered,
-                        failed_tiles: retry.failed,
-                        overbook_spills: retry.spills,
-                        metrics: None,
-                    },
-                ))
-            }
-            Err(e) => Err(e),
-        });
-    }
-
-    if !multi.is_empty() {
-        // --- multiplexed in-place jobs: one pool synchronisation ---
-        let n_threads = multi.iter().map(|&j| jobs[j].core.n_threads).max().unwrap_or(1);
-        let mut bufs: Vec<BatchBufs<S>> = Vec::with_capacity(multi.len());
-        // per-job per-worker accumulator cells, leased from the plan
-        // scratch so a cached plan re-executes without rebuilding them
-        // (handed back below, mirroring the slot buffers)
-        let mut acc_grids: Vec<Vec<Mutex<Option<Box<dyn Any + Send>>>>> =
-            Vec::with_capacity(multi.len());
-        for &j in &multi {
-            obs::incr(obs::Counter::DriverRuns);
-            let job = &mut jobs[j];
-            note_overbook_savings::<S>(job.core);
-            let (mut cols, mut vals, mut nnz, mut grid) = match job.scratch.as_deref_mut() {
-                Some(s) => (
-                    std::mem::take(&mut s.slot_cols),
-                    std::mem::take(&mut s.slot_vals),
-                    std::mem::take(&mut s.row_nnz),
-                    std::mem::take(&mut s.accums),
-                ),
-                None => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+    // --- settle each job: retry, assemble, account ---
+    let mut results: Vec<JobResult<S::T>> = jobs
+        .iter_mut()
+        .zip(tallies)
+        .zip(&out.failures)
+        .map(|((job, tally), failures)| {
+            let settle_start = Instant::now();
+            let (outputs, retry) = settle::<S>(exec, job, tally, failures, n_threads)?;
+            let stats = RunStats {
+                elapsed: (par_elapsed + settle_start.elapsed()).saturating_sub(retry.elapsed),
+                setup: job.setup,
+                retry_elapsed: retry.elapsed,
+                thread_reports: out.reports.clone(),
+                estimated_work: job.core.estimated_work,
+                output_nnz: outputs.iter().map(Csr::nnz).sum(),
+                n_tiles: job.core.tiles.len(),
+                n_threads,
+                retried_tiles: retry.recovered,
+                failed_tiles: retry.failed,
+                overbook_spills: retry.spills,
+                metrics: None,
             };
-            cols.resize(job.core.bound, 0 as Idx);
-            vals.resize(job.core.bound, S::zero());
-            nnz.resize(job.a.nrows(), 0u32);
-            if grid.len() < n_threads.max(1) {
-                grid.resize_with(n_threads.max(1), || Mutex::new(None));
-            }
-            bufs.push(BatchBufs { cols, vals, nnz });
-            acc_grids.push(grid);
-        }
+            Ok((outputs, stats))
+        })
+        .collect();
+    if let (Some(b), [Ok((_, stats))]) = (before, results.as_mut_slice()) {
+        stats.metrics = Some(obs::snapshot().delta_since(&b));
+    }
+    results
+}
 
-        let par_start = Instant::now();
-        let mut slot_err: Option<SparseError> = None;
-        let mut run_outcome = None;
-        let accounting: Vec<(Vec<OnceLock<()>>, Option<usize>, u64)>;
-        {
-            let mut views: Vec<JobViews<'_, S>> = Vec::with_capacity(multi.len());
-            for (buf, &j) in bufs.iter_mut().zip(&multi) {
-                let core = jobs[j].core;
-                let BatchBufs { cols, vals, nnz } = buf;
-                let (cols, vals, nnz) = match (
-                    DisjointSlots::new(cols, &core.slot_ranges),
-                    DisjointSlots::new(vals, &core.slot_ranges),
-                    DisjointSlots::new(nnz, &core.row_ranges),
-                ) {
-                    (Ok(c), Ok(v), Ok(r)) => (c, v, r),
-                    (Err(detail), _, _) | (_, Err(detail), _) | (_, _, Err(detail)) => {
-                        slot_err = Some(SparseError::Internal { detail });
-                        break;
-                    }
-                };
-                views.push(JobViews {
-                    cols,
-                    vals,
-                    nnz,
-                    completed: (0..core.tiles.len()).map(|_| OnceLock::new()).collect(),
-                    duplicate: Mutex::new(None),
-                    spills: AtomicU64::new(0),
-                });
-            }
-            if slot_err.is_none() {
-                let metered = obs::armed();
-                let bodies: Vec<Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + '_>> =
-                    views
-                        .iter()
-                        .zip(&multi)
-                        .zip(&acc_grids)
-                        .map(|((view, &j), accs)| {
-                            let job = &jobs[j];
-                            if metered {
-                                batch_body::<S, true>(
-                                    job.core, job.a, job.b, job.mask, view, accs,
-                                )
-                            } else {
-                                batch_body::<S, false>(
-                                    job.core, job.a, job.b, job.mask, view, accs,
-                                )
-                            }
-                        })
-                        .collect();
-                let runs: Vec<MultiRun<'_>> = bodies
-                    .iter()
-                    .zip(&multi)
-                    .map(|(body, &j)| MultiRun {
-                        n_tiles: jobs[j].core.tiles.len(),
-                        weight: jobs[j].weight,
-                        cancel: jobs[j].cancel,
-                        body: body.as_ref(),
-                    })
-                    .collect();
-                run_outcome = Some(exec.pool.run_tiles_multi(n_threads, &runs));
-            }
-            accounting = views
-                .into_iter()
-                .map(|v| {
-                    let dup = v.duplicate.into_inner().unwrap_or_else(|e| e.into_inner());
-                    (v.completed, dup, v.spills.into_inner())
-                })
-                .collect();
-        }
-        let par_elapsed = par_start.elapsed();
+/// A job's type-erased tile body, as handed to the pool.
+type TileFn<'x> = Box<dyn Fn(usize, &WorkerScratch, usize) + Sync + 'x>;
 
-        match run_outcome {
-            None => {
-                let e = slot_err.unwrap_or_else(|| SparseError::Internal {
-                    detail: "batch slot layout failed".to_string(),
-                });
-                for &j in &multi {
-                    results[j] = Some(Err(e.clone()));
-                }
-            }
-            Some(Err(pool)) => {
-                let e = pool_error(pool);
-                for &j in &multi {
-                    results[j] = Some(Err(e.clone()));
-                }
-            }
-            Some(Ok(out)) => {
-                for (((bi, &j), buf), (completed, dup, spills)) in
-                    multi.iter().enumerate().zip(bufs).zip(accounting)
-                {
-                    let sstart = Instant::now();
-                    let job = &mut jobs[j];
-                    let settled = settle_batch_job::<S>(
-                        job.core,
-                        job.a,
-                        job.b,
-                        job.mask,
-                        buf.cols,
-                        buf.vals,
-                        buf.nnz,
-                        &completed,
-                        dup,
-                        spills,
-                        &out.failures[bi],
-                        job.cancel,
-                        job.scratch.as_deref_mut(),
-                    );
-                    results[j] = Some(settled.map(|(c, retry)| {
-                        let output_nnz = c.nnz();
-                        (
-                            c,
-                            RunStats {
-                                elapsed: (par_elapsed + sstart.elapsed())
-                                    .saturating_sub(retry.elapsed),
-                                setup: job.setup,
-                                retry_elapsed: retry.elapsed,
-                                thread_reports: out.reports.clone(),
-                                estimated_work: job.core.estimated_work,
-                                output_nnz,
-                                n_tiles: job.core.tiles.len(),
-                                n_threads,
-                                retried_tiles: retry.recovered,
-                                failed_tiles: retry.failed,
-                                overbook_spills: retry.spills,
-                                metrics: None,
-                            },
-                        )
-                    }));
-                }
-            }
-        }
+/// One job's shared tile-run state: every node's claimable slot windows,
+/// the per-tile completion latches, and the duplicate/spill tallies the
+/// settle routine reads back.
+struct Ledger<'b, T> {
+    cols: Vec<DisjointSlots<'b, Idx>>,
+    vals: Vec<DisjointSlots<'b, T>>,
+    nnz: Vec<DisjointSlots<'b, u32>>,
+    completed: Vec<OnceLock<()>>,
+    duplicate: Mutex<Option<usize>>,
+    /// Overbook spill recomputes performed by this job's tiles (workers
+    /// interleave jobs, so the count must be per job, not per worker).
+    spills: AtomicU64,
+}
 
-        // hand the accumulator cells back to each job's plan scratch so
-        // the next run of a leased plan starts warm (every outcome path:
-        // a failed batch must not cost the cached plan its accumulators)
-        for (grid, &j) in acc_grids.into_iter().zip(&multi) {
-            if let Some(s) = jobs[j].scratch.as_deref_mut() {
-                s.accums = grid;
-            }
+/// What a job's tiles left behind for settle.
+struct Tally {
+    completed: Vec<OnceLock<()>>,
+    duplicate: Option<usize>,
+    spills: u64,
+}
+
+impl<'b, T> Ledger<'b, T> {
+    fn new(core: &'b GraphCore<T>, slots: &'b mut [SlotBufs<T>]) -> Result<Self, String> {
+        let n = core.nodes.len();
+        let (mut cols, mut vals, mut nnz) =
+            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        for (bufs, node) in slots.iter_mut().zip(&core.nodes) {
+            cols.push(DisjointSlots::new(&mut bufs.cols, &node.slot_ranges)?);
+            vals.push(DisjointSlots::new(&mut bufs.vals, &node.slot_ranges)?);
+            nnz.push(DisjointSlots::new(&mut bufs.nnz, &core.row_ranges)?);
         }
+        Ok(Ledger {
+            cols,
+            vals,
+            nnz,
+            completed: (0..core.tiles.len()).map(|_| OnceLock::new()).collect(),
+            duplicate: Mutex::new(None),
+            spills: AtomicU64::new(0),
+        })
     }
 
-    results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(SparseError::Internal { detail: "batch job never settled".to_string() })
+    fn finish(self) -> Tally {
+        Tally {
+            completed: self.completed,
+            duplicate: self.duplicate.into_inner().unwrap_or_else(|e| e.into_inner()),
+            spills: self.spills.into_inner(),
+        }
+    }
+}
+
+/// Everything one job's tile body reads.
+struct TileBody<'x, S: Semiring> {
+    core: &'x GraphCore<S::T>,
+    inputs: &'x [&'x Csr<S::T>],
+    /// Per-worker accumulator cells, plan-owned (see `PlanScratch`).
+    cells: &'x [AccCell],
+    ledger: &'x Ledger<'x, S::T>,
+}
+
+/// The receiver of [`dispatch_accumulator`]'s choice: gets the concrete
+/// accumulator type through `make(row_capacity)`.
+trait WithAccumulator<S: Semiring> {
+    type Out;
+    fn with<A, F>(self, make: F) -> Self::Out
+    where
+        A: Accumulator<S> + Send + 'static,
+        F: Fn(usize) -> A + Sync + 'static;
+}
+
+impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
+    type Out = TileFn<'x>;
+
+    fn with<A, F>(self, make: F) -> TileFn<'x>
+    where
+        A: Accumulator<S> + Send + 'static,
+        F: Fn(usize) -> A + Sync + 'static,
+    {
+        Box::new(move |t, ws, tile| run_tile::<S, A, F>(&self, &make, t, ws, tile))
+    }
+}
+
+/// The one accumulator dispatch: monomorphise on the accumulator family ×
+/// marker width × SIMD probe — and on the metering flag: armed runs use
+/// the counting (`METER = true`) accumulator instantiations, unarmed runs
+/// compile to instantiations whose hot loops are instruction-identical to
+/// the uninstrumented baseline. Arming is checked once per run, never per
+/// element. (The plan-owned accumulator cells are type-checked on every
+/// tile, so flipping the flag between runs transparently rebuilds them.)
+///
+/// `make` takes the row capacity to build at, so the tile body sizes
+/// worker accumulators at the plan's *overbooked* bound and vanilla spill
+/// tables at the hard bound from one closure (dense ignores it — its table
+/// is the full column range either way).
+fn dispatch_accumulator<S: Semiring, V: WithAccumulator<S>>(
+    core: &GraphCore<S::T>,
+    metered: bool,
+    v: V,
+) -> V::Out {
+    if metered {
+        pick_accumulator::<S, V, true>(core, v)
+    } else {
+        pick_accumulator::<S, V, false>(core, v)
+    }
+}
+
+fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
+    core: &GraphCore<S::T>,
+    v: V,
+) -> V::Out {
+    let ncols = core.max_ncols;
+    let full = core.max_row_entries;
+    match core.config.kernel.accumulator {
+        AccumulatorKind::Dense(MarkerWidth::W8) => {
+            v.with(move |_| DenseAccumulator::<S, u8, METER>::new(ncols))
+        }
+        AccumulatorKind::Dense(MarkerWidth::W16) => {
+            v.with(move |_| DenseAccumulator::<S, u16, METER>::new(ncols))
+        }
+        AccumulatorKind::Dense(MarkerWidth::W32) => {
+            v.with(move |_| DenseAccumulator::<S, u32, METER>::new(ncols))
+        }
+        AccumulatorKind::Dense(MarkerWidth::W64) => {
+            v.with(move |_| DenseAccumulator::<S, u64, METER>::new(ncols))
+        }
+        AccumulatorKind::Hash(MarkerWidth::W8) => v.with(move |cap| {
+            HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
+        }),
+        AccumulatorKind::Hash(MarkerWidth::W16) => v.with(move |cap| {
+            HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
+        }),
+        // The 8-lane probe wants 32-bit keys *and* marks, so W32 is the
+        // only width with a vector instantiation. Only `SimdMode::Force`
+        // resolves `simd_probe` on: slack-sized tables keep chains inside
+        // the scalar fast path, so Auto keeps the scalar probe.
+        AccumulatorKind::Hash(MarkerWidth::W32) if core.simd_probe => v.with(move |cap| {
+            HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(
+                cap,
+                hash_slack(cap, full),
+            )
+        }),
+        AccumulatorKind::Hash(MarkerWidth::W32) => v.with(move |cap| {
+            HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
+        }),
+        AccumulatorKind::Hash(MarkerWidth::W64) => v.with(move |cap| {
+            HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
+        }),
+        AccumulatorKind::Sort => v.with(SortAccumulator::<S>::new),
+    }
+}
+
+/// Lease one worker's accumulator cell for a tile. A poisoned cell (a
+/// tile panicked mid-update) is cleared and rebuilt from clean. A cell
+/// still held by another thread yields `None`: the watchdog's replacement
+/// for a stalled worker takes over the stalled worker's index while the
+/// stalled thread still holds the cell, and the tile then runs on a
+/// throwaway accumulator instead of waiting for it.
+fn lease(cell: &AccCell) -> Option<MutexGuard<'_, AccSlot>> {
+    match cell.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => {
+            cell.clear_poison();
+            let mut guard = poisoned.into_inner();
+            *guard = None;
+            Some(guard)
+        }
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// The cell's value as a `T`, rebuilt (stale value dropped first, so peak
+/// memory is one scratch) when the cell is empty, was built for another
+/// core, or holds another type — e.g. arming metrics flips the
+/// accumulator's `METER` parameter.
+fn cached<T: Any + Send>(
+    slot: &mut AccSlot,
+    key: u64,
+    build: impl FnOnce() -> T,
+) -> Option<&mut T> {
+    if !slot.as_ref().is_some_and(|(k, b)| *k == key && b.is::<T>()) {
+        *slot = None;
+        *slot = Some((key, Box::new(build())));
+    }
+    slot.as_mut()?.1.downcast_mut::<T>()
+}
+
+/// The kernel knobs a node's rows run under: the plan's in the parallel
+/// phase, the conservative ones in the degraded retry.
+#[derive(Clone, Copy)]
+struct Knobs {
+    iteration: IterationSpace,
+    simd: bool,
+    /// Rows wider than this may overflow the worker table and spill.
+    overbook: usize,
+}
+
+/// The one tile body: run every node of the chain on tile `tile_idx`,
+/// claiming each node's slot windows, with the worker's plan-owned
+/// accumulator serving the whole chain (all kernels fold each row's
+/// products in the same `k` order whatever the table's capacity).
+fn run_tile<S, A, F>(
+    body: &TileBody<'_, S>,
+    make: &F,
+    t: usize,
+    ws: &WorkerScratch,
+    tile_idx: usize,
+) where
+    S: Semiring,
+    A: Accumulator<S> + Send + 'static,
+    F: Fn(usize) -> A,
+{
+    let TileBody { core, inputs, cells, ledger } = *body;
+    let n_tiles = core.tiles.len();
+    let n_nodes = core.nodes.len();
+    let tile = core.tiles[tile_idx];
+    let mut guard = lease(&cells[t % cells.len()]);
+    let mut spare = None;
+    let slot = match guard.as_deref_mut() {
+        Some(slot) => slot,
+        None => &mut spare,
+    };
+    // the cell holds the worker table plus the spill scratch, so both stay
+    // warm across tiles and — under a reused plan — across runs
+    let build = || (make(core.overbook_row_entries), OverbookSpill::<S, A>::new());
+    let Some(pair) = cached(slot, core.id, build) else {
+        // unreachable: `cached` just installed the pair. Bailing leaves
+        // the tile uncompleted, which settle repairs by the serial retry.
+        return;
+    };
+    let (acc, spill) = (&mut pair.0, &mut pair.1);
+    let knobs = Knobs {
+        iteration: core.config.kernel.iteration,
+        simd: core.simd,
+        overbook: core.overbook_row_entries,
+    };
+    // earlier nodes' windows, read by chained successors (a lone product
+    // never pushes, so it never allocates)
+    let mut done: Vec<Rows<'_, S::T>> = Vec::new();
+    let (mut spills, mut fused) = (0u64, 0u64);
+    for (ni, node) in core.nodes.iter().enumerate() {
+        // decorrelate per-node failures under fault injection
+        failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + tile_idx) as u64);
+        if ws.current_tile_abandoned() {
+            // the watchdog already handed this tile to the degraded serial
+            // path; leave it uncompleted and let settle own it
+            return;
+        }
+        let (Some(cols), Some(vals), Some(nnz)) = (
+            ledger.cols[ni].take(tile_idx),
+            ledger.vals[ni].take(tile_idx),
+            ledger.nnz[ni].take(tile_idx),
+        ) else {
+            let mut dup = ledger.duplicate.lock().unwrap_or_else(|e| e.into_inner());
+            dup.get_or_insert(tile_idx);
+            return;
+        };
+        let Some(a) = operand(core, node, tile_idx, tile, inputs, &done) else { return };
+        let (s, f) = node_tile::<S, A, _>(
+            node,
+            tile_idx,
+            tile,
+            inputs,
+            knobs,
+            a,
+            acc,
+            spill,
+            &|| make(core.max_row_entries),
+            &mut *cols,
+            &mut *vals,
+            &mut *nnz,
+        );
+        spills += s;
+        fused += f;
+        if ni + 1 < n_nodes {
+            done.push((cols, vals, nnz));
+        }
+    }
+    if spills > 0 {
+        ledger.spills.fetch_add(spills, Ordering::Relaxed);
+    }
+    obs::add(obs::Counter::FusionSinkFusedElems, fused);
+    obs::add(obs::Counter::FusionTilesChained, (n_nodes - 1) as u64);
+    if !ws.current_tile_abandoned() {
+        let _ = ledger.completed[tile_idx].set(());
+    }
+}
+
+/// A node's `A` operand for one tile: an external input, or the rows of
+/// an earlier node this tile already computed.
+enum Operand<'v, T> {
+    Ext(&'v Csr<T>),
+    Chained(SlotView<'v, T>),
+}
+
+/// One computed node's window of a tile: slot columns, slot values and
+/// per-row nnz, read back by chained successors.
+type Rows<'v, T> = (&'v [Idx], &'v [T], &'v [u32]);
+
+/// Resolve `node`'s `A` for tile `tile_idx`; `done[j]` is node `j`'s
+/// window of this tile. `None` only if a chained predecessor is missing.
+fn operand<'v, T>(
+    core: &'v GraphCore<T>,
+    node: &NodePlan<T>,
+    tile_idx: usize,
+    tile: Tile,
+    inputs: &[&'v Csr<T>],
+    done: &[Rows<'v, T>],
+) -> Option<Operand<'v, T>> {
+    match node.a {
+        OperandRef::Ext(e) => Some(Operand::Ext(inputs[e])),
+        OperandRef::Node(j) => {
+            let &(cols, vals, nnz) = done.get(j)?;
+            let p = core.nodes.get(j)?;
+            let (lo, hi) = p.nonempty_ranges[tile_idx];
+            Some(Operand::Chained(SlotView {
+                nonempty: &p.nonempty[lo..hi],
+                slot_lo: p.slot_ranges[tile_idx].0,
+                tile_lo: tile.lo,
+                cols,
+                vals,
+                nnz,
+            }))
+        }
+    }
+}
+
+/// Read-only row access into a predecessor node's slot window for one
+/// tile: resolves row `i` through the node's `(row, slot offset)` list and
+/// its per-row nnz counts. This is how node `j+1` consumes node `j`'s
+/// output without the intermediate ever being materialised — sound
+/// because output row `i` of a masked product reads only row `i` of its
+/// `A` operand, and all nodes share one row partition.
+struct SlotView<'v, T> {
+    /// The predecessor's nonempty rows for this tile (absolute offsets).
+    nonempty: &'v [(Idx, usize)],
+    /// Start of the predecessor's slot window for this tile.
+    slot_lo: usize,
+    /// First row of the tile (`nnz` is indexed `i - tile_lo`).
+    tile_lo: usize,
+    cols: &'v [Idx],
+    vals: &'v [T],
+    nnz: &'v [u32],
+}
+
+impl<T: Copy> RowRead<T> for SlotView<'_, T> {
+    #[inline]
+    fn row(&self, i: usize) -> (&[Idx], &[T]) {
+        match self.nonempty.binary_search_by_key(&(i as Idx), |&(r, _)| r) {
+            Ok(p) => {
+                let (_, src) = self.nonempty[p];
+                let base = src - self.slot_lo;
+                let n = self.nnz[i - self.tile_lo] as usize;
+                (&self.cols[base..base + n], &self.vals[base..base + n])
+            }
+            // an empty mask row holds no slots and no output
+            Err(_) => (&[], &[]),
+        }
+    }
+}
+
+/// Compute one node's rows of one tile into its slot windows, with the
+/// node's fused post-ops applied in the gather. Returns `(spilled rows,
+/// fused elements)`.
+#[allow(clippy::too_many_arguments)]
+fn node_tile<S, A, G>(
+    node: &NodePlan<S::T>,
+    tile_idx: usize,
+    tile: Tile,
+    inputs: &[&Csr<S::T>],
+    knobs: Knobs,
+    a: Operand<'_, S::T>,
+    acc: &mut A,
+    spill: &mut OverbookSpill<S, A>,
+    make_full: &G,
+    cols: &mut [Idx],
+    vals: &mut [S::T],
+    nnz: &mut [u32],
+) -> (u64, u64)
+where
+    S: Semiring,
+    A: Accumulator<S>,
+    G: Fn() -> A,
+{
+    let (nlo, nhi) = node.nonempty_ranges[tile_idx];
+    let mut w = Window {
+        nonempty: &node.nonempty[nlo..nhi],
+        slot_lo: node.slot_ranges[tile_idx].0,
+        tile_lo: tile.lo,
+        cols,
+        vals,
+        nnz,
+    };
+    // patterns borrow the external inputs directly — co-iterated per row,
+    // never copied (a node without post-ops builds an empty, unallocated
+    // chain)
+    let mut stages: Vec<FusedStage<'_, S::T>> = node
+        .post
+        .iter()
+        .map(|p| {
+            FusedStage::new(match *p {
+                PostOpSpec::SelectGe(t) => FusedOp::SelectGe(t),
+                PostOpSpec::Fill(v) => FusedOp::Fill(v),
+                PostOpSpec::Intersect(e) => FusedOp::Intersect(inputs[e]),
+                PostOpSpec::Subtract(e) => FusedOp::Subtract(inputs[e]),
             })
         })
-        .collect()
+        .collect();
+    let (b, mask) = (inputs[node.b], inputs[node.mask]);
+    // monomorphic row loops: a node without post-ops never sees FusedSink
+    let st = &mut stages;
+    match (a, st.is_empty()) {
+        (Operand::Ext(m), true) => {
+            node_rows::<S, A, _, G, false>(&mut w, knobs, m, b, mask, st, acc, spill, make_full)
+        }
+        (Operand::Ext(m), false) => {
+            node_rows::<S, A, _, G, true>(&mut w, knobs, m, b, mask, st, acc, spill, make_full)
+        }
+        (Operand::Chained(v), true) => {
+            node_rows::<S, A, _, G, false>(&mut w, knobs, &v, b, mask, st, acc, spill, make_full)
+        }
+        (Operand::Chained(v), false) => {
+            node_rows::<S, A, _, G, true>(&mut w, knobs, &v, b, mask, st, acc, spill, make_full)
+        }
+    }
+}
+
+/// One node's slot windows for one tile, plus how to find its rows in
+/// them.
+struct Window<'w, T> {
+    /// The node's nonempty mask rows in this tile, `(row, absolute slot)`.
+    nonempty: &'w [(Idx, usize)],
+    /// Absolute offset of the tile's slot window.
+    slot_lo: usize,
+    /// First row of the tile.
+    tile_lo: usize,
+    cols: &'w mut [Idx],
+    vals: &'w mut [T],
+    nnz: &'w mut [u32],
+}
+
+/// The row loop of [`node_tile`], monomorphic in the `A` operand.
+///
+/// Only the tile's nonempty mask rows are visited: an empty mask row
+/// admits no output and owns no slots, so the only thing a full scan
+/// would do for it is write `nnz = 0` — which the buffers already hold:
+/// fresh buffers are zero-filled, reused ones belong to a plan whose
+/// fingerprint pins the mask's row pointers, so a row empty now was empty
+/// (and zero) on every earlier run.
+///
+/// This is also where overbooking pays its bill: `acc` may have been
+/// sized at the plan's quantile bound (`knobs.overbook`) rather than the
+/// hard maximum. A row that outgrows it latches the accumulator's
+/// overflow flag; the row is then recomputed into the same slot window —
+/// through [`OverbookSpill`]'s mask-indexed dense scratch for the
+/// mask-bound iteration spaces, or through a lazily built full-bound
+/// table (`make_full`) for vanilla — on a fresh sink, so fused post-ops
+/// restart too. Every kernel folds a row's products in the same `k`
+/// order, so the spill recompute is bit-identical to what an
+/// un-overbooked run writes.
+#[allow(clippy::too_many_arguments)]
+fn node_rows<S, A, R, G, const FUSED: bool>(
+    w: &mut Window<'_, S::T>,
+    knobs: Knobs,
+    a: &R,
+    b: &Csr<S::T>,
+    mask: &Csr<S::T>,
+    stages: &mut [FusedStage<'_, S::T>],
+    acc: &mut A,
+    spill: &mut OverbookSpill<S, A>,
+    make_full: &G,
+) -> (u64, u64)
+where
+    S: Semiring,
+    A: Accumulator<S>,
+    R: RowRead<S::T> + ?Sized,
+    G: Fn() -> A,
+{
+    let Knobs { iteration, simd, overbook } = knobs;
+    let mut hstats = HybridStats::armed();
+    let (mut tile_nnz, mut spills, mut fused) = (0u64, 0u64, 0u64);
+    // The mask-preloading kernels are guaranteed to overflow a table
+    // narrower than the row's mask, so skip the doomed attempt outright.
+    // (A hybrid row that wide *might* squeak through co-iteration, but it
+    // is exactly the fat tail overbooking bets against — spilling it
+    // directly caps the cost at one recompute.)
+    let preloads =
+        matches!(iteration, IterationSpace::MaskAccumulate | IterationSpace::Hybrid { .. });
+    for &(i, src) in w.nonempty {
+        let i = i as usize;
+        let (mask_cols, _) = mask.row(i);
+        let width = mask_cols.len();
+        let base = src - w.slot_lo;
+        let cols = &mut w.cols[base..base + width];
+        let vals = &mut w.vals[base..base + width];
+        let mut spilled = preloads && width > overbook;
+        let mut n = 0usize;
+        if !spilled {
+            let acc = &mut *acc;
+            let mut row = Kernel { iteration, simd, a, b, mask_cols, acc, hstats: &mut hstats };
+            n = emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row);
+            // the latch *is* the overflow detector: a row that outgrew the
+            // overbooked table dropped entries above — redo it below
+            spilled = acc.take_overflow();
+        }
+        if spilled {
+            failpoint::maybe_fire(failpoint::OVERBOOK_SPILL, i as u64);
+            n = if matches!(iteration, IterationSpace::Vanilla) {
+                // vanilla folds unmasked intermediates: only a table at
+                // the hard (operation-count) bound can hold the row
+                let full = spill.full.get_or_insert_with(make_full);
+                let hstats = &mut hstats;
+                let mut row = Kernel { iteration, simd, a, b, mask_cols, acc: full, hstats };
+                emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
+            } else {
+                // mask-bound spaces: recompute through the mask-indexed
+                // dense scratch — no hard-bound table, no O(w) preload
+                let mut row = SpillRow { spill: &mut *spill, a, b, mask_cols, simd };
+                emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
+            };
+            spills += 1;
+            obs::incr(obs::Counter::AccumOverbookSpills);
+        }
+        w.nnz[i - w.tile_lo] = n as u32;
+        tile_nnz += n as u64;
+    }
+    // fold this tile's instance-local tallies into the global registry —
+    // once per tile, outside the row loop, a no-op unless armed
+    if let Some(full) = spill.full.as_mut() {
+        full.flush_metrics();
+    }
+    acc.flush_metrics();
+    hstats.flush();
+    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
+    (spills, fused)
+}
+
+/// One way of producing output row `i` into a sink.
+trait EmitRow<T> {
+    fn emit<W: RowSink<T> + ?Sized>(&mut self, i: usize, out: &mut W);
+}
+
+/// The configured kernel over an accumulator.
+struct Kernel<'k, S: Semiring, A, R: ?Sized> {
+    iteration: IterationSpace,
+    simd: bool,
+    a: &'k R,
+    b: &'k Csr<S::T>,
+    mask_cols: &'k [Idx],
+    acc: &'k mut A,
+    hstats: &'k mut HybridStats,
+}
+
+impl<S, A, R> EmitRow<S::T> for Kernel<'_, S, A, R>
+where
+    S: Semiring,
+    A: Accumulator<S>,
+    R: RowRead<S::T> + ?Sized,
+{
+    #[inline]
+    fn emit<W: RowSink<S::T> + ?Sized>(&mut self, i: usize, out: &mut W) {
+        run_row::<S, A, R, W>(
+            i,
+            self.iteration,
+            self.simd,
+            self.a,
+            self.b,
+            self.mask_cols,
+            self.acc,
+            self.hstats,
+            out,
+        );
+    }
+}
+
+/// The mask-indexed spill recompute of an overflowed row.
+struct SpillRow<'k, S: Semiring, A, R: ?Sized> {
+    spill: &'k mut OverbookSpill<S, A>,
+    a: &'k R,
+    b: &'k Csr<S::T>,
+    mask_cols: &'k [Idx],
+    simd: bool,
+}
+
+impl<S, A, R> EmitRow<S::T> for SpillRow<'_, S, A, R>
+where
+    S: Semiring,
+    R: RowRead<S::T> + ?Sized,
+{
+    fn emit<W: RowSink<S::T> + ?Sized>(&mut self, i: usize, out: &mut W) {
+        self.spill.recompute(i, self.a, self.b, self.mask_cols, self.simd, out);
+    }
+}
+
+/// Write one output row into its slot window: straight into the
+/// [`SlotSink`] for a node without post-ops (so a plain product keeps the
+/// exact kernel instantiation it always had), through a [`FusedSink`]
+/// over it when `FUSED`. Every call starts a fresh sink and `begin_row`,
+/// so a spilled row's recompute restarts its post-op chain. Returns the
+/// row's output nnz.
+#[inline]
+fn emit<T: Copy + PartialOrd, E: EmitRow<T>, const FUSED: bool>(
+    stages: &mut [FusedStage<'_, T>],
+    fused: &mut u64,
+    cols: &mut [Idx],
+    vals: &mut [T],
+    i: usize,
+    row: &mut E,
+) -> usize {
+    let mut slot = SlotSink::for_row(cols, vals, i);
+    if FUSED {
+        let mut sink = FusedSink::new(stages, &mut slot);
+        sink.begin_row(i);
+        row.emit(i, &mut sink);
+        *fused += sink.fused_elements();
+    } else {
+        row.emit(i, &mut slot);
+    }
+    slot.written()
 }
 
 /// Dispatch one output row through the configured kernel into `out`,
 /// replaying the hybrid kernel's Eq. 3 decisions when metrics are armed.
-/// Shared by both assembly paths — the kernels see the sink abstractly,
-/// so the monomorphised row loop is identical either way.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_row<S, A, R, W>(
+fn run_row<S, A, R, W>(
     i: usize,
     iteration: IterationSpace,
     simd: bool,
@@ -952,7 +958,7 @@ pub(crate) fn run_row<S, A, R, W>(
 ) where
     S: Semiring,
     A: Accumulator<S>,
-    R: crate::kernels::RowRead<S::T> + ?Sized,
+    R: RowRead<S::T> + ?Sized,
     W: RowSink<S::T> + ?Sized,
 {
     // An empty mask row admits no output at all, whatever the iteration
@@ -977,101 +983,8 @@ pub(crate) fn run_row<S, A, R, W>(
     }
 }
 
-/// Compute one tile's output fragment with the given iteration space and
-/// accumulator (the legacy assembly path). The buffers are sized by the
-/// tile's mask bound up front, so they never reallocate mid-row.
-fn compute_fragment<S, A>(
-    tile: Tile,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    hstats: &mut HybridStats,
-) -> TileResult<S::T>
-where
-    S: Semiring,
-    A: Accumulator<S>,
-{
-    // nnz(C) over the tile's rows cannot exceed the mask bound
-    let bound: usize = tile.rows().map(|i| mask.row_nnz(i)).sum();
-    let mut row_nnz = Vec::with_capacity(tile.len());
-    let mut cols = Vec::with_capacity(bound);
-    let mut vals = Vec::with_capacity(bound);
-    for i in tile.rows() {
-        let before = cols.len();
-        let (mask_cols, _) = mask.row(i);
-        run_row::<S, A, _, _>(
-            i,
-            iteration,
-            simd,
-            a,
-            b,
-            mask_cols,
-            acc,
-            hstats,
-            &mut VecSink { cols: &mut cols, vals: &mut vals },
-        );
-        row_nnz.push((cols.len() - before) as u32);
-    }
-    // fold this tile's instance-local tallies into the global registry —
-    // once per tile, outside the row loop, a no-op unless armed
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, cols.len() as u64);
-    TileResult { row_nnz, cols, vals }
-}
-
-/// Compute one tile directly into its preallocated slots (the in-place
-/// assembly path). `slot_cols`/`slot_vals` are the tile's window of the
-/// shared bound-sized buffers; `row_nnz` is the tile's window of the
-/// global per-row nnz array. Performs **no heap allocation**: every row's
-/// slot is `[mask.row_ptr[i], mask.row_ptr[i+1])` relative to the tile
-/// base, and `nnz(C[i,:]) ≤ nnz(M[i,:])` guarantees it fits. Used by both
-/// the parallel phase and the degraded serial retry (which overwrites the
-/// exact same slots — every kernel folds each row's products in the same
-/// `k` order, so the retry is bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn compute_tile_slots<S, A>(
-    tile: Tile,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) where
-    S: Semiring,
-    A: Accumulator<S>,
-{
-    let mut base = 0usize;
-    let mut tile_nnz = 0u64;
-    for (local, i) in tile.rows().enumerate() {
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let mut sink = SlotSink::for_row(
-            &mut slot_cols[base..base + w],
-            &mut slot_vals[base..base + w],
-            i,
-        );
-        run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-        let n = sink.written();
-        row_nnz[local] = n as u32;
-        tile_nnz += n as u64;
-        base += w;
-    }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-}
-
 /// Worker-persistent scratch for overbook spill recomputes, cached in the
-/// same plan-keyed slot as the overbooked accumulator.
+/// same plan-owned cell as the overbooked accumulator.
 ///
 /// The mask-bound iteration spaces (mask-accumulate, co-iteration, hybrid)
 /// never fold a product into a column outside `M[i,:]`, so an overflowed
@@ -1090,7 +1003,7 @@ fn compute_tile_slots<S, A>(
 /// The vanilla kernel folds *unmasked* intermediate columns, so its bound
 /// is not the mask width; vanilla spills keep the classic recompute
 /// through a full-bound table, built lazily on the first such spill
-/// (`full`) and reused for the rest of the worker's lifetime.
+/// (`full`) and reused for the rest of the cell's lifetime.
 struct OverbookSpill<S: Semiring, A> {
     vals: Vec<S::T>,
     mark: Vec<u32>,
@@ -1106,10 +1019,10 @@ impl<S: Semiring, A> OverbookSpill<S, A> {
     /// Recompute one spilled row of a mask-bound iteration space into
     /// `out`, bit-identically to a hard-bound hash run (same per-column
     /// fold order, same first-touch/fma split, same mask-order emission).
-    fn recompute<W: RowSink<S::T> + ?Sized>(
+    fn recompute<R: RowRead<S::T> + ?Sized, W: RowSink<S::T> + ?Sized>(
         &mut self,
         i: usize,
-        a: &Csr<S::T>,
+        a: &R,
         b: &Csr<S::T>,
         mask_cols: &[Idx],
         simd: bool,
@@ -1150,114 +1063,152 @@ impl<S: Semiring, A> OverbookSpill<S, A> {
     }
 }
 
-/// [`compute_tile_slots`] for a *plan-driven* run: visit only the tile's
-/// nonempty mask rows (the plan's precomputed `(row, slot offset)` list)
-/// instead of scanning every row. An empty mask row admits no output and
-/// owns no slots, so the only thing the full scan did for it was write
-/// `row_nnz = 0` — which plan-owned buffers already hold: fresh buffers
-/// are zero-filled, reused ones belong to a plan whose fingerprint pins
-/// the mask's row pointers, so a row empty now was empty (and zero) on
-/// every earlier run. The degraded serial retry still uses the full scan,
-/// rewriting every row of a failed tile from clean.
+/// What settling one job did, threaded up into [`RunStats`].
+#[derive(Clone, Copy, Debug, Default)]
+struct RetryStats {
+    /// Tiles that failed in the parallel phase.
+    failed: usize,
+    /// Tiles recovered by the serial degraded retry.
+    recovered: usize,
+    /// Wall time of the retry pass.
+    elapsed: Duration,
+    /// Overbooked-accumulator spill recomputes performed by the parallel
+    /// phase (not a retry stat, but threaded through the same per-run
+    /// accounting into [`RunStats::overbook_spills`]).
+    spills: u64,
+}
+
+/// The one settle routine, run per job after the parallel phase:
 ///
-/// This is also where overbooking pays its bill: `acc` may have been
-/// sized at the plan's quantile bound (`overbook_limit`) rather than the
-/// hard maximum. A row that outgrows it latches the accumulator's
-/// overflow flag; the row is then recomputed into the same slot window —
-/// through [`OverbookSpill`]'s mask-indexed dense scratch for the
-/// mask-bound iteration spaces, or through a lazily built full-bound
-/// table (`make_full`) for vanilla. Every kernel folds a row's products
-/// in the same `k` order, so the spill recompute is bit-identical to what
-/// an un-overbooked run writes. Returns the number of spilled rows.
-#[allow(clippy::too_many_arguments)]
-fn compute_tile_slots_sparse<S, A, G>(
-    tile: Tile,
-    nonempty: &[(Idx, usize)],
-    slot_lo: usize,
-    iteration: IterationSpace,
-    simd: bool,
-    overbook_limit: usize,
-    make_full: &G,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    spill_acc: &mut OverbookSpill<S, A>,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) -> u64
-where
-    S: Semiring,
-    A: Accumulator<S>,
-    G: Fn() -> A,
-{
-    let mut tile_nnz = 0u64;
-    let mut spills = 0u64;
-    // `spill_acc` lives in the same plan-keyed worker slot as `acc`, so
-    // it stays warm across tiles and runs exactly like the worker table
-    // does. The mask-preloading kernels are guaranteed to overflow a table
-    // narrower than the row's mask, so skip the doomed attempt outright.
-    // (A hybrid row that wide *might* squeak through co-iteration, but it
-    // is exactly the fat tail overbooking bets against — spilling it
-    // directly caps the cost at one recompute.)
-    let preloads = matches!(
-        iteration,
-        IterationSpace::MaskAccumulate | IterationSpace::Hybrid { .. }
-    );
-    for &(i, src) in nonempty {
-        let i = i as usize;
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let base = src - slot_lo;
-        let mut spill = preloads && w > overbook_limit;
-        let mut n = 0usize;
-        if !spill {
-            let mut sink = SlotSink::for_row(
-                &mut slot_cols[base..base + w],
-                &mut slot_vals[base..base + w],
-                i,
-            );
-            run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-            n = sink.written();
-            // the latch *is* the overflow detector: a row that outgrew
-            // the overbooked table dropped entries above — redo it below
-            spill = acc.take_overflow();
-        }
-        if spill {
-            failpoint::maybe_fire(failpoint::OVERBOOK_SPILL, i as u64);
-            let mut sink = SlotSink::for_row(
-                &mut slot_cols[base..base + w],
-                &mut slot_vals[base..base + w],
-                i,
-            );
-            if matches!(iteration, IterationSpace::Vanilla) {
-                // vanilla folds unmasked intermediates: only a table at
-                // the hard (operation-count) bound can hold the row
-                let full = spill_acc.full.get_or_insert_with(make_full);
-                run_row::<S, A, _, _>(
-                    i, iteration, simd, a, b, mask_cols, full, hstats, &mut sink,
-                );
+/// 1. a tile claimed twice is an internal invariant break;
+/// 2. a cancelled job's skipped tiles are *deliberately* missing — report
+///    the cancellation (attributed to the deadline when that is what
+///    fired) instead of serially finishing a product nobody wants; a job
+///    whose every tile finished before the cancel was observed settles;
+/// 3. every missing tile (panicked, abandoned by the watchdog) is
+///    recomputed serially — the whole chain, conservative configuration —
+///    into exactly the slots it owned;
+/// 4. the `fragment-stitch` failpoint fires per tile;
+/// 5. each output node's slot buffers are adopted (zero slack) or
+///    compacted, and the scratch keeps what it can reuse.
+fn settle<S: Semiring>(
+    exec: &ExecutorShared,
+    job: &mut Job<'_, S>,
+    tally: Tally,
+    failures: &[TileFailure],
+    n_threads: usize,
+) -> Result<(Vec<Csr<S::T>>, RetryStats), SparseError> {
+    let Tally { completed, duplicate, spills } = tally;
+    if let Some(tile_idx) = duplicate {
+        return Err(SparseError::Internal { detail: format!("tile {tile_idx} executed twice") });
+    }
+    let core = job.core;
+    let missing: Vec<usize> =
+        (0..core.tiles.len()).filter(|&i| completed[i].get().is_none()).collect();
+    if let Some(tok) = job.cancel {
+        if !missing.is_empty() && tok.is_cancelled() {
+            return Err(if tok.deadline_expired() {
+                SparseError::DeadlineExceeded
             } else {
-                // mask-bound spaces: recompute through the mask-indexed
-                // dense scratch — no hard-bound table, no O(w) preload
-                spill_acc.recompute(i, a, b, mask_cols, simd, &mut sink);
-            }
-            n = sink.written();
-            spills += 1;
-            obs::incr(obs::Counter::AccumOverbookSpills);
+                SparseError::Cancelled
+            });
         }
-        row_nnz[i - tile.lo] = n as u32;
-        tile_nnz += n as u64;
     }
-    if let Some(full) = spill_acc.full.as_mut() {
-        full.flush_metrics();
+    let mut retry = RetryStats { failed: missing.len(), spills, ..RetryStats::default() };
+    let retry_start = (retry.failed > 0).then(Instant::now);
+    for tile_idx in missing {
+        // The retry deliberately does NOT re-fire `tile-kernel`: the
+        // degraded path is the recovery path, exercised on its own via the
+        // `accum-reset` site. It is also deliberately the conservative
+        // *scalar* configuration — no SIMD, no overbooking.
+        let slots = &mut job.scratch.slots;
+        match catch_tile_panic(|| retry_tile::<S>(core, job.inputs, slots, tile_idx)) {
+            Ok(()) => {
+                retry.recovered += 1;
+                obs::incr(obs::Counter::DriverRetriedTiles);
+            }
+            Err(retry_msg) => {
+                let tile = core.tiles[tile_idx];
+                let first = failures
+                    .iter()
+                    .find(|f| f.tile == tile_idx)
+                    .map_or("tile output missing", |f| f.payload.as_str());
+                return Err(SparseError::TileFailed {
+                    tile: tile_idx,
+                    rows: (tile.lo, tile.hi),
+                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
+                });
+            }
+        }
     }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-    spills
+    if let Some(s) = retry_start {
+        retry.elapsed = s.elapsed();
+    }
+
+    // keep the `fragment-stitch` fault-injection surface: the per-tile site
+    // fires here, where the historical stitch used to run
+    if let Err(msg) = catch_tile_panic(|| {
+        for idx in 0..core.tiles.len() {
+            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
+        }
+    }) {
+        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
+    }
+
+    let mut outputs = Vec::new();
+    for (node, bufs) in core.nodes.iter().zip(job.scratch.slots.iter_mut()) {
+        if node.output {
+            outputs.push(assemble::<S>(exec, core, node, bufs, n_threads)?);
+        }
+    }
+    Ok((outputs, retry))
+}
+
+/// Recompute every node of one tile, in chain order, with the vanilla
+/// kernel over a dense `u64` accumulator, writing into exactly the slots
+/// the tile owns. A successor reads its predecessor's *recovered* rows, so
+/// a mid-chain panic never poisons downstream nodes; a panicked attempt
+/// only ever wrote inside the tile's slots, and the retry overwrites every
+/// nonempty row's prefix and nnz, so recovery stays bit-identical.
+fn retry_tile<S: Semiring>(
+    core: &GraphCore<S::T>,
+    inputs: &[&Csr<S::T>],
+    slots: &mut [SlotBufs<S::T>],
+    tile_idx: usize,
+) {
+    let tile = core.tiles[tile_idx];
+    let knobs = Knobs { iteration: IterationSpace::Vanilla, simd: false, overbook: usize::MAX };
+    let mut acc = DenseAccumulator::<S, u64>::new(core.max_ncols);
+    let mut spill = OverbookSpill::<S, DenseAccumulator<S, u64>>::new();
+    let make_full = || DenseAccumulator::<S, u64>::new(core.max_ncols);
+    for (ni, node) in core.nodes.iter().enumerate() {
+        let (earlier, rest) = slots.split_at_mut(ni);
+        let Some(cur) = rest.first_mut() else { break };
+        let done: Vec<Rows<'_, S::T>> = earlier
+            .iter()
+            .zip(&core.nodes)
+            .map(|(bufs, p)| {
+                let (lo, hi) = p.slot_ranges[tile_idx];
+                (&bufs.cols[lo..hi], &bufs.vals[lo..hi], &bufs.nnz[tile.lo..tile.hi])
+            })
+            .collect();
+        let Some(a) = operand(core, node, tile_idx, tile, inputs, &done) else { continue };
+        let (lo, hi) = node.slot_ranges[tile_idx];
+        node_tile::<S, _, _>(
+            node,
+            tile_idx,
+            tile,
+            inputs,
+            knobs,
+            a,
+            &mut acc,
+            &mut spill,
+            &make_full,
+            &mut cur.cols[lo..hi],
+            &mut cur.vals[lo..hi],
+            &mut cur.nnz[tile.lo..tile.hi],
+        );
+    }
 }
 
 /// Minimum compacted-output volume, in bytes, before the slack-squeeze
@@ -1275,14 +1226,99 @@ fn compact_par_min() -> usize {
     })
 }
 
+/// Turn one output node's slot buffers into its CSR. With no slack the
+/// slot buffers *are* the output — zero bytes moved: they leave with the
+/// result, and the scratch keeps only the (cheap) per-row nnz array and
+/// re-allocates slots next run. Otherwise the slack is squeezed out — per
+/// tile on the pool above [`compact_par_min`], serially below it or when
+/// the parallel pass lost a tile (the serial redo overwrites every window,
+/// so a partial parallel attempt cannot leak) — and the buffers stay for
+/// reuse.
+fn assemble<S: Semiring>(
+    exec: &ExecutorShared,
+    core: &GraphCore<S::T>,
+    node: &NodePlan<S::T>,
+    bufs: &mut SlotBufs<S::T>,
+    n_threads: usize,
+) -> Result<Csr<S::T>, SparseError> {
+    let nrows = core.nrows;
+    let tiles = &core.tiles;
+    let (row_ptr, output_nnz) = build_row_ptr(nrows, &node.nonempty, &bufs.nnz);
+    // mask bound minus realised output: the per-row slack the slot
+    // buffers preallocated and compaction squeezes away
+    obs::add(obs::Counter::DriverSlackNnz, (node.bound - output_nnz) as u64);
+    if output_nnz == node.bound {
+        let (cols, vals) = (std::mem::take(&mut bufs.cols), std::mem::take(&mut bufs.vals));
+        return Ok(Csr::from_parts_unchecked(nrows, node.ncols, row_ptr, cols, vals));
+    }
+
+    let mut out_cols = vec![0 as Idx; output_nnz];
+    let mut out_vals = vec![S::zero(); output_nnz];
+    let entry_bytes = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>();
+    let parallel =
+        n_threads > 1 && tiles.len() > 1 && output_nnz * entry_bytes >= compact_par_min();
+    let copy = |idx: usize, cols: &mut [Idx], vals: &mut [S::T]| {
+        let (nlo, nhi) = node.nonempty_ranges[idx];
+        let bytes = copy_tile_rows::<S>(
+            tiles[idx],
+            &node.nonempty[nlo..nhi],
+            &row_ptr,
+            &bufs.cols,
+            &bufs.vals,
+            cols,
+            vals,
+        );
+        obs::add(obs::Counter::DriverCompactionBytes, bytes);
+    };
+    let mut done = false;
+    if parallel {
+        // tile t's destination window is [row_ptr[t.lo], row_ptr[t.hi])
+        let dest_ranges: Vec<(usize, usize)> =
+            tiles.iter().map(|t| (row_ptr[t.lo], row_ptr[t.hi])).collect();
+        let copied: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
+        {
+            let dc = DisjointSlots::new(&mut out_cols, &dest_ranges)
+                .map_err(|detail| SparseError::Internal { detail })?;
+            let dv = DisjointSlots::new(&mut out_vals, &dest_ranges)
+                .map_err(|detail| SparseError::Internal { detail })?;
+            // a lost tile falls through to the serial redo below; a pool
+            // failure leaves `copied` incomplete and does the same
+            let _ = exec.pool.run_tiles(
+                n_threads,
+                tiles.len(),
+                Schedule::Dynamic { chunk: 1 },
+                |_, _, idx| {
+                    if let (Some(c), Some(v)) = (dc.take(idx), dv.take(idx)) {
+                        copy(idx, c, v);
+                        let _ = copied[idx].set(());
+                    }
+                },
+            );
+        }
+        done = copied.iter().all(|c| c.get().is_some());
+    }
+    if !done {
+        let serial = catch_tile_panic(|| {
+            for (idx, t) in tiles.iter().enumerate() {
+                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
+                copy(idx, &mut out_cols[dlo..dhi], &mut out_vals[dlo..dhi]);
+            }
+        });
+        if let Err(msg) = serial {
+            return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
+        }
+    }
+    Ok(Csr::from_parts_unchecked(nrows, node.ncols, row_ptr, out_cols, out_vals))
+}
+
 /// Copy one tile's rows from their slack-padded slots into the compacted
 /// output window `[row_ptr[tile.lo], row_ptr[tile.hi])`, returning the
 /// bytes moved. Pure per-tile function, safe to run from any worker: the
 /// sources are disjoint reads and the destination window is exclusive.
-/// `nonempty` is the tile's slice of the plan's nonempty-mask-row list —
+/// `nonempty` is the tile's slice of the node's nonempty-mask-row list —
 /// rows outside it own no slots and hold no output, so only the rows the
 /// mask asks about are visited (the frontier-mask settle cost).
-pub(crate) fn copy_tile_rows<S: Semiring>(
+fn copy_tile_rows<S: Semiring>(
     tile: Tile,
     nonempty: &[(Idx, usize)],
     row_ptr: &[usize],
@@ -1304,15 +1340,11 @@ pub(crate) fn copy_tile_rows<S: Semiring>(
 }
 
 /// Build the output row pointer from the per-row nnz counts, visiting
-/// only the plan's nonempty mask rows — an empty mask row admits no
+/// only the node's nonempty mask rows — an empty mask row admits no
 /// output, so its count is structurally zero and the prefix between two
 /// nonempty rows is a constant run (written with `fill`, not walked).
 /// Returns `(row_ptr, output_nnz)`.
-pub(crate) fn build_row_ptr(
-    nrows: usize,
-    nonempty: &[(Idx, usize)],
-    row_nnz: &[u32],
-) -> (Vec<usize>, usize) {
+fn build_row_ptr(nrows: usize, nonempty: &[(Idx, usize)], row_nnz: &[u32]) -> (Vec<usize>, usize) {
     let mut row_ptr = vec![0usize; nrows + 1];
     let mut acc = 0usize;
     let mut filled = 1usize; // row_ptr[..filled] is final
@@ -1329,37 +1361,6 @@ pub(crate) fn build_row_ptr(
         row_ptr[filled..].fill(acc);
     }
     (row_ptr, acc)
-}
-
-/// The monomorphic parallel run, dispatched on the assembly strategy.
-///
-/// `A: 'static` because the per-worker accumulator is parked in the
-/// pool's type-erased [`mspgemm_sched::WorkerScratch`] between runs.
-/// `make` receives the row capacity to build at: the in-place path calls
-/// it with the plan's overbooked bound for worker accumulators and the
-/// hard bound for spill rebuilds; the legacy path always passes the hard
-/// bound (it is the bit-identical reference, never overbooked).
-fn run_generic<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    match core.config.assembly {
-        Assembly::InPlace => {
-            run_inplace::<S, A, F>(exec, core, scratch, cancel, a, b, mask, make)
-        }
-        Assembly::Legacy => run_legacy::<S, A, F>(exec, core, cancel, a, b, mask, make),
-    }
 }
 
 /// Slack factor for a hash table sized at `cap` entries under a plan
@@ -1390,7 +1391,7 @@ fn hash_slack(cap: usize, full: usize) -> usize {
 /// the power-of-two table shrink times one entry (32-bit key + value +
 /// the common 32-bit mark) times the worker count. A no-op unless the
 /// plan actually overbooked below the hard bound.
-fn note_overbook_savings<S: Semiring>(core: &PlanCore) {
+fn note_overbook_savings<S: Semiring>(core: &GraphCore<S::T>) {
     if core.overbook_row_entries >= core.max_row_entries {
         return;
     }
@@ -1410,513 +1411,11 @@ fn note_overbook_savings<S: Semiring>(core: &PlanCore) {
     );
 }
 
-/// Mask-bounded in-place assembly: preallocate at `nnz(M)` (or adopt the
-/// plan's surviving buffers), write rows into disjoint slots, compact the
-/// slack in parallel. See the module docs for the layout.
-fn run_inplace<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    let schedule = core.config.schedule;
-    let n_threads = core.n_threads;
-    let tiles = &core.tiles;
-    let bound = core.bound;
-    let plan_key = core.plan_id;
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let simd = core.simd;
-    let overbook = core.overbook_row_entries;
-    let full_cap = core.max_row_entries;
-    note_overbook_savings::<S>(core);
-    let spill_count = AtomicU64::new(0);
-
-    // Adopt the plan's surviving buffers (resize is a no-op on a reused
-    // same-structure plan — no allocation, *no zeroing*: every surviving
-    // row slot is rewritten by its tile or by the degraded retry before
-    // compaction reads it) or build fresh ones for a one-shot run. On
-    // error paths the taken buffers are simply dropped; the plan rebuilds
-    // them on its next execution.
-    let mut scratch = scratch;
-    let (mut slot_cols, mut slot_vals, mut row_nnz) = match scratch.as_deref_mut() {
-        Some(s) => (
-            std::mem::take(&mut s.slot_cols),
-            std::mem::take(&mut s.slot_vals),
-            std::mem::take(&mut s.row_nnz),
-        ),
-        None => (Vec::new(), Vec::new(), Vec::new()),
-    };
-    slot_cols.resize(bound, 0 as Idx);
-    slot_vals.resize(bound, S::zero());
-    row_nnz.resize(nrows, 0u32);
-
-    let completed: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = {
-        let col_slots = DisjointSlots::new(&mut slot_cols, &core.slot_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        let val_slots = DisjointSlots::new(&mut slot_vals, &core.slot_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        let nnz_slots = DisjointSlots::new(&mut row_nnz, &core.row_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        exec.pool.run_tiles_cancellable(n_threads, tiles.len(), schedule, cancel, |_t, ws, tile_idx| {
-            failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-            if ws.current_tile_abandoned() {
-                // the watchdog already handed this tile to the degraded
-                // serial path; leave it uncompleted and let settle own it
-                return;
-            }
-            let (Some(sc), Some(sv), Some(rn)) = (
-                col_slots.take(tile_idx),
-                val_slots.take(tile_idx),
-                nnz_slots.take(tile_idx),
-            ) else {
-                let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                guard.get_or_insert(tile_idx);
-                return;
-            };
-            // worker-persistent accumulators: keyed by plan identity, they
-            // survive every tile this worker claims *and* — under a
-            // reused plan — every run of the plan. The first element is
-            // sized at the plan's overbooked bound; the second is the
-            // spill scratch, grown on this worker's first spill and warm
-            // for every one after.
-            let pair = ws.get_or_build::<(A, OverbookSpill<S, A>), _>(plan_key, || {
-                (make(overbook), OverbookSpill::new())
-            });
-            let (acc, spill_acc) = (&mut pair.0, &mut pair.1);
-            let mut hstats = HybridStats::armed();
-            let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-            let spilled = compute_tile_slots_sparse::<S, A, _>(
-                tiles[tile_idx],
-                &core.nonempty[nlo..nhi],
-                core.slot_ranges[tile_idx].0,
-                iteration,
-                simd,
-                overbook,
-                &|| make(full_cap),
-                a,
-                b,
-                mask,
-                acc,
-                spill_acc,
-                &mut hstats,
-                sc,
-                sv,
-                rn,
-            );
-            if spilled > 0 {
-                spill_count.fetch_add(spilled, Ordering::Relaxed);
-            }
-            if !ws.current_tile_abandoned() {
-                let _ = completed[tile_idx].set(());
-            }
-        })
-    };
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("tile {tile_idx} executed twice"),
-        });
-    }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: vanilla kernel + dense u64 accumulator,
-    // writing into exactly the slots the tile owned. A panicked attempt
-    // only ever wrote inside them, and the retry overwrites every row's
-    // prefix and nnz, so recovery stays bit-identical. ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> =
-        (0..tiles.len()).filter(|&i| completed[i].get().is_none()).collect();
-    // A cancelled run's unclaimed tiles are *deliberately* missing: the
-    // caller asked out, so abandon the partial output instead of burning
-    // the serial retry on it. (A token that fired because its deadline
-    // passed reports the miss as such.) A run every tile of which finished
-    // before anyone noticed the cancel still returns its result.
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats {
-        failed: missing.len(),
-        spills: spill_count.load(Ordering::Relaxed),
-        ..RetryStats::default()
-    };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        let (slo, shi) = core.slot_ranges[tile_idx];
-        // The failpoint key used in the parallel body is the tile index,
-        // and the retry deliberately does NOT re-fire `tile-kernel`: the
-        // degraded path is the recovery path, exercised on its own via the
-        // `accum-reset` site. It is also deliberately the conservative
-        // *scalar* configuration — no SIMD, no overbooking.
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_tile_slots::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-                &mut slot_cols[slo..shi],
-                &mut slot_vals[slo..shi],
-                &mut row_nnz[tile.lo..tile.hi],
-            );
-        });
-        match attempt {
-            Ok(()) => {
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    // --- compaction: squeeze the per-row slack, build the final row_ptr ---
-    let (row_ptr, output_nnz) = build_row_ptr(nrows, &core.nonempty, &row_nnz);
-
-    // keep the legacy `fragment-stitch` fault-injection surface: the same
-    // per-tile site fires here even though in-place assembly has no stitch
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..tiles.len() {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-
-    if output_nnz == bound {
-        // no slack: the slot buffers *are* the output — zero bytes moved.
-        // The adopted buffers leave with the result; the plan keeps only
-        // the (cheap) per-row nnz array and re-allocates slots next run.
-        if let Some(s) = scratch {
-            s.row_nnz = row_nnz;
-            return Ok((
-                Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-                reports,
-                retry,
-            ));
-        }
-        let c = Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals);
-        return Ok((c, reports, retry));
-    }
-
-    let mut out_cols = vec![0 as Idx; output_nnz];
-    let mut out_vals = vec![S::zero(); output_nnz];
-    let entry_bytes = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>();
-    let parallel =
-        n_threads > 1 && tiles.len() > 1 && output_nnz * entry_bytes >= compact_par_min();
-
-    let mut done = false;
-    if parallel {
-        // per-tile disjoint copies through the persistent pool; tile t's
-        // destination window is [row_ptr[t.lo], row_ptr[t.hi])
-        let dest_ranges: Vec<(usize, usize)> =
-            tiles.iter().map(|t| (row_ptr[t.lo], row_ptr[t.hi])).collect();
-        let copied: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-        {
-            let dc = DisjointSlots::new(&mut out_cols, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            let dv = DisjointSlots::new(&mut out_vals, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            // a lost tile here falls through to the serial redo below; a
-            // pool failure leaves `copied` empty and does the same
-            let _ = exec.pool.run_tiles(
-                n_threads,
-                tiles.len(),
-                Schedule::Dynamic { chunk: 1 },
-                |_t, _ws, tile_idx| {
-                    let (Some(c), Some(v)) = (dc.take(tile_idx), dv.take(tile_idx)) else {
-                        return;
-                    };
-                    let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-                    let bytes = copy_tile_rows::<S>(
-                        tiles[tile_idx],
-                        &core.nonempty[nlo..nhi],
-                        &row_ptr,
-                        &slot_cols,
-                        &slot_vals,
-                        c,
-                        v,
-                    );
-                    obs::add(obs::Counter::DriverCompactionBytes, bytes);
-                    let _ = copied[tile_idx].set(());
-                },
-            );
-        }
-        done = copied.iter().all(|c| c.get().is_some());
-    }
-    if !done {
-        // serial compaction — the small-output default and the fallback
-        // when the parallel pass lost a tile (the redo overwrites every
-        // window, so a partial parallel attempt cannot leak)
-        let res = catch_tile_panic(|| {
-            for (idx, t) in tiles.iter().enumerate() {
-                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-                let (nlo, nhi) = core.nonempty_ranges[idx];
-                let bytes = copy_tile_rows::<S>(
-                    *t,
-                    &core.nonempty[nlo..nhi],
-                    &row_ptr,
-                    &slot_cols,
-                    &slot_vals,
-                    &mut out_cols[dlo..dhi],
-                    &mut out_vals[dlo..dhi],
-                );
-                obs::add(obs::Counter::DriverCompactionBytes, bytes);
-            }
-        });
-        if let Err(msg) = res {
-            return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-        }
-    }
-
-    // hand the slot buffers back to the plan for its next execution
-    if let Some(s) = scratch {
-        s.slot_cols = slot_cols;
-        s.slot_vals = slot_vals;
-        s.row_nnz = row_nnz;
-    }
-    Ok((Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals), reports, retry))
-}
-
-/// The historical fragment-then-stitch run: schedule tiles, compute
-/// fragments, retry failed tiles serially with the conservative
-/// configuration, stitch. (Keeps no cross-run value scratch — the legacy
-/// path is the bit-identical reference, not the fast path.)
-fn run_legacy<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    let simd = core.simd;
-    // the legacy path is the bit-identical reference: accumulators keep
-    // the hard per-row bound, never the overbooked one
-    let full_cap = core.max_row_entries;
-    let tiles = &core.tiles;
-    let plan_key = core.plan_id;
-    let ncols = b.ncols();
-    let results: Vec<OnceLock<TileResult<S::T>>> =
-        (0..tiles.len()).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = exec.pool.run_tiles_cancellable(
-        core.n_threads,
-        tiles.len(),
-        core.config.schedule,
-        cancel,
-        |_t, ws, tile_idx| {
-            failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-            if ws.current_tile_abandoned() {
-                // the watchdog handed this tile to the serial retry
-                return;
-            }
-            let acc = ws.get_or_build::<A, _>(plan_key, || make(full_cap));
-            let mut hstats = HybridStats::armed();
-            let frag = compute_fragment::<S, A>(
-                tiles[tile_idx],
-                iteration,
-                simd,
-                a,
-                b,
-                mask,
-                acc,
-                &mut hstats,
-            );
-            if ws.current_tile_abandoned() {
-                return;
-            }
-            if results[tile_idx].set(frag).is_err() {
-                let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                guard.get_or_insert(tile_idx);
-            }
-        },
-    );
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("tile {tile_idx} executed twice"),
-        });
-    }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: vanilla kernel + dense u64 accumulator ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> = (0..tiles.len()).filter(|&i| results[i].get().is_none()).collect();
-    // cancelled runs abandon their partial fragments (see `run_inplace`)
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats { failed: missing.len(), ..RetryStats::default() };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        // The failpoint key used in the parallel body is the tile index,
-        // and the retry deliberately does NOT re-fire `tile-kernel`: the
-        // degraded path is the recovery path, exercised on its own via the
-        // `accum-reset` site.
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_fragment::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-            )
-        });
-        match attempt {
-            Ok(frag) => {
-                let _ = results[tile_idx].set(frag);
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "fragment missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    // --- stitch fragments (tiles are contiguous, in row order) ---
-    match catch_tile_panic(|| stitch::<S>(a.nrows(), ncols, &results)) {
-        Ok(Ok(c)) => Ok((c, reports, retry)),
-        Ok(Err(e)) => Err(e),
-        Err(msg) => Err(SparseError::Internal { detail: format!("stitch: {msg}") }),
-    }
-}
-
-/// Concatenate the per-tile fragments into the output CSR.
-fn stitch<S: Semiring>(
-    nrows: usize,
-    ncols: usize,
-    results: &[OnceLock<TileResult<S::T>>],
-) -> Result<Csr<S::T>, SparseError>
-where
-    S: Semiring,
-{
-    let nnz: usize = results
-        .iter()
-        .map(|r| r.get().map_or(0, |t| t.cols.len()))
-        .sum();
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    row_ptr.push(0usize);
-    let mut out_cols = Vec::with_capacity(nnz);
-    let mut out_vals = Vec::with_capacity(nnz);
-    let mut acc_nnz = 0usize;
-    let mut stitched_bytes = 0u64;
-    for (idx, r) in results.iter().enumerate() {
-        failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        let Some(t) = r.get() else {
-            return Err(SparseError::Internal {
-                detail: format!("fragment {idx} missing at stitch time"),
-            });
-        };
-        for &rn in &t.row_nnz {
-            acc_nnz += rn as usize;
-            row_ptr.push(acc_nnz);
-        }
-        out_cols.extend_from_slice(&t.cols);
-        out_vals.extend_from_slice(&t.vals);
-        stitched_bytes += (t.cols.len() * std::mem::size_of::<Idx>()
-            + t.vals.len() * std::mem::size_of::<S::T>()) as u64;
-    }
-    obs::add(obs::Counter::DriverCompactionBytes, stitched_bytes);
-    if row_ptr.len() != nrows + 1 {
-        return Err(SparseError::Internal {
-            detail: format!(
-                "stitched row pointers cover {} rows, output has {nrows}",
-                row_ptr.len() - 1
-            ),
-        });
-    }
-    Ok(Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{KernelPolicy, Overbook, SimdMode};
-    use mspgemm_sched::{Schedule, TilingStrategy};
+    use mspgemm_sched::TilingStrategy;
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
     fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64> {
@@ -1946,22 +1445,19 @@ mod tests {
                         IterationSpace::CoIterate,
                         IterationSpace::Hybrid { kappa: 1.0 },
                     ] {
-                        for assembly in [Assembly::InPlace, Assembly::Legacy] {
-                            v.push(
-                                Config::builder()
-                                    .n_threads(2)
-                                    .n_tiles(7)
-                                    .tiling(tiling)
-                                    .schedule(schedule)
-                                    .kernel_policy(
-                                        KernelPolicy::new()
-                                            .accumulator(accumulator)
-                                            .iteration(iteration),
-                                    )
-                                    .assembly(assembly)
-                                    .build(),
-                            );
-                        }
+                        v.push(
+                            Config::builder()
+                                .n_threads(2)
+                                .n_tiles(7)
+                                .tiling(tiling)
+                                .schedule(schedule)
+                                .kernel_policy(
+                                    KernelPolicy::new()
+                                        .accumulator(accumulator)
+                                        .iteration(iteration),
+                                )
+                                .build(),
+                        );
                     }
                 }
             }
@@ -2156,21 +1652,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_assembly_ignores_overbooking() {
-        let a = lcg_matrix(30, 30, 5, 33);
-        let mask = skewed_mask(30, 3, 20);
-        let cfg = Config::builder()
-            .n_threads(2)
-            .assembly(Assembly::Legacy)
-            .kernel_policy(KernelPolicy::new().overbook(Overbook::p99()))
-            .build();
-        let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &mask);
-        let (got, stats) = spgemm::<PlusTimes>(&a, &a, &mask, &cfg).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats.overbook_spills, 0, "legacy keeps the hard bound");
-    }
-
-    #[test]
     fn simd_and_scalar_runs_are_bit_identical() {
         let a = lcg_matrix(60, 60, 6, 41);
         let mask = lcg_matrix(60, 60, 8, 43);
@@ -2186,5 +1667,43 @@ mod tests {
             let (scalar_c, _) = spgemm::<PlusTimes>(&a, &a, &mask, &mk(SimdMode::Scalar)).unwrap();
             assert_eq!(auto_c, scalar_c, "{}", it.label());
         }
+    }
+
+    #[test]
+    fn a_held_accumulator_cell_costs_a_throwaway_table_not_a_wait() {
+        // A stalled worker keeps its accumulator cell locked while the
+        // watchdog's replacement runs tiles under the same worker index.
+        // Model that by holding worker 0's cell for a whole run: the tiles
+        // worker 0 claims (static blocks guarantee it claims some) must
+        // run on throwaway tables, and the product must not change.
+        let a = lcg_matrix(80, 80, 5, 61);
+        let cfg = Config::builder().n_threads(2).n_tiles(16).schedule(Schedule::Static).build();
+        let exec = Executor::new();
+        let core = crate::graph::single_product(&cfg, &a, &a, &a).unwrap();
+        let inputs = [&a, &a, &a];
+        let mut scratch = PlanScratch::default();
+        let run = |scratch: &mut PlanScratch<f64>| {
+            let job = Job {
+                core: &core,
+                inputs: &inputs,
+                scratch,
+                cancel: None,
+                weight: 1,
+                setup: Duration::ZERO,
+                fused_ops: 0,
+            };
+            only_output(run_job::<PlusTimes>(exec.shared(), job)).unwrap()
+        };
+        let (want, _) = run(&mut scratch);
+        assert_eq!(want, Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &a));
+        let cell = std::sync::Arc::clone(&scratch.accums[0]);
+        let held = cell.lock().unwrap();
+        assert!(held.is_some(), "the first run left worker 0 a warm accumulator");
+        let (got, stats) = run(&mut scratch);
+        assert_eq!(got, want, "throwaway tables must not change the product");
+        assert_eq!(stats.retried_tiles, 0);
+        assert_eq!(stats.thread_reports[0].tiles_run, 8, "worker 0 ran its block");
+        drop(held);
+        assert!(cell.lock().unwrap().is_some(), "the held cell keeps its table");
     }
 }

@@ -10,28 +10,27 @@
 //!
 //! * worker threads are spawned once and *parked* between runs
 //!   ([`mspgemm_sched::WorkerPool`]);
-//! * per-worker accumulator scratch survives across runs, keyed by plan
-//!   identity ([`mspgemm_sched::WorkerScratch`]);
 //! * the symbolic phase (config resolution, Eq. 2 estimates, tile
-//!   boundaries, mask slot layout) is captured once in a
-//!   [`Plan`] and revalidated cheaply on re-execution.
+//!   boundaries, mask slot layout) is captured once in a [`Plan`] and
+//!   revalidated cheaply on re-execution, and the plan's per-worker
+//!   accumulators and slot buffers survive across its runs.
 //!
 //! Fault isolation is preserved through the pool: a panicking tile kills
 //! (at most) a run, never the executor. Only a panic that escapes tile
 //! isolation — scheduler-infrastructure failure — poisons the pool, after
 //! which every call returns [`SparseError::ExecutorPoisoned`].
 //!
-//! The classic free functions ([`crate::driver::spgemm`] and the
-//! deprecated shims) are thin wrappers over a lazily-created process-wide
-//! executor ([`Executor::global`]), so existing callers transparently get
-//! the persistent pool.
+//! The free function [`crate::driver::spgemm`] is a thin wrapper over a
+//! lazily-created process-wide executor ([`Executor::global`]), so
+//! one-shot callers transparently get the persistent pool.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::config::Config;
-use crate::driver::{run_plan, RunStats};
-use crate::plan::{self, Plan};
+use crate::driver::{only_output, run_job, Job, RunStats};
+use crate::graph::single_product;
+use crate::plan::{AccCell, Plan, PlanScratch};
 use mspgemm_rt::obs;
 use mspgemm_sched::{WatchdogConfig, WorkerPool};
 use mspgemm_sparse::{Csr, Semiring, SparseError};
@@ -43,6 +42,14 @@ pub(crate) struct ExecutorShared {
     /// Serializes runs: the pool executes one job at a time, and per-run
     /// metric deltas (`RunStats::metrics`) must not interleave.
     pub(crate) run_lock: Mutex<()>,
+    /// Accumulator cells lent to one-shot calls ([`Executor::execute`]).
+    /// Every call freezes a fresh core, so each worker's first lease in a
+    /// call drops the previous call's accumulator *on the worker thread*
+    /// before building its own. Freeing the tables from the submitting
+    /// thread at the end of each call instead left the workers' glibc
+    /// malloc arenas holding ~10 % more peak RSS on the perfbench
+    /// one-shot mix (2-vCPU host).
+    pub(crate) oneshot_cells: Mutex<Vec<AccCell>>,
 }
 
 /// A persistent masked-SpGEMM execution context.
@@ -91,6 +98,7 @@ impl Executor {
             shared: Arc::new(ExecutorShared {
                 pool: WorkerPool::with_watchdog(watchdog),
                 run_lock: Mutex::new(()),
+                oneshot_cells: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -116,7 +124,7 @@ impl Executor {
         mask: &Csr<S::T>,
         config: &Config,
     ) -> Result<Plan<S>, SparseError> {
-        Plan::build(Arc::clone(&self.shared), a, b, mask, config)
+        Plan::build(self, a, b, mask, config)
     }
 
     /// One-shot `C = M ⊙ (A × B)` on this executor's pool: plans, runs
@@ -131,13 +139,31 @@ impl Executor {
         config: &Config,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
         let setup_start = Instant::now();
-        let core = plan::prepare(config, a, b, mask)?;
+        let core = single_product(config, a, b, mask)?;
         let setup = setup_start.elapsed();
-        run_plan::<S>(&self.shared, &core, None, None, a, b, mask, setup)
+        let cells = &self.shared.oneshot_cells;
+        let mut scratch = PlanScratch {
+            slots: Vec::new(),
+            // a concurrent one-shot call that finds the cells lent out
+            // simply builds its own
+            accums: std::mem::take(&mut *cells.lock().unwrap_or_else(|e| e.into_inner())),
+        };
+        let job = Job {
+            core: &core,
+            inputs: &[a, b, mask],
+            scratch: &mut scratch,
+            cancel: None,
+            weight: 1,
+            setup,
+            fused_ops: 0,
+        };
+        let outcome = only_output(run_job::<S>(&self.shared, job));
+        *cells.lock().unwrap_or_else(|e| e.into_inner()) = scratch.accums;
+        outcome
     }
 
-    /// The shared pool/lock state, for in-crate layers (the service
-    /// dispatcher) that drive the driver entry points directly.
+    /// The shared pool/lock state, for in-crate layers (plans, graphs, the
+    /// service dispatcher) that drive the tile engine directly.
     pub(crate) fn shared(&self) -> &Arc<ExecutorShared> {
         &self.shared
     }
@@ -222,10 +248,7 @@ impl<S: Semiring> Session<S> {
     /// on this session's executor and configuration. The graph shares the
     /// session's worker pool but owns its own tiling and scratch — see
     /// [`crate::graph`] for the builder walkthrough.
-    pub fn graph(&self) -> crate::graph::GraphBuilder<S>
-    where
-        S::T: PartialOrd,
-    {
+    pub fn graph(&self) -> crate::graph::GraphBuilder<S> {
         crate::graph::GraphBuilder::on(&self.exec, self.config)
     }
 

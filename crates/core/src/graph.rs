@@ -30,8 +30,11 @@
 //! the same worker just wrote into its own slot window — no cross-tile
 //! synchronisation, no barrier between nodes.
 //!
-//! Fault tolerance mirrors the single-product driver: a panicking tile
-//! loses only its own chain, and the degraded serial retry recomputes
+//! A graph runs on the same tile engine as every other caller
+//! ([`crate::driver`]) — a single-product [`crate::Plan`] *is* a one-node
+//! graph — so it honours the whole kernel policy, overbooking and
+//! `SimdMode::Force` included, and shares its fault model: a panicking
+//! tile loses only its own chain, and the degraded serial retry recomputes
 //! **every node of that tile in order** (vanilla kernel + dense `u64`
 //! accumulator), so a retried node's successors are rebuilt from its
 //! recovered output and can never observe a poisoned intermediate. All
@@ -66,25 +69,21 @@
 //! assert!(outs[0].nnz() > 0); // the triangle 0-1-2 survives
 //! ```
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::{Config, IterationSpace};
-use crate::driver::{build_row_ptr, copy_tile_rows, pool_error, run_row, RunStats};
+use crate::config::{Config, IterationSpace, Overbook, SimdMode};
+use crate::driver::{run_job, Job, JobResult, RunStats};
 use crate::executor::{Executor, ExecutorShared};
-use crate::kernels::{HybridStats, RowRead};
-use crate::plan::{next_plan_id, structure_hash, Pin};
-use mspgemm_accum::{
-    Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, FusedStage,
-    HashAccumulator, MarkerWidth, SlotSink, SortAccumulator,
-};
-use mspgemm_rt::{failpoint, obs};
+use crate::plan::{structure_hash, Pin, PlanScratch};
+use mspgemm_accum::AccumulatorKind;
+use mspgemm_rt::obs;
 use mspgemm_sched::{
     catch_tile_panic,
     tile::tiles_for,
     work::{row_work, total_work},
-    DisjointSlots, ExecError, PoolRunError, ThreadReport, Tile,
+    CancelToken, Tile,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 
@@ -123,7 +122,7 @@ impl From<NodeId> for Operand {
 
 /// Internal, index-resolved form of [`Operand`].
 #[derive(Clone, Copy, Debug)]
-enum OperandRef {
+pub(crate) enum OperandRef {
     Ext(usize),
     Node(usize),
 }
@@ -132,7 +131,7 @@ enum OperandRef {
 /// name an external input by index; the pattern is read fresh at run
 /// time, so only its shape is load-bearing for the frozen graph.
 #[derive(Clone, Copy, Debug)]
-enum PostOpSpec<T> {
+pub(crate) enum PostOpSpec<T> {
     SelectGe(T),
     Fill(T),
     Intersect(usize),
@@ -140,7 +139,7 @@ enum PostOpSpec<T> {
 }
 
 /// One node as declared on the builder, before freezing.
-struct NodeDecl<T> {
+pub(crate) struct NodeDecl<T> {
     a: OperandRef,
     b: usize,
     mask: usize,
@@ -160,10 +159,7 @@ pub struct GraphBuilder<S: Semiring> {
     broken: Option<&'static str>,
 }
 
-impl<S: Semiring> GraphBuilder<S>
-where
-    S::T: PartialOrd,
-{
+impl<S: Semiring> GraphBuilder<S> {
     /// A builder on a specific executor with the given configuration.
     pub fn on(exec: &Executor, config: Config) -> Self {
         GraphBuilder {
@@ -257,16 +253,12 @@ where
     }
 
     /// Freeze the graph against the concrete inputs: validate shapes,
-    /// estimate work, cut the shared FLOP-balanced tiles, lay out every
-    /// node's mask-bound slots, and fingerprint the external structure.
+    /// estimate work, cut the shared FLOP-balanced tiles, size the
+    /// accumulators, lay out every node's mask-bound slots, and fingerprint
+    /// the external structure.
     pub fn build(mut self, inputs: &[&Csr<S::T>]) -> Result<PlanGraph<S>, SparseError> {
         if let Some(detail) = self.broken {
             return Err(SparseError::InvalidConfig { detail: detail.to_string() });
-        }
-        if self.nodes.is_empty() {
-            return Err(SparseError::InvalidConfig {
-                detail: "a plan graph needs at least one product node".to_string(),
-            });
         }
         if inputs.len() != self.n_ext {
             return Err(SparseError::InvalidConfig {
@@ -282,269 +274,331 @@ where
                 last.output = true;
             }
         }
-
-        // --- shape validation: all nodes share one row partition ---
-        let nrows = inputs[self.nodes[0].mask].nrows();
-        let mut node_ncols = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let b = inputs[node.b];
-            let mask = inputs[node.mask];
-            let ncols = b.ncols();
-            if mask.nrows() != nrows || mask.ncols() != ncols {
-                return Err(SparseError::ShapeMismatch {
-                    expected: (nrows, ncols),
-                    found: (mask.nrows(), mask.ncols()),
-                    context: "plan graph: mask shape",
-                });
-            }
-            let a_shape = match node.a {
-                OperandRef::Ext(e) => (inputs[e].nrows(), inputs[e].ncols()),
-                OperandRef::Node(j) => (nrows, node_ncols[j]),
-            };
-            if a_shape.0 != nrows || a_shape.1 != b.nrows() {
-                return Err(SparseError::ShapeMismatch {
-                    expected: (nrows, b.nrows()),
-                    found: a_shape,
-                    context: "plan graph: A×B inner dimension",
-                });
-            }
-            for post in &node.post {
-                if let PostOpSpec::Intersect(p) | PostOpSpec::Subtract(p) = *post {
-                    let pat = inputs[p];
-                    if pat.nrows() != nrows || pat.ncols() != ncols {
-                        return Err(SparseError::ShapeMismatch {
-                            expected: (nrows, ncols),
-                            found: (pat.nrows(), pat.ncols()),
-                            context: "plan graph: fused pattern shape",
-                        });
-                    }
-                }
-            }
-            node_ncols.push(ncols);
-        }
-
-        let config = self.config;
-        let n_threads = config.resolved_threads();
-        let n_tiles = config.resolved_tiles(nrows);
-        let nodes = std::mem::take(&mut self.nodes);
-
-        // --- work estimation + shared tiling + per-node slot layout ---
-        // Contained like the plan prologue: a pathological input (or the
-        // `work-estimate` failpoint) loses the build, not the process.
-        struct Layout {
-            slot_ranges: Vec<(usize, usize)>,
-            nonempty: Vec<(Idx, usize)>,
-            nonempty_ranges: Vec<(usize, usize)>,
-            bound: usize,
-        }
-        let prologue = catch_tile_panic(|| {
-            let mut summed = vec![0u64; nrows];
-            let mut caps = Vec::with_capacity(nodes.len());
-            for node in &nodes {
-                let mask = inputs[node.mask];
-                let b = inputs[node.b];
-                match node.a {
-                    OperandRef::Ext(e) => {
-                        let w = row_work(inputs[e], b, mask);
-                        let cap = match config.kernel.iteration {
-                            // vanilla sizes its accumulator from the Eq. 2
-                            // estimate (see the plan prologue)
-                            IterationSpace::Vanilla => (0..nrows)
-                                .map(|i| {
-                                    (w[i].saturating_sub(mask.row_nnz(i) as u64) as usize)
-                                        .min(b.ncols())
-                                })
-                                .max()
-                                .unwrap_or(1),
-                            _ => (0..nrows).map(|i| mask.row_nnz(i)).max().unwrap_or(1),
-                        };
-                        for (s, wi) in summed.iter_mut().zip(&w) {
-                            *s += *wi;
-                        }
-                        caps.push(cap);
-                    }
-                    OperandRef::Node(_) => {
-                        // the intermediate's structure is unknown at
-                        // freeze time: proxy its row work with the mask
-                        // bound, and fall back to the dense column bound
-                        // for vanilla accumulator sizing
-                        let cap = match config.kernel.iteration {
-                            IterationSpace::Vanilla => b.ncols().max(1),
-                            _ => (0..nrows).map(|i| mask.row_nnz(i)).max().unwrap_or(1),
-                        };
-                        for (i, s) in summed.iter_mut().enumerate() {
-                            *s += mask.row_nnz(i) as u64;
-                        }
-                        caps.push(cap);
-                    }
-                }
-            }
-            let estimated_work = total_work(&summed);
-            let tiles = tiles_for(config.tiling, nrows, &summed, n_tiles);
-            let layouts: Vec<Layout> = nodes
-                .iter()
-                .map(|node| {
-                    let mask = inputs[node.mask];
-                    let mut slot_ranges = Vec::with_capacity(tiles.len());
-                    let mut nonempty = Vec::new();
-                    let mut nonempty_ranges = Vec::with_capacity(tiles.len());
-                    let mut bound = 0usize;
-                    for t in &tiles {
-                        let lo = bound;
-                        let ne_lo = nonempty.len();
-                        for i in t.rows() {
-                            let rn = mask.row_nnz(i);
-                            if rn > 0 {
-                                nonempty.push((i as Idx, bound));
-                            }
-                            bound += rn;
-                        }
-                        slot_ranges.push((lo, bound));
-                        nonempty_ranges.push((ne_lo, nonempty.len()));
-                    }
-                    Layout { slot_ranges, nonempty, nonempty_ranges, bound }
-                })
-                .collect();
-            (estimated_work, tiles, layouts, caps)
-        });
-        let (estimated_work, tiles, layouts, caps) = match prologue {
-            Ok(v) => v,
-            Err(msg) => {
-                return Err(SparseError::Internal {
-                    detail: format!("graph work estimation: {msg}"),
-                })
-            }
-        };
-
-        // --- external fingerprints, tiered exactly like Plan's ---
-        let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
-        let mut pins = vec![Pin::Dims; self.n_ext];
-        for node in &nodes {
-            // the mask's row pointers feed the slot layout: always pinned
-            pins[node.mask] = pins[node.mask].max(Pin::Rows);
-            if vanilla {
-                if let OperandRef::Ext(e) = node.a {
-                    // Eq. 2 walked A's columns into B's row lengths and
-                    // the estimate froze the accumulator bound
-                    pins[e] = pins[e].max(Pin::RowsAndCols);
-                    pins[node.b] = pins[node.b].max(Pin::Rows);
-                }
-            }
-            // intersect/subtract patterns are read fresh at run time;
-            // only their shape is load-bearing (Pin::Dims covers it)
-        }
-        let ext_fps: Vec<ExtFingerprint> = inputs
+        let core = freeze(self.config, std::mem::take(&mut self.nodes), inputs)?;
+        let ext_fps = inputs
             .iter()
-            .zip(&pins)
+            .zip(&core.pins)
             .map(|(m, &pin)| ExtFingerprint {
-                pin,
                 hash: structure_hash(m, pin),
                 shape: (m.nrows(), m.ncols()),
             })
             .collect();
-
-        let frozen: Vec<NodePlan<S::T>> = nodes
-            .into_iter()
-            .zip(layouts)
-            .zip(node_ncols)
-            .map(|((decl, layout), ncols)| NodePlan {
-                a: decl.a,
-                b: decl.b,
-                mask: decl.mask,
-                post: decl.post,
-                output: decl.output,
-                ncols,
-                slot_ranges: layout.slot_ranges,
-                nonempty: layout.nonempty,
-                nonempty_ranges: layout.nonempty_ranges,
-                bound: layout.bound,
-            })
-            .collect();
-
-        let max_ncols = frozen.iter().map(|n| n.ncols).max().unwrap_or(1).max(1);
-        let max_row_entries = caps.into_iter().max().unwrap_or(1).max(1);
-        let row_ranges = tiles.iter().map(|t| (t.lo, t.hi)).collect();
         obs::incr(obs::Counter::ExecPlanBuilds);
         Ok(PlanGraph {
-            core: GraphCore {
-                config,
-                n_threads,
-                nrows,
-                tiles,
-                row_ranges,
-                nodes: frozen,
-                max_row_entries,
-                max_ncols,
-                estimated_work,
-                graph_id: next_plan_id(),
-            },
+            core,
             ext_fps,
-            scratch: Vec::new(),
+            scratch: PlanScratch::default(),
             exec: Arc::clone(self.exec.shared()),
         })
     }
 }
 
+/// Freeze the one product `mask ⊙ (A × B)` — a one-node chain over inputs
+/// `[A, B, M]`, the shape every single-product caller runs.
+pub(crate) fn single_product<T: Copy + Sync>(
+    config: &Config,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: &Csr<T>,
+) -> Result<GraphCore<T>, SparseError> {
+    let node =
+        NodeDecl { a: OperandRef::Ext(0), b: 1, mask: 2, post: Vec::new(), output: true };
+    freeze(*config, vec![node], &[a, b, mask])
+}
+
+/// The symbolic prologue every caller shares: shape validation, Eq. 2
+/// work estimation, one FLOP-balanced row partition for all nodes (their
+/// summed estimates), the accumulator bounds (hard and overbooked), every
+/// node's mask-bound slot layout, the SIMD resolution, and the per-input
+/// fingerprint pins. None of it depends on the inputs' *values*.
+pub(crate) fn freeze<T: Copy + Sync>(
+    config: Config,
+    nodes: Vec<NodeDecl<T>>,
+    inputs: &[&Csr<T>],
+) -> Result<GraphCore<T>, SparseError> {
+    let Some(first) = nodes.first() else {
+        return Err(SparseError::InvalidConfig {
+            detail: "a plan graph needs at least one product node".to_string(),
+        });
+    };
+    let nrows = match first.a {
+        OperandRef::Ext(e) => inputs[e].nrows(),
+        OperandRef::Node(_) => inputs[first.mask].nrows(),
+    };
+
+    // --- shape validation: all nodes share one row partition ---
+    let mut node_ncols: Vec<usize> = Vec::with_capacity(nodes.len());
+    for node in &nodes {
+        let b = inputs[node.b];
+        let mask = inputs[node.mask];
+        let a_shape = match node.a {
+            OperandRef::Ext(e) => (inputs[e].nrows(), inputs[e].ncols()),
+            OperandRef::Node(j) => (nrows, node_ncols.get(j).copied().unwrap_or(0)),
+        };
+        if a_shape.1 != b.nrows() {
+            return Err(SparseError::ShapeMismatch {
+                expected: (a_shape.1, b.ncols()),
+                found: (b.nrows(), b.ncols()),
+                context: "masked_spgemm: A×B inner dimension",
+            });
+        }
+        if a_shape.0 != nrows {
+            return Err(SparseError::ShapeMismatch {
+                expected: (nrows, a_shape.1),
+                found: a_shape,
+                context: "plan graph: A rows",
+            });
+        }
+        if (mask.nrows(), mask.ncols()) != (nrows, b.ncols()) {
+            return Err(SparseError::ShapeMismatch {
+                expected: (nrows, b.ncols()),
+                found: (mask.nrows(), mask.ncols()),
+                context: "masked_spgemm: mask shape",
+            });
+        }
+        for post in &node.post {
+            if let PostOpSpec::Intersect(p) | PostOpSpec::Subtract(p) = *post {
+                let pat = inputs[p];
+                if (pat.nrows(), pat.ncols()) != (nrows, b.ncols()) {
+                    return Err(SparseError::ShapeMismatch {
+                        expected: (nrows, b.ncols()),
+                        found: (pat.nrows(), pat.ncols()),
+                        context: "plan graph: fused pattern shape",
+                    });
+                }
+            }
+        }
+        node_ncols.push(b.ncols());
+    }
+
+    let n_threads = config.resolved_threads();
+    let n_tiles = config.resolved_tiles(nrows);
+    let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
+    // Overbooking (Tailors): only the hash family can detect and recover
+    // from overflow, so everything else keeps the hard bound.
+    let quantile = match (config.kernel.overbook, config.kernel.accumulator) {
+        (Overbook::Quantile { q }, AccumulatorKind::Hash(_)) => Some(q),
+        _ => None,
+    };
+
+    // --- work estimation + shared tiling + per-node slot layout. The
+    // prologue runs in the calling thread; contain it so a pathological
+    // input (or the `work-estimate` failpoint) loses the call, not the
+    // process. ---
+    let prologue = catch_tile_panic(|| {
+        let mut summed: Vec<u64> = Vec::new();
+        let mut max_row_entries = 1usize;
+        // every (node, row) bound, kept only to take the overbook quantile
+        let mut bounds: Vec<usize> = Vec::new();
+        for (node, &ncols) in nodes.iter().zip(&node_ncols) {
+            let mask = inputs[node.mask];
+            let work = match node.a {
+                OperandRef::Ext(e) => row_work(inputs[e], inputs[node.b], mask),
+                // an intermediate's structure is unknown at freeze time:
+                // proxy its row work with the mask bound
+                OperandRef::Node(_) => (0..nrows).map(|i| mask.row_nnz(i) as u64).collect(),
+            };
+            // Hash-accumulator sizing (§III-C): mask-preload kernels hold
+            // at most nnz(M[i,:]) entries; the vanilla kernel holds every
+            // distinct intermediate column, bounded by Σ nnz(B[k,:]) (= W[i]
+            // minus the mask term, saturating) and by ncols — by ncols
+            // alone behind a chained A, whose structure is unknown here.
+            let row_bound = |i: usize| match (vanilla, node.a) {
+                (false, _) => mask.row_nnz(i),
+                (true, OperandRef::Ext(_)) => {
+                    (work[i].saturating_sub(mask.row_nnz(i) as u64) as usize).min(ncols)
+                }
+                (true, OperandRef::Node(_)) => ncols.max(1),
+            };
+            for i in 0..nrows {
+                let bound = row_bound(i);
+                max_row_entries = max_row_entries.max(bound);
+                if quantile.is_some() {
+                    bounds.push(bound);
+                }
+            }
+            if summed.is_empty() {
+                summed = work;
+            } else {
+                for (s, w) in summed.iter_mut().zip(&work) {
+                    *s += *w;
+                }
+            }
+        }
+        // Overbooked sizing: the configured quantile of the *same* per-row
+        // bounds instead of their max (nearest-rank, clamped to [1, max]).
+        let overbook_row_entries = match quantile {
+            Some(q) if !bounds.is_empty() => {
+                let rank = ((q.clamp(0.0, 1.0) * bounds.len() as f64).ceil() as usize)
+                    .clamp(1, bounds.len());
+                (*bounds.select_nth_unstable(rank - 1).1).clamp(1, max_row_entries)
+            }
+            _ => max_row_entries,
+        };
+        let estimated_work = total_work(&summed);
+        let tiles = tiles_for(config.tiling, nrows, &summed, n_tiles);
+        let layouts: Vec<SlotLayout> =
+            nodes.iter().map(|node| SlotLayout::new(&tiles, inputs[node.mask])).collect();
+        (estimated_work, tiles, max_row_entries, overbook_row_entries, layouts)
+    });
+    let (estimated_work, tiles, max_row_entries, overbook_row_entries, layouts) = prologue
+        .map_err(|msg| SparseError::Internal { detail: format!("work estimation: {msg}") })?;
+
+    // --- fingerprint pins: exactly the structure the frozen artifacts
+    // were computed from (see `crate::plan`, "What the fingerprint
+    // covers") ---
+    let mut pins = vec![Pin::Dims; inputs.len()];
+    for node in &nodes {
+        // the mask's row pointers feed the slot layout: always pinned
+        pins[node.mask] = pins[node.mask].max(Pin::Rows);
+        if let (true, OperandRef::Ext(e)) = (vanilla, node.a) {
+            // Eq. 2 walked A's columns into B's row lengths and the
+            // estimate froze the accumulator bound
+            pins[e] = pins[e].max(Pin::RowsAndCols);
+            pins[node.b] = pins[node.b].max(Pin::Rows);
+        }
+        // intersect/subtract patterns are read fresh at run time; only
+        // their shape is load-bearing (Pin::Dims covers it)
+    }
+
+    let frozen: Vec<NodePlan<T>> = nodes
+        .into_iter()
+        .zip(layouts)
+        .zip(node_ncols)
+        .map(|((decl, layout), ncols)| NodePlan {
+            a: decl.a,
+            b: decl.b,
+            mask: decl.mask,
+            post: decl.post,
+            output: decl.output,
+            ncols,
+            slot_ranges: layout.slot_ranges,
+            nonempty: layout.nonempty,
+            nonempty_ranges: layout.nonempty_ranges,
+            bound: layout.bound,
+        })
+        .collect();
+    let simd_available = crate::simd::simd_available();
+    Ok(GraphCore {
+        config,
+        n_threads,
+        nrows,
+        row_ranges: tiles.iter().map(|t| (t.lo, t.hi)).collect(),
+        tiles,
+        max_ncols: frozen.iter().map(|n| n.ncols).max().unwrap_or(1).max(1),
+        nodes: frozen,
+        max_row_entries,
+        overbook_row_entries,
+        estimated_work,
+        // `Scalar` forces the portable loops; everything else takes the
+        // vector search wherever the CPU has it
+        simd: simd_available && config.kernel.simd != SimdMode::Scalar,
+        // the AVX2 group probe only under `Force`: slack-sized tables keep
+        // probe chains within the scalar fast path, so the group probe's
+        // setup cost never pays for itself under `Auto`
+        simd_probe: simd_available && config.kernel.simd == SimdMode::Force,
+        pins,
+        id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
+    })
+}
+
+/// One node's mask-bound slot layout over the shared tiles. Tiles
+/// partition the rows in order, so one running prefix sum over the mask's
+/// row lengths covers them all.
+struct SlotLayout {
+    slot_ranges: Vec<(usize, usize)>,
+    nonempty: Vec<(Idx, usize)>,
+    nonempty_ranges: Vec<(usize, usize)>,
+    bound: usize,
+}
+
+impl SlotLayout {
+    fn new<T: Copy>(tiles: &[Tile], mask: &Csr<T>) -> Self {
+        let mut slot_ranges = Vec::with_capacity(tiles.len());
+        let mut nonempty = Vec::new();
+        let mut nonempty_ranges = Vec::with_capacity(tiles.len());
+        let mut bound = 0usize;
+        for t in tiles {
+            let lo = bound;
+            let ne_lo = nonempty.len();
+            for i in t.rows() {
+                let rn = mask.row_nnz(i);
+                if rn > 0 {
+                    nonempty.push((i as Idx, bound));
+                }
+                bound += rn;
+            }
+            slot_ranges.push((lo, bound));
+            nonempty_ranges.push((ne_lo, nonempty.len()));
+        }
+        SlotLayout { slot_ranges, nonempty, nonempty_ranges, bound }
+    }
+}
+
 /// Structural guard for one external input.
 struct ExtFingerprint {
-    pin: Pin,
     hash: u64,
     shape: (usize, usize),
 }
 
 /// One frozen product node.
-struct NodePlan<T> {
-    a: OperandRef,
-    b: usize,
-    mask: usize,
-    post: Vec<PostOpSpec<T>>,
-    output: bool,
+pub(crate) struct NodePlan<T> {
+    pub(crate) a: OperandRef,
+    pub(crate) b: usize,
+    pub(crate) mask: usize,
+    pub(crate) post: Vec<PostOpSpec<T>>,
+    pub(crate) output: bool,
     /// Output column count (`B.ncols`).
-    ncols: usize,
+    pub(crate) ncols: usize,
     /// Per-tile `[lo, hi)` windows of this node's slot buffers.
-    slot_ranges: Vec<(usize, usize)>,
-    /// This node's nonempty mask rows as `(row, absolute slot offset)`.
-    nonempty: Vec<(Idx, usize)>,
+    pub(crate) slot_ranges: Vec<(usize, usize)>,
+    /// This node's nonempty mask rows as `(row, absolute slot offset)` —
+    /// frontier-style masks leave most rows empty, and an empty mask row
+    /// can neither hold output nor own slots, so the tile and settle
+    /// passes visit only these.
+    pub(crate) nonempty: Vec<(Idx, usize)>,
     /// Per-tile `[lo, hi)` ranges into `nonempty`.
-    nonempty_ranges: Vec<(usize, usize)>,
+    pub(crate) nonempty_ranges: Vec<(usize, usize)>,
     /// Total slot capacity: `nnz(mask)`.
-    bound: usize,
+    pub(crate) bound: usize,
 }
 
-/// The frozen symbolic phase of a whole graph.
-struct GraphCore<T> {
-    config: Config,
-    n_threads: usize,
-    nrows: usize,
+/// The frozen symbolic phase of a chain of masked products — of a whole
+/// [`PlanGraph`], and (as a one-node chain) of every single product.
+pub(crate) struct GraphCore<T> {
+    /// The configuration, as given (resolution results cached below).
+    pub(crate) config: Config,
+    /// `config.resolved_threads()` at freeze time.
+    pub(crate) n_threads: usize,
+    pub(crate) nrows: usize,
     /// The shared row partition (summed per-node Eq. 2 estimates).
-    tiles: Vec<Tile>,
-    row_ranges: Vec<(usize, usize)>,
-    nodes: Vec<NodePlan<T>>,
-    /// Accumulator sizing bound, max over nodes.
-    max_row_entries: usize,
+    pub(crate) tiles: Vec<Tile>,
+    /// `tiles` in tuple form, for `DisjointSlots`.
+    pub(crate) row_ranges: Vec<(usize, usize)>,
+    pub(crate) nodes: Vec<NodePlan<T>>,
+    /// Accumulator sizing bound: the hard per-row bound, max over nodes.
+    pub(crate) max_row_entries: usize,
+    /// Overbooked accumulator sizing: the configured quantile of the same
+    /// per-row bounds (equal to `max_row_entries` when overbooking is off
+    /// or inapplicable). Worker tables allocate at this size; a row whose
+    /// bound exceeds it may overflow and is then recomputed (the spill).
+    pub(crate) overbook_row_entries: usize,
     /// Dense-accumulator column bound, max over nodes.
-    max_ncols: usize,
-    estimated_work: u64,
-    /// Keys the workers' cross-run accumulator scratch; drawn from the
-    /// same sequence as single-product plan ids.
-    graph_id: u64,
+    pub(crate) max_ncols: usize,
+    pub(crate) estimated_work: u64,
+    /// Whether the SIMD co-iteration search is in effect.
+    pub(crate) simd: bool,
+    /// Whether the AVX2 group-probe hash instantiation is in effect.
+    pub(crate) simd_probe: bool,
+    /// How much of each input's structure the fingerprint must pin.
+    pub(crate) pins: Vec<Pin>,
+    /// Unique identity; keys the accumulators in the per-worker cells, so
+    /// a cell lent to another core is rebuilt rather than reused.
+    pub(crate) id: u64,
 }
 
-/// Cross-execution slot buffers for one node (the graph analogue of
-/// `PlanScratch`): resized without zeroing on reuse — the mask fingerprint
-/// pins each node's row layout, so a row empty now was empty (and zero)
-/// on every earlier run.
-struct NodeBufs<S: Semiring> {
-    cols: Vec<Idx>,
-    vals: Vec<S::T>,
-    nnz: Vec<u32>,
-}
-
-impl<S: Semiring> Default for NodeBufs<S> {
-    fn default() -> Self {
-        NodeBufs { cols: Vec::new(), vals: Vec::new(), nnz: Vec::new() }
-    }
-}
+/// Source of [`GraphCore::id`]s.
+static NEXT_CORE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A frozen, reusable multi-op plan graph. Build with
 /// [`crate::Session::graph`] → [`GraphBuilder::build`]; re-execute with
@@ -553,14 +607,11 @@ impl<S: Semiring> Default for NodeBufs<S> {
 pub struct PlanGraph<S: Semiring> {
     core: GraphCore<S::T>,
     ext_fps: Vec<ExtFingerprint>,
-    scratch: Vec<NodeBufs<S>>,
+    scratch: PlanScratch<S::T>,
     exec: Arc<ExecutorShared>,
 }
 
-impl<S: Semiring> PlanGraph<S>
-where
-    S::T: PartialOrd,
-{
+impl<S: Semiring> PlanGraph<S> {
     /// Product nodes in the graph.
     pub fn n_nodes(&self) -> usize {
         self.core.nodes.len()
@@ -576,9 +627,23 @@ where
         self.core.estimated_work
     }
 
+    pub(crate) fn core(&self) -> &GraphCore<S::T> {
+        &self.core
+    }
+
     /// Check the inputs against the build-time structural fingerprints
     /// without executing.
     pub fn validate(&self, inputs: &[&Csr<S::T>]) -> Result<(), SparseError> {
+        self.validate_named(inputs, |_| "graph input")
+    }
+
+    /// [`validate`](Self::validate), naming a drifted input by position —
+    /// all shapes are checked before any structure is hashed.
+    pub(crate) fn validate_named(
+        &self,
+        inputs: &[&Csr<S::T>],
+        name: impl Fn(usize) -> &'static str,
+    ) -> Result<(), SparseError> {
         if inputs.len() != self.ext_fps.len() {
             return Err(SparseError::InvalidConfig {
                 detail: format!(
@@ -588,12 +653,13 @@ where
                 ),
             });
         }
-        for (m, fp) in inputs.iter().zip(&self.ext_fps) {
-            if (m.nrows(), m.ncols()) != fp.shape {
-                return Err(SparseError::PlanStructureMismatch { operand: "shape" });
-            }
-            if structure_hash(m, fp.pin) != fp.hash {
-                return Err(SparseError::PlanStructureMismatch { operand: "graph input" });
+        if inputs.iter().zip(&self.ext_fps).any(|(m, fp)| (m.nrows(), m.ncols()) != fp.shape) {
+            return Err(SparseError::PlanStructureMismatch { operand: "shape" });
+        }
+        let guards = self.ext_fps.iter().zip(&self.core.pins);
+        for (i, (m, (fp, &pin))) in inputs.iter().zip(guards).enumerate() {
+            if structure_hash(m, pin) != fp.hash {
+                return Err(SparseError::PlanStructureMismatch { operand: name(i) });
             }
         }
         Ok(())
@@ -609,505 +675,30 @@ where
         let setup_start = Instant::now();
         self.validate(inputs)?;
         let setup = setup_start.elapsed();
-
-        let _guard = self.exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let metrics_on = obs::armed();
-        let before = metrics_on.then(obs::snapshot);
-        obs::incr(obs::Counter::DriverRuns);
         obs::incr(obs::Counter::ExecPlanExecutes);
         let n_post: usize = self.core.nodes.iter().map(|n| n.post.len()).sum();
-        obs::add(obs::Counter::FusionOpsFused, (self.core.nodes.len() + n_post) as u64);
+        self.run(inputs, None, setup, (self.core.nodes.len() + n_post) as u64)
+    }
 
-        let start = Instant::now();
-        let (outputs, reports, retried, retry_elapsed) =
-            dispatch::<S>(&self.exec, &self.core, &mut self.scratch, inputs)?;
-        let elapsed = start.elapsed().saturating_sub(retry_elapsed);
-
-        let stats = RunStats {
-            elapsed,
+    /// Run already-validated inputs through the tile engine.
+    pub(crate) fn run(
+        &mut self,
+        inputs: &[&Csr<S::T>],
+        cancel: Option<&CancelToken>,
+        setup: Duration,
+        fused_ops: u64,
+    ) -> JobResult<S::T> {
+        let job = Job {
+            core: &self.core,
+            inputs,
+            scratch: &mut self.scratch,
+            cancel,
+            weight: 1,
             setup,
-            retry_elapsed,
-            thread_reports: reports,
-            estimated_work: self.core.estimated_work,
-            output_nnz: outputs.iter().map(|c| c.nnz()).sum(),
-            n_tiles: self.core.tiles.len(),
-            n_threads: self.core.n_threads,
-            retried_tiles: retried,
-            failed_tiles: retried,
-            // the fused graph path sizes every accumulator at the hard
-            // bound (see `dispatch_metered`): it never overbooks, so it
-            // can never spill
-            overbook_spills: 0,
-            metrics: before.map(|b| obs::snapshot().delta_since(&b)),
+            fused_ops,
         };
-        Ok((outputs, stats))
+        run_job::<S>(&self.exec, job)
     }
-}
-
-/// Read-only row access into a predecessor node's slot window for one
-/// tile: resolves row `i` through the node's `(row, slot offset)` list
-/// and its per-row nnz counts. This is how node `j+1` consumes node `j`'s
-/// output without the intermediate ever being materialised.
-struct SlotView<'v, T> {
-    /// The predecessor's nonempty rows for this tile (absolute offsets).
-    nonempty: &'v [(Idx, usize)],
-    /// Start of the predecessor's slot window for this tile.
-    slot_lo: usize,
-    /// First row of the tile (`nnz` is indexed `i - tile_lo`).
-    tile_lo: usize,
-    cols: &'v [Idx],
-    vals: &'v [T],
-    nnz: &'v [u32],
-}
-
-impl<T: Copy> RowRead<T> for SlotView<'_, T> {
-    #[inline]
-    fn row(&self, i: usize) -> (&[Idx], &[T]) {
-        match self.nonempty.binary_search_by_key(&(i as Idx), |&(r, _)| r) {
-            Ok(p) => {
-                let (_, src) = self.nonempty[p];
-                let base = src - self.slot_lo;
-                let n = self.nnz[i - self.tile_lo] as usize;
-                (&self.cols[base..base + n], &self.vals[base..base + n])
-            }
-            // an empty mask row holds no slots and no output
-            Err(_) => (&[], &[]),
-        }
-    }
-}
-
-/// Instantiate the per-node fused-stage chain for one tile. Patterns
-/// borrow the external inputs directly — they are co-iterated per row,
-/// never copied.
-fn build_stages<'p, T: Copy + PartialOrd>(
-    post: &[PostOpSpec<T>],
-    inputs: &'p [&'p Csr<T>],
-) -> Vec<FusedStage<'p, T>> {
-    post.iter()
-        .map(|p| {
-            FusedStage::new(match *p {
-                PostOpSpec::SelectGe(t) => FusedOp::SelectGe(t),
-                PostOpSpec::Fill(v) => FusedOp::Fill(v),
-                PostOpSpec::Intersect(e) => FusedOp::Intersect(inputs[e]),
-                PostOpSpec::Subtract(e) => FusedOp::Subtract(inputs[e]),
-            })
-        })
-        .collect()
-}
-
-/// Compute one node's rows of one tile into its slot window, with the
-/// node's fused post-op chain applied in the gather. Returns the fused
-/// element count (the `fusion.sink_fused_elements` quantity).
-#[allow(clippy::too_many_arguments)]
-fn compute_node_tile<S, A, R>(
-    tile: Tile,
-    nonempty: &[(Idx, usize)],
-    slot_lo: usize,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &R,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    stages: &mut [FusedStage<'_, S::T>],
-    acc: &mut A,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) -> u64
-where
-    S: Semiring,
-    S::T: PartialOrd,
-    A: Accumulator<S>,
-    R: RowRead<S::T> + ?Sized,
-{
-    let mut tile_nnz = 0u64;
-    let mut fused = 0u64;
-    for &(i, src) in nonempty {
-        let i = i as usize;
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let base = src - slot_lo;
-        let mut inner =
-            SlotSink::new(&mut slot_cols[base..base + w], &mut slot_vals[base..base + w]);
-        {
-            let mut sink = FusedSink::new(&mut *stages, &mut inner);
-            sink.begin_row(i);
-            run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-            fused += sink.fused_elements();
-        }
-        let n = inner.written();
-        row_nnz[i - tile.lo] = n as u32;
-        tile_nnz += n as u64;
-    }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-    fused
-}
-
-/// Monomorphise on the configured accumulator and metering state, exactly
-/// like the single-product driver.
-fn dispatch<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
-where
-    S::T: PartialOrd,
-{
-    if obs::armed() {
-        dispatch_metered::<S, true>(exec, core, bufs, inputs)
-    } else {
-        dispatch_metered::<S, false>(exec, core, bufs, inputs)
-    }
-}
-
-fn dispatch_metered<S: Semiring, const METER: bool>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
-where
-    S::T: PartialOrd,
-{
-    // One accumulator per worker serves the whole chain: it is sized for
-    // the widest node (larger-than-needed capacity changes nothing — all
-    // kernels fold each row's products in the same `k` order regardless).
-    let ncols = core.max_ncols;
-    let cap = core.max_row_entries;
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => match w {
-            MarkerWidth::W8 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u8, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W16 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u16, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W32 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u32, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W64 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u64, METER>::with_row_capacity(cap)
-            }),
-        },
-        AccumulatorKind::Sort => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-            SortAccumulator::<S>::new(cap)
-        }),
-    }
-}
-
-/// A claimed per-node tile window, kept so successor nodes can read it.
-struct ClaimedTile<'a, T> {
-    cols: &'a mut [Idx],
-    vals: &'a mut [T],
-    nnz: &'a mut [u32],
-}
-
-/// The monomorphic graph run: one pool pass chaining every node per tile,
-/// whole-chain degraded retry for missing tiles, output materialisation.
-fn run_graph<S, A, F>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-    make_acc: F,
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
-where
-    S: Semiring,
-    S::T: PartialOrd,
-    A: Accumulator<S> + 'static,
-    F: Fn() -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    // resolved like the plan prologue: `Scalar` forces the portable
-    // kernels, everything else defers to the runtime CPU probe
-    let simd = match core.config.kernel.simd {
-        crate::config::SimdMode::Scalar => false,
-        _ => crate::simd::simd_available(),
-    };
-    let schedule = core.config.schedule;
-    let n_nodes = core.nodes.len();
-    let n_tiles = core.tiles.len();
-
-    // adopt (or create) the per-node slot buffers; resize without zeroing
-    if bufs.len() != n_nodes {
-        bufs.clear();
-        bufs.resize_with(n_nodes, NodeBufs::default);
-    }
-    for (nb, node) in bufs.iter_mut().zip(&core.nodes) {
-        nb.cols.resize(node.bound, 0 as Idx);
-        nb.vals.resize(node.bound, S::zero());
-        nb.nnz.resize(core.nrows, 0u32);
-    }
-
-    let completed: Vec<OnceLock<()>> = (0..n_tiles).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = {
-        let mut col_slots = Vec::with_capacity(n_nodes);
-        let mut val_slots = Vec::with_capacity(n_nodes);
-        let mut nnz_slots = Vec::with_capacity(n_nodes);
-        for (nb, node) in bufs.iter_mut().zip(&core.nodes) {
-            col_slots.push(
-                DisjointSlots::new(&mut nb.cols, &node.slot_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-            val_slots.push(
-                DisjointSlots::new(&mut nb.vals, &node.slot_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-            nnz_slots.push(
-                DisjointSlots::new(&mut nb.nnz, &core.row_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-        }
-        exec.pool.run_tiles(core.n_threads, n_tiles, schedule, |_t, ws, tile_idx| {
-            if ws.current_tile_abandoned() {
-                return;
-            }
-            let tile = core.tiles[tile_idx];
-            // one worker-persistent accumulator serves every node of the
-            // chain (keyed by graph identity; survives across runs)
-            let acc = ws.get_or_build::<A, _>(core.graph_id, || make_acc());
-            let mut claimed: Vec<ClaimedTile<'_, S::T>> = Vec::with_capacity(n_nodes);
-            let mut fused_total = 0u64;
-            for (ni, node) in core.nodes.iter().enumerate() {
-                // decorrelate per-node failures under fault injection
-                failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + tile_idx) as u64);
-                let (Some(sc), Some(sv), Some(rn)) = (
-                    col_slots[ni].take(tile_idx),
-                    val_slots[ni].take(tile_idx),
-                    nnz_slots[ni].take(tile_idx),
-                ) else {
-                    let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.get_or_insert(tile_idx);
-                    return;
-                };
-                let mut hstats = HybridStats::armed();
-                let (nlo, nhi) = node.nonempty_ranges[tile_idx];
-                let ne = &node.nonempty[nlo..nhi];
-                let slot_lo = node.slot_ranges[tile_idx].0;
-                let b = inputs[node.b];
-                let mask = inputs[node.mask];
-                let mut stages = build_stages(&node.post, inputs);
-                let fused = match node.a {
-                    OperandRef::Ext(e) => compute_node_tile::<S, A, _>(
-                        tile, ne, slot_lo, iteration, simd, inputs[e], b, mask, &mut stages,
-                        acc, &mut hstats, &mut sc[..], &mut sv[..], &mut rn[..],
-                    ),
-                    OperandRef::Node(j) => {
-                        // the predecessor's rows for this tile were just
-                        // written by this same worker — cache-resident
-                        let prev = &claimed[j];
-                        let p = &core.nodes[j];
-                        let (pnlo, pnhi) = p.nonempty_ranges[tile_idx];
-                        let view = SlotView {
-                            nonempty: &p.nonempty[pnlo..pnhi],
-                            slot_lo: p.slot_ranges[tile_idx].0,
-                            tile_lo: tile.lo,
-                            cols: &prev.cols[..],
-                            vals: &prev.vals[..],
-                            nnz: &prev.nnz[..],
-                        };
-                        compute_node_tile::<S, A, _>(
-                            tile, ne, slot_lo, iteration, simd, &view, b, mask, &mut stages,
-                            acc, &mut hstats, &mut sc[..], &mut sv[..], &mut rn[..],
-                        )
-                    }
-                };
-                fused_total += fused;
-                claimed.push(ClaimedTile { cols: sc, vals: sv, nnz: rn });
-            }
-            obs::add(obs::Counter::FusionSinkFusedElems, fused_total);
-            if n_nodes > 1 {
-                obs::add(obs::Counter::FusionTilesChained, (n_nodes - 1) as u64);
-            }
-            if !ws.current_tile_abandoned() {
-                let _ = completed[tile_idx].set(());
-            }
-        })
-    };
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("graph tile {tile_idx} executed twice"),
-        });
-    }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: recompute EVERY node of a missing tile,
-    // in chain order, with the conservative configuration. A successor is
-    // rebuilt from its predecessor's recovered slots, so a mid-chain
-    // panic can never poison downstream nodes. Bit-identical for the same
-    // reason the single-product retry is. ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> = (0..n_tiles).filter(|&i| completed[i].get().is_none()).collect();
-    let mut retried = 0usize;
-    let retry_start = (!missing.is_empty()).then(Instant::now);
-    for tile_idx in missing {
-        let tile = core.tiles[tile_idx];
-        // like the driver's retry, this path does NOT re-fire the
-        // `tile-kernel` failpoint: it is the recovery path
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(core.max_ncols);
-            for ni in 0..n_nodes {
-                let (before_bufs, rest) = bufs.split_at_mut(ni);
-                let Some(cur) = rest.first_mut() else {
-                    continue;
-                };
-                let node = &core.nodes[ni];
-                let (slo, shi) = node.slot_ranges[tile_idx];
-                let (nlo, nhi) = node.nonempty_ranges[tile_idx];
-                let ne = &node.nonempty[nlo..nhi];
-                let b = inputs[node.b];
-                let mask = inputs[node.mask];
-                let mut stages = build_stages(&node.post, inputs);
-                let mut hstats = HybridStats::armed();
-                match node.a {
-                    OperandRef::Ext(e) => {
-                        compute_node_tile::<S, _, _>(
-                            tile,
-                            ne,
-                            slo,
-                            IterationSpace::Vanilla,
-                            false,
-                            inputs[e],
-                            b,
-                            mask,
-                            &mut stages,
-                            &mut acc,
-                            &mut hstats,
-                            &mut cur.cols[slo..shi],
-                            &mut cur.vals[slo..shi],
-                            &mut cur.nnz[tile.lo..tile.hi],
-                        );
-                    }
-                    OperandRef::Node(j) => {
-                        let p = &core.nodes[j];
-                        let (pslo, pshi) = p.slot_ranges[tile_idx];
-                        let (pnlo, pnhi) = p.nonempty_ranges[tile_idx];
-                        let pb = &before_bufs[j];
-                        let view = SlotView {
-                            nonempty: &p.nonempty[pnlo..pnhi],
-                            slot_lo: pslo,
-                            tile_lo: tile.lo,
-                            cols: &pb.cols[pslo..pshi],
-                            vals: &pb.vals[pslo..pshi],
-                            nnz: &pb.nnz[tile.lo..tile.hi],
-                        };
-                        compute_node_tile::<S, _, _>(
-                            tile,
-                            ne,
-                            slo,
-                            IterationSpace::Vanilla,
-                            false,
-                            &view,
-                            b,
-                            mask,
-                            &mut stages,
-                            &mut acc,
-                            &mut hstats,
-                            &mut cur.cols[slo..shi],
-                            &mut cur.vals[slo..shi],
-                            &mut cur.nnz[tile.lo..tile.hi],
-                        );
-                    }
-                }
-            }
-        });
-        match attempt {
-            Ok(()) => {
-                retried += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded chain retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    let retry_elapsed = retry_start.map(|s| s.elapsed()).unwrap_or_default();
-
-    // keep the `fragment-stitch` fault-injection surface alive on the
-    // graph path too
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..n_tiles {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("graph stitch: {msg}") });
-    }
-
-    // --- materialise the output nodes (serial compaction) ---
-    let mut outputs = Vec::new();
-    for (ni, node) in core.nodes.iter().enumerate() {
-        if !node.output {
-            continue;
-        }
-        let nb = &bufs[ni];
-        let (row_ptr, output_nnz) = build_row_ptr(core.nrows, &node.nonempty, &nb.nnz);
-        let mut out_cols = vec![0 as Idx; output_nnz];
-        let mut out_vals = vec![S::zero(); output_nnz];
-        let res = catch_tile_panic(|| {
-            for (idx, t) in core.tiles.iter().enumerate() {
-                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-                let (nlo, nhi) = node.nonempty_ranges[idx];
-                let bytes = copy_tile_rows::<S>(
-                    *t,
-                    &node.nonempty[nlo..nhi],
-                    &row_ptr,
-                    &nb.cols,
-                    &nb.vals,
-                    &mut out_cols[dlo..dhi],
-                    &mut out_vals[dlo..dhi],
-                );
-                obs::add(obs::Counter::DriverCompactionBytes, bytes);
-            }
-        });
-        if let Err(msg) = res {
-            return Err(SparseError::Internal { detail: format!("graph stitch: {msg}") });
-        }
-        obs::add(obs::Counter::DriverSlackNnz, (node.bound - output_nnz) as u64);
-        outputs.push(Csr::from_parts_unchecked(
-            core.nrows,
-            node.ncols,
-            row_ptr,
-            out_cols,
-            out_vals,
-        ));
-    }
-    Ok((outputs, reports, retried, retry_elapsed))
 }
 
 #[cfg(test)]
@@ -1351,5 +942,88 @@ mod tests {
         let m = stats.metrics.expect("armed run must carry a metrics delta");
         assert_eq!(m.counter("fusion.ops_fused"), 3, "1 product + 2 fused post-ops");
         assert!(m.counter("fusion.sink_fused_elements") > 0);
+    }
+
+    // --- the symbolic prologue, as every single-product caller sees it ---
+
+    #[test]
+    fn single_product_rejects_shape_mismatches() {
+        let cfg = Config::default();
+        let a = Csr::<f64>::zeros(3, 4);
+        let b = Csr::<f64>::zeros(5, 3); // inner 4 != 5
+        let m = Csr::<f64>::zeros(3, 3);
+        assert!(matches!(
+            single_product(&cfg, &a, &b, &m),
+            Err(SparseError::ShapeMismatch { context: "masked_spgemm: A×B inner dimension", .. })
+        ));
+        let b2 = Csr::<f64>::zeros(4, 3);
+        let bad_mask = Csr::<f64>::zeros(2, 3);
+        assert!(matches!(
+            single_product(&cfg, &a, &b2, &bad_mask),
+            Err(SparseError::ShapeMismatch { context: "masked_spgemm: mask shape", .. })
+        ));
+    }
+
+    #[test]
+    fn overbook_bound_is_a_quantile_of_row_bounds() {
+        use crate::config::KernelPolicy;
+        // 10 rows: nine thin (1 nnz), one fat (6 nnz)
+        let mut row_ptr = vec![0usize, 6];
+        for r in 1..10 {
+            row_ptr.push(6 + r);
+        }
+        let mut cols: Vec<Idx> = (0..6).collect();
+        cols.extend(std::iter::repeat(0).take(9));
+        let m = Csr::try_from_parts(10, 10, row_ptr, cols, vec![1.0f64; 15]).unwrap();
+
+        let off = single_product(&Config::default(), &m, &m, &m).unwrap();
+        assert_eq!(off.max_row_entries, 6);
+        assert_eq!(off.overbook_row_entries, 6, "overbooking defaults off");
+
+        let p90 = Config::builder()
+            .kernel_policy(KernelPolicy::new().overbook(Overbook::p90()))
+            .build();
+        let core = single_product(&p90, &m, &m, &m).unwrap();
+        assert_eq!(core.max_row_entries, 6, "hard bound unchanged");
+        assert_eq!(core.overbook_row_entries, 1, "p90 of [1×9, 6] is 1");
+
+        // dense accumulators cannot recover from overflow: hard bound kept
+        let dense = Config::builder()
+            .kernel_policy(
+                KernelPolicy::new()
+                    .accumulator(AccumulatorKind::Dense(mspgemm_accum::MarkerWidth::W32))
+                    .overbook(Overbook::p90()),
+            )
+            .build();
+        assert_eq!(single_product(&dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
+    }
+
+    #[test]
+    fn single_product_captures_the_slot_layout_and_pins() {
+        let cfg = Config::builder().n_threads(2).n_tiles(3).build();
+        let m = Csr::try_from_parts(
+            4,
+            4,
+            vec![0, 2, 3, 5, 6],
+            vec![0, 1, 2, 0, 3, 1],
+            vec![1.0f64; 6],
+        )
+        .unwrap();
+        let core = single_product(&cfg, &m, &m, &m).unwrap();
+        let node = &core.nodes[0];
+        assert_eq!(node.bound, 6, "slot bound is nnz(M)");
+        assert_eq!(node.slot_ranges.len(), core.tiles.len());
+        assert_eq!(core.row_ranges.len(), core.tiles.len());
+        // slot ranges are a contiguous partition of [0, bound)
+        let mut prev = 0;
+        for &(lo, hi) in &node.slot_ranges {
+            assert_eq!(lo, prev);
+            prev = hi;
+        }
+        assert_eq!(prev, node.bound);
+        assert_eq!((core.nrows, node.ncols), (4, 4));
+        // the pins are exactly the single-product operand pins
+        let (pa, pb, pm) = crate::plan::operand_pins(&cfg);
+        assert_eq!(core.pins, vec![pa, pb, pm]);
     }
 }

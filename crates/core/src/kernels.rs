@@ -3,13 +3,13 @@
 //!
 //! Each kernel computes one output row `C[i,:]` given `A[i,:]`, the whole
 //! of `B`, and the mask row `M[i,:]`, emitting the surviving entries (in
-//! sorted column order) through the caller's [`RowSink`] — a growable
-//! `VecSink` on the legacy fragment path, or a preallocated mask-bounded
-//! `SlotSink` on the in-place assembly path. The kernels are generic over
-//! the [`Semiring`], the [`Accumulator`] and the sink, so the driver
-//! monomorphises `4 iteration spaces × 2 accumulator families × 4 marker
-//! widths` into straight-line code, and the kernel bodies themselves never
-//! touch the heap.
+//! sorted column order) through the caller's [`RowSink`] — the driver's
+//! preallocated mask-bounded `SlotSink` (wrapped in a `FusedSink` when a
+//! graph node carries post-ops), or a growable `VecSink` in tests. The
+//! kernels are generic over the [`Semiring`], the [`Accumulator`] and the
+//! sink, so the driver monomorphises `4 iteration spaces × 2 accumulator
+//! families × 4 marker widths` into straight-line code, and the kernel
+//! bodies themselves never touch the heap.
 
 use mspgemm_accum::{Accumulator, RowSink};
 use mspgemm_rt::obs;

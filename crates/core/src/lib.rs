@@ -79,7 +79,7 @@ pub mod simd;
 pub mod stress;
 pub mod tuner;
 
-pub use config::{Assembly, Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook, SimdMode};
+pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook, SimdMode};
 pub use dot::{masked_spgemm_csc, masked_spgemm_dot};
 pub use driver::{spgemm, RunStats};
 pub use driver2d::masked_spgemm_2d;

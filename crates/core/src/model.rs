@@ -113,7 +113,6 @@ pub fn predict_config<S: Semiring>(
             tiling: TilingStrategy::FlopBalanced,
             schedule: Schedule::Dynamic { chunk: 1 },
             kernel: KernelPolicy::new().accumulator(accumulator).iteration(iteration),
-            assembly: crate::config::Assembly::InPlace,
         },
         reasons,
     }

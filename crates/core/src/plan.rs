@@ -3,19 +3,21 @@
 //!
 //! Every call to the driver pays a *symbolic* phase before any arithmetic
 //! happens: resolve the [`Config`], estimate per-row work with Eq. 2, cut
-//! the rows into tiles, and (for in-place assembly) lay out the mask-bound
+//! the rows into tiles, size the accumulators, and lay out the mask-bound
 //! output slots. None of that depends on the matrices' *values* — only on
 //! their sparsity structure. A [`Plan`] freezes the symbolic phase so an
-//! iterated workload pays it once:
+//! iterated workload pays it once. It is a thin wrapper over a one-node
+//! [`PlanGraph`] with inputs `[A, B, M]`:
 //!
-//! * `PlanCore` holds the frozen artifacts (tiles, slot layout, work
-//!   estimates, accumulator sizing bound);
-//! * a structural `Fingerprint` of the operands guards re-execution —
-//!   [`Plan::execute`] revalidates it and fails with
+//! * the graph's frozen core holds the artifacts (tiles, slot layout, work
+//!   estimates, accumulator bounds);
+//! * structural fingerprints of the inputs guard re-execution —
+//!   [`Plan::execute`] revalidates them and fails with
 //!   [`SparseError::PlanStructureMismatch`] (naming the drifted operand)
 //!   instead of computing garbage;
-//! * `PlanScratch` carries the output slot buffers across executions, so
-//!   a planned run performs no slot allocation and no slot zeroing at all.
+//! * `PlanScratch` carries the output slot buffers and the per-worker
+//!   accumulators across executions, so a planned run performs no slot
+//!   allocation, no slot zeroing and no accumulator rebuild at all.
 //!
 //! # What the fingerprint covers
 //!
@@ -42,199 +44,17 @@
 //! prologue it replaces, and benign drift is tolerated instead of forcing
 //! a rebuild.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::config::{Config, IterationSpace, Overbook, SimdMode};
-use crate::driver::{run_plan, RunStats};
-use crate::executor::ExecutorShared;
-use mspgemm_accum::AccumulatorKind;
+use crate::config::{Config, IterationSpace};
+use crate::driver::{only_output, RunStats};
+use crate::executor::Executor;
+use crate::graph::{GraphBuilder, GraphCore, PlanGraph};
 use mspgemm_rt::obs;
-use mspgemm_sched::{
-    catch_tile_panic,
-    tile::tiles_for,
-    work::{row_work, total_work},
-    CancelToken, Tile,
-};
+use mspgemm_sched::CancelToken;
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
-
-/// Monotonic plan identities; nonzero so a fresh id never collides with a
-/// worker's default scratch key.
-static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a fresh plan identity from the same sequence ordinary plans
-/// use, so a [`crate::graph::PlanGraph`]'s worker-scratch key can never
-/// collide with a single-product plan's.
-pub(crate) fn next_plan_id() -> u64 {
-    NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The frozen symbolic phase of one masked-SpGEMM shape.
-pub(crate) struct PlanCore {
-    /// The configuration, as given (resolution results cached below).
-    pub(crate) config: Config,
-    /// `config.resolved_threads()` at plan time.
-    pub(crate) n_threads: usize,
-    /// Row tiles (uniform or FLOP-balanced over the Eq. 2 estimates).
-    pub(crate) tiles: Vec<Tile>,
-    /// Per-tile `[lo, hi)` windows of the mask-bound slot buffers.
-    pub(crate) slot_ranges: Vec<(usize, usize)>,
-    /// Per-tile `[lo, hi)` row windows (mirrors `tiles`, in tuple form
-    /// for `DisjointSlots`).
-    pub(crate) row_ranges: Vec<(usize, usize)>,
-    /// Total slot capacity: `nnz(M)`.
-    pub(crate) bound: usize,
-    /// Total Eq. 2 work estimate.
-    pub(crate) estimated_work: u64,
-    /// Accumulator sizing bound (see the driver's prologue docs).
-    pub(crate) max_row_entries: usize,
-    /// Overbooked accumulator sizing: the configured quantile of the same
-    /// per-row bounds `max_row_entries` is the max of (equal to it when
-    /// overbooking is off or inapplicable). Worker-persistent hash scratch
-    /// allocates at this size; a row whose bound exceeds it may overflow
-    /// and is then recomputed at `max_row_entries` (the spill path).
-    pub(crate) overbook_row_entries: usize,
-    /// Whether the SIMD co-iteration search is in effect for this plan
-    /// (`SimdMode` resolved against the CPU at plan time).
-    pub(crate) simd: bool,
-    /// Whether the AVX2 group probe instantiation of the hash accumulator
-    /// is in effect. `Auto` resolves this to `false`: slack-sized tables
-    /// (see `hash_slack`) keep probe chains within the scalar fast path,
-    /// so the group probe's setup cost never pays for itself there. Only
-    /// `SimdMode::Force` (plus CPU support) turns it on.
-    pub(crate) simd_probe: bool,
-    /// Rows with at least one mask entry, as `(row, slot offset)` pairs —
-    /// the offset is absolute into the mask-bound slot buffers (the slot
-    /// layout is a prefix sum over mask row lengths, so it is a plan-time
-    /// constant). The settle paths iterate these instead of every row:
-    /// frontier-style masks leave most rows empty, and an empty mask row
-    /// can neither hold output nor own slots.
-    pub(crate) nonempty: Vec<(Idx, usize)>,
-    /// Per-tile `[lo, hi)` ranges into `nonempty` (parallel to `tiles`).
-    pub(crate) nonempty_ranges: Vec<(usize, usize)>,
-    /// `(C.nrows, A.ncols = B.nrows, C.ncols)` the plan was built for.
-    pub(crate) shape: (usize, usize, usize),
-    /// Unique identity; keys the workers' cross-run accumulator scratch.
-    pub(crate) plan_id: u64,
-}
-
-/// Run the symbolic phase: shape checks, Eq. 2 estimation, tiling, slot
-/// layout. This is the exact prologue the one-shot driver historically
-/// performed per call, panic-contained the same way.
-pub(crate) fn prepare<T: Copy + Sync>(
-    config: &Config,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    mask: &Csr<T>,
-) -> Result<PlanCore, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            expected: (a.ncols(), b.ncols()),
-            found: (b.nrows(), b.ncols()),
-            context: "masked_spgemm: A×B inner dimension",
-        });
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != b.ncols() {
-        return Err(SparseError::ShapeMismatch {
-            expected: (a.nrows(), b.ncols()),
-            found: (mask.nrows(), mask.ncols()),
-            context: "masked_spgemm: mask shape",
-        });
-    }
-
-    let n_threads = config.resolved_threads();
-    let n_tiles = config.resolved_tiles(a.nrows());
-    let config = *config;
-    // The estimation/tiling prologue runs in the calling thread; contain
-    // it so a pathological input (or the `work-estimate` failpoint) cannot
-    // abort the process.
-    let prologue = catch_tile_panic(|| {
-        let work = row_work(a, b, mask);
-        let estimated_work = total_work(&work);
-        let tiles = tiles_for(config.tiling, a.nrows(), &work, n_tiles);
-        // Hash-accumulator sizing (§III-C): mask-preload kernels can hold
-        // at most max_i nnz(M[i,:]) entries; the vanilla kernel must hold
-        // every distinct intermediate column, bounded by Σ nnz(B[k,:])
-        // (= W[i] minus the mask term, saturating) and by ncols.
-        let row_bound = |i: usize| match config.kernel.iteration {
-            IterationSpace::Vanilla => {
-                (work[i].saturating_sub(mask.row_nnz(i) as u64) as usize).min(b.ncols())
-            }
-            _ => mask.row_nnz(i),
-        };
-        let max_row_entries = (0..a.nrows()).map(row_bound).max().unwrap_or(1);
-        // Overbooked sizing (Tailors): take the configured quantile of the
-        // *same* per-row bounds instead of their max. Only the hash family
-        // can detect and recover from overflow, so everything else keeps
-        // the hard bound.
-        let overbook_row_entries = match (config.kernel.overbook, config.kernel.accumulator) {
-            (Overbook::Quantile { q }, AccumulatorKind::Hash(_)) if a.nrows() > 0 => {
-                let mut bounds: Vec<usize> = (0..a.nrows()).map(row_bound).collect();
-                bounds.sort_unstable();
-                // nearest-rank quantile, clamped to [1, max]
-                let rank = ((q.clamp(0.0, 1.0) * bounds.len() as f64).ceil() as usize)
-                    .clamp(1, bounds.len());
-                bounds[rank - 1].clamp(1, max_row_entries.max(1))
-            }
-            _ => max_row_entries,
-        };
-        // Mask slot layout for in-place assembly: tiles partition the rows
-        // in order, so one running prefix sum covers them all.
-        let mut slot_ranges = Vec::with_capacity(tiles.len());
-        let mut row_ranges = Vec::with_capacity(tiles.len());
-        let mut nonempty = Vec::new();
-        let mut nonempty_ranges = Vec::with_capacity(tiles.len());
-        let mut bound = 0usize;
-        for t in &tiles {
-            let lo = bound;
-            let ne_lo = nonempty.len();
-            for i in t.rows() {
-                let rn = mask.row_nnz(i);
-                if rn > 0 {
-                    nonempty.push((i as Idx, bound));
-                }
-                bound += rn;
-            }
-            slot_ranges.push((lo, bound));
-            row_ranges.push((t.lo, t.hi));
-            nonempty_ranges.push((ne_lo, nonempty.len()));
-        }
-        (estimated_work, tiles, (max_row_entries, overbook_row_entries), slot_ranges, row_ranges, nonempty, nonempty_ranges, bound)
-    });
-    let (estimated_work, tiles, (max_row_entries, overbook_row_entries), slot_ranges, row_ranges, nonempty, nonempty_ranges, bound) =
-        match prologue {
-            Ok(v) => v,
-            Err(msg) => {
-                return Err(SparseError::Internal {
-                    detail: format!("work estimation: {msg}"),
-                })
-            }
-        };
-    Ok(PlanCore {
-        config,
-        n_threads,
-        tiles,
-        slot_ranges,
-        row_ranges,
-        nonempty,
-        nonempty_ranges,
-        bound,
-        estimated_work,
-        max_row_entries,
-        overbook_row_entries,
-        simd: match config.kernel.simd {
-            SimdMode::Scalar => false,
-            _ => crate::simd::simd_available(),
-        },
-        simd_probe: match config.kernel.simd {
-            SimdMode::Force => crate::simd::simd_available(),
-            _ => false,
-        },
-        shape: (a.nrows(), a.ncols(), b.ncols()),
-        plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
-    })
-}
 
 /// Structural fingerprint of the `(A, B, M)` operand triple. Hashable so
 /// the service layer can key its plan cache on it (equality is still
@@ -340,88 +160,118 @@ pub(crate) fn fingerprint<T: Copy>(
     }
 }
 
-/// Cross-execution value scratch: the in-place assembly's slot buffers and
-/// per-row nnz array. Re-executing a plan `mem::take`s these, resizes
-/// *without clearing* (every surviving row slot is rewritten by its tile
-/// or by the degraded retry before compaction reads it), and returns them
-/// — so the steady state allocates nothing and memsets nothing.
-///
-/// `accums` is the batch-path analogue of the worker-persistent
-/// [`WorkerScratch`](mspgemm_sched::WorkerScratch) slot: one type-erased
-/// accumulator cell per worker, owned by the *plan* rather than the
-/// worker because multiplexed runs interleave tiles of many jobs on each
-/// worker (a single worker-owned slot would thrash on every job switch).
-/// The cells are `mem::take`n for the run and handed back after, so a
-/// plan leased repeatedly from the service cache re-executes without
-/// rebuilding its accumulators. Staleness is type-driven, exactly like
-/// `WorkerScratch::get_or_build`: the tile body downcasts and rebuilds on
-/// mismatch (e.g. arming metrics flips the accumulator's `METER` const
-/// parameter and with it the `TypeId`).
-pub(crate) struct PlanScratch<S: Semiring> {
-    pub(crate) slot_cols: Vec<Idx>,
-    pub(crate) slot_vals: Vec<S::T>,
-    pub(crate) row_nnz: Vec<u32>,
-    pub(crate) accums: Vec<std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>>>,
+/// One worker's accumulator cell: a type-erased accumulator (plus its
+/// spill scratch), keyed by the identity of the frozen core it was built
+/// for. The driver leases it with `try_lock` per tile and checks key and
+/// type on every lease, so a cell built for another core, or holding a
+/// stale type (the `METER` flag flipped by arming metrics), is rebuilt
+/// from clean — on the worker thread, after dropping the old value — as
+/// is a cell poisoned by a tile that panicked mid-update.
+pub(crate) type AccCell = Arc<Mutex<AccSlot>>;
+
+/// What an [`AccCell`] holds: `(core id, accumulator)`, or nothing yet.
+pub(crate) type AccSlot = Option<(u64, Box<dyn Any + Send>)>;
+
+/// One node's mask-bound output slots and per-row nnz counts.
+pub(crate) struct SlotBufs<T> {
+    pub(crate) cols: Vec<Idx>,
+    pub(crate) vals: Vec<T>,
+    pub(crate) nnz: Vec<u32>,
 }
 
-impl<S: Semiring> Default for PlanScratch<S> {
+impl<T> Default for SlotBufs<T> {
     fn default() -> Self {
-        PlanScratch {
-            slot_cols: Vec::new(),
-            slot_vals: Vec::new(),
-            row_nnz: Vec::new(),
-            accums: Vec::new(),
+        SlotBufs { cols: Vec::new(), vals: Vec::new(), nnz: Vec::new() }
+    }
+}
+
+/// Cross-execution scratch of one frozen chain — every caller's, whether
+/// a [`Plan`], a [`PlanGraph`], a cached service plan or a one-shot call
+/// (whose slot buffers die with the call, and whose accumulator cells are
+/// lent by the executor — see `ExecutorShared::oneshot_cells`).
+///
+/// `slots` holds each node's slot buffers: re-executing resizes them
+/// *without clearing* (every surviving row slot is rewritten by its tile
+/// or by the degraded retry before compaction reads it), so the steady
+/// state allocates nothing and memsets nothing. `accums` holds one
+/// accumulator cell per worker. The cells are owned by the *plan* rather
+/// than by the worker threads because a batch interleaves tiles of many
+/// jobs on each worker — a single worker-owned slot would thrash on every
+/// job switch — and so a plan leased repeatedly from the service cache
+/// re-executes without rebuilding its accumulators.
+pub(crate) struct PlanScratch<T> {
+    pub(crate) slots: Vec<SlotBufs<T>>,
+    pub(crate) accums: Vec<AccCell>,
+}
+
+impl<T> Default for PlanScratch<T> {
+    fn default() -> Self {
+        PlanScratch { slots: Vec::new(), accums: Vec::new() }
+    }
+}
+
+impl<T: Copy> PlanScratch<T> {
+    /// Size the buffers for `core` and provide a cell per worker.
+    pub(crate) fn fit(&mut self, core: &GraphCore<T>, zero: T, n_workers: usize) {
+        if self.slots.len() != core.nodes.len() {
+            self.slots.clear();
+            self.slots.resize_with(core.nodes.len(), SlotBufs::default);
+        }
+        for (bufs, node) in self.slots.iter_mut().zip(&core.nodes) {
+            bufs.cols.resize(node.bound, 0);
+            bufs.vals.resize(node.bound, zero);
+            bufs.nnz.resize(core.nrows, 0);
+        }
+        if self.accums.len() < n_workers {
+            self.accums.resize_with(n_workers, AccCell::default);
         }
     }
 }
 
 /// A reusable execution plan for one masked-SpGEMM shape: the frozen
-/// symbolic phase, a structural fingerprint guarding it, cross-run value
-/// scratch, and a handle to the executor it runs on.
+/// symbolic phase, structural fingerprints guarding it, cross-run scratch,
+/// and a handle to the executor it runs on — a one-node [`PlanGraph`].
 ///
 /// Built by [`Executor::plan`](crate::Executor::plan); re-executed with
 /// [`execute`](Plan::execute). See [`crate::Session`] for the
 /// plan-management loop (build lazily, rebuild on structure drift) done
 /// for you.
 pub struct Plan<S: Semiring> {
-    core: PlanCore,
-    fingerprint: Fingerprint,
-    scratch: PlanScratch<S>,
-    exec: Arc<ExecutorShared>,
+    graph: PlanGraph<S>,
 }
 
 impl<S: Semiring> Plan<S> {
     pub(crate) fn build(
-        exec: Arc<ExecutorShared>,
+        exec: &Executor,
         a: &Csr<S::T>,
         b: &Csr<S::T>,
         mask: &Csr<S::T>,
         config: &Config,
     ) -> Result<Self, SparseError> {
-        let core = prepare(config, a, b, mask)?;
-        let fingerprint = fingerprint(a, b, mask, config);
-        obs::incr(obs::Counter::ExecPlanBuilds);
-        Ok(Plan { core, fingerprint, scratch: PlanScratch::default(), exec })
+        let mut gb = GraphBuilder::on(exec, *config);
+        let (ea, eb, em) = (gb.input(), gb.input(), gb.input());
+        gb.product(ea, eb, em);
+        Ok(Plan { graph: gb.build(&[a, b, mask])? })
     }
 
     /// The configuration the plan was built with.
     pub fn config(&self) -> &Config {
-        &self.core.config
+        &self.graph.core().config
     }
 
     /// Total Eq. 2 FLOP estimate captured at plan time.
     pub fn estimated_work(&self) -> u64 {
-        self.core.estimated_work
+        self.graph.estimated_work()
     }
 
     /// Number of row tiles the plan cut.
     pub fn n_tiles(&self) -> usize {
-        self.core.tiles.len()
+        self.graph.n_tiles()
     }
 
     /// Worker threads the plan resolved to.
     pub fn n_threads(&self) -> usize {
-        self.core.n_threads
+        self.graph.core().n_threads
     }
 
     /// Check that the operands still match the structure the plan was
@@ -434,27 +284,11 @@ impl<S: Semiring> Plan<S> {
         b: &Csr<S::T>,
         mask: &Csr<S::T>,
     ) -> Result<(), SparseError> {
-        let (nrows, inner, ncols) = self.core.shape;
-        if a.nrows() != nrows
-            || a.ncols() != inner
-            || b.nrows() != inner
-            || b.ncols() != ncols
-            || mask.nrows() != nrows
-            || mask.ncols() != ncols
-        {
-            return Err(SparseError::PlanStructureMismatch { operand: "shape" });
-        }
-        let (pin_a, pin_b, pin_m) = operand_pins(&self.core.config);
-        if structure_hash(a, pin_a) != self.fingerprint.a {
-            return Err(SparseError::PlanStructureMismatch { operand: "A" });
-        }
-        if structure_hash(b, pin_b) != self.fingerprint.b {
-            return Err(SparseError::PlanStructureMismatch { operand: "B" });
-        }
-        if structure_hash(mask, pin_m) != self.fingerprint.mask {
-            return Err(SparseError::PlanStructureMismatch { operand: "mask" });
-        }
-        Ok(())
+        self.graph.validate_named(&[a, b, mask], |i| match i {
+            0 => "A",
+            1 => "B",
+            _ => "mask",
+        })
     }
 
     /// Execute the plan against (new values of) the operands, skipping the
@@ -505,7 +339,7 @@ impl<S: Semiring> Plan<S> {
         self.validate(a, b, mask)?;
         let setup = setup_start.elapsed();
         obs::incr(obs::Counter::ExecPlanExecutes);
-        run_plan::<S>(&self.exec, &self.core, Some(&mut self.scratch), cancel, a, b, mask, setup)
+        only_output(self.graph.run(&[a, b, mask], cancel, setup, 0))
     }
 }
 
@@ -578,94 +412,5 @@ mod tests {
             (Pin::Dims, Pin::Dims, Pin::Rows),
             "mask-bounded kernels read A and B fresh; the mask slot layout stays pinned"
         );
-    }
-
-    #[test]
-    fn plan_ids_are_unique_and_nonzero() {
-        let cfg = Config::default();
-        let m = Csr::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0f64; 2]).unwrap();
-        let p1 = prepare(&cfg, &m, &m, &m).unwrap();
-        let p2 = prepare(&cfg, &m, &m, &m).unwrap();
-        assert_ne!(p1.plan_id, 0);
-        assert_ne!(p1.plan_id, p2.plan_id);
-    }
-
-    #[test]
-    fn prepare_rejects_shape_mismatches() {
-        let cfg = Config::default();
-        let a = Csr::<f64>::zeros(3, 4);
-        let b = Csr::<f64>::zeros(5, 3); // inner 4 != 5
-        let m = Csr::<f64>::zeros(3, 3);
-        assert!(matches!(
-            prepare(&cfg, &a, &b, &m),
-            Err(SparseError::ShapeMismatch { .. })
-        ));
-        let b2 = Csr::<f64>::zeros(4, 3);
-        let bad_mask = Csr::<f64>::zeros(2, 3);
-        assert!(matches!(
-            prepare(&cfg, &a, &b2, &bad_mask),
-            Err(SparseError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn overbook_bound_is_a_quantile_of_row_bounds() {
-        use crate::config::KernelPolicy;
-        // 10 rows: nine thin (1 nnz), one fat (6 nnz)
-        let mut row_ptr = vec![0usize, 6];
-        for r in 1..10 {
-            row_ptr.push(6 + r);
-        }
-        let mut cols: Vec<Idx> = (0..6).collect();
-        cols.extend(std::iter::repeat(0).take(9));
-        let m = Csr::try_from_parts(10, 10, row_ptr, cols, vec![1.0f64; 15]).unwrap();
-
-        let off = prepare(&Config::default(), &m, &m, &m).unwrap();
-        assert_eq!(off.max_row_entries, 6);
-        assert_eq!(off.overbook_row_entries, 6, "overbooking defaults off");
-
-        let p90 = Config::builder()
-            .kernel_policy(KernelPolicy::new().overbook(Overbook::p90()))
-            .build();
-        let core = prepare(&p90, &m, &m, &m).unwrap();
-        assert_eq!(core.max_row_entries, 6, "hard bound unchanged");
-        assert_eq!(core.overbook_row_entries, 1, "p90 of [1×9, 6] is 1");
-
-        // dense accumulators cannot recover from overflow: hard bound kept
-        let dense = Config::builder()
-            .kernel_policy(
-                KernelPolicy::new()
-                    .accumulator(mspgemm_accum::AccumulatorKind::Dense(
-                        mspgemm_accum::MarkerWidth::W32,
-                    ))
-                    .overbook(Overbook::p90()),
-            )
-            .build();
-        assert_eq!(prepare(&dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
-    }
-
-    #[test]
-    fn prepare_captures_the_slot_layout() {
-        let cfg = Config::builder().n_threads(2).n_tiles(3).build();
-        let m = Csr::try_from_parts(
-            4,
-            4,
-            vec![0, 2, 3, 5, 6],
-            vec![0, 1, 2, 0, 3, 1],
-            vec![1.0f64; 6],
-        )
-        .unwrap();
-        let core = prepare(&cfg, &m, &m, &m).unwrap();
-        assert_eq!(core.bound, 6, "slot bound is nnz(M)");
-        assert_eq!(core.slot_ranges.len(), core.tiles.len());
-        assert_eq!(core.row_ranges.len(), core.tiles.len());
-        // slot ranges are a contiguous partition of [0, bound)
-        let mut prev = 0;
-        for &(lo, hi) in &core.slot_ranges {
-            assert_eq!(lo, prev);
-            prev = hi;
-        }
-        assert_eq!(prev, core.bound);
-        assert_eq!(core.shape, (4, 4, 4));
     }
 }

@@ -9,7 +9,7 @@
 //! policies with everything else held equal — which is exactly the
 //! methodological point of the paper.
 
-use crate::config::{Assembly, Config, IterationSpace, KernelPolicy};
+use crate::config::{Config, IterationSpace, KernelPolicy};
 use mspgemm_accum::{AccumulatorKind, MarkerWidth};
 use mspgemm_sched::{Schedule, TilingStrategy};
 use mspgemm_sparse::{Csr, Semiring};
@@ -94,7 +94,6 @@ pub fn preset_config<S: Semiring>(
             kernel: KernelPolicy::new()
                 .accumulator(AccumulatorKind::Hash(MarkerWidth::W64))
                 .iteration(IterationSpace::MaskAccumulate),
-            assembly: Assembly::InPlace,
         },
         Preset::SuiteSparseLike => Config {
             n_threads: p,
@@ -104,7 +103,6 @@ pub fn preset_config<S: Semiring>(
             kernel: KernelPolicy::new()
                 .accumulator(suitesparse_accumulator_heuristic::<S>(a, b, mask))
                 .iteration(IterationSpace::Hybrid { kappa: 1.0 }),
-            assembly: Assembly::InPlace,
         },
         Preset::Tuned => Config {
             n_threads: p,
@@ -114,7 +112,6 @@ pub fn preset_config<S: Semiring>(
             kernel: KernelPolicy::new()
                 .accumulator(AccumulatorKind::Hash(MarkerWidth::W32))
                 .iteration(IterationSpace::Hybrid { kappa: 1.0 }),
-            assembly: Assembly::InPlace,
         },
         Preset::TunedGuided => Config {
             schedule: Schedule::Guided { chunk: 1 },

@@ -13,8 +13,8 @@
 //! * A single dispatcher thread pops jobs in **fair batches**
 //!   (per-tenant deficit round-robin with priority/deadline hints — see
 //!   [`mspgemm_sched::SubmitQueue`]) and coalesces each batch into one
-//!   tiled run: every in-place job's tiles are multiplexed onto a single
-//!   pool synchronisation
+//!   tiled run on the same tile engine every other caller uses: every
+//!   job's tiles are multiplexed onto a single pool synchronisation
 //!   ([`mspgemm_sched::WorkerPool::run_tiles_multi`]), so the fork/join
 //!   cost is paid once per *batch*, not once per product.
 //! * Results are bit-identical to serial execution: each job writes its
@@ -26,9 +26,9 @@
 //!
 //! The dispatcher keeps a small structural **plan cache** keyed by the
 //! operands' fingerprint + configuration, so a tenant resubmitting the
-//! same shape gets PR-5 plan reuse (no re-tiling, recycled slot buffers,
-//! and — for singleton batches — the worker-persistent accumulators)
-//! without holding a [`crate::plan::Plan`] of its own.
+//! same shape gets plan reuse (no re-tiling, recycled slot buffers and
+//! per-worker accumulators) without holding a [`crate::plan::Plan`] of
+//! its own.
 //!
 //! Every submission carries a [`CancelToken`]: [`JobTicket::cancel`]
 //! withdraws a still-queued job outright and fires the token of a job the
@@ -57,15 +57,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::{Config, IterationSpace};
-use mspgemm_accum::AccumulatorKind;
-use mspgemm_sched::Schedule;
-use crate::driver::{run_plan, run_plan_batch, BatchJob, RunStats};
+use crate::driver::{only_output, run_jobs, Job, RunStats};
 use crate::executor::Executor;
-use crate::plan::{self, Fingerprint, PlanCore, PlanScratch};
+use crate::graph::{single_product, GraphCore};
+use crate::plan::{self, Fingerprint, PlanScratch};
+use mspgemm_accum::AccumulatorKind;
 use mspgemm_rt::obs;
 use mspgemm_sched::{
-    ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, SubmitQueue, Ticket,
-    TicketWriter,
+    ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, Schedule, SubmitQueue,
+    Ticket, TicketWriter,
 };
 use mspgemm_sparse::{Csr, Semiring, SparseError};
 
@@ -313,12 +313,12 @@ impl<S: Semiring> Drop for JobTicket<S> {
 }
 
 /// One cached symbolic plan: fingerprint-guarded core + its cross-run
-/// slot buffers, leased out to at most one batch job at a time.
+/// scratch, leased out to at most one batch job at a time.
 struct CachedPlan<S: Semiring> {
     fp: Fingerprint,
     config: Config,
-    core: PlanCore,
-    scratch: PlanScratch<S>,
+    core: GraphCore<S::T>,
+    scratch: PlanScratch<S::T>,
 }
 
 /// A concurrent multi-tenant submission front-end over one [`Executor`].
@@ -497,8 +497,8 @@ struct PreparedJob<S: Semiring> {
     entry: Entry<JobPayload<S>>,
     key: u64,
     fp: Fingerprint,
-    core: PlanCore,
-    scratch: PlanScratch<S>,
+    core: GraphCore<S::T>,
+    scratch: PlanScratch<S::T>,
     setup: Duration,
     queue_delay: Duration,
 }
@@ -559,7 +559,6 @@ fn cache_key(fp: &Fingerprint, config: &Config) -> u64 {
             crate::config::SimdMode::Force => 3,
         },
     );
-    h = plan::fold(h, config.assembly as u64);
     plan::finish(h)
 }
 
@@ -675,8 +674,8 @@ fn dispatch_loop<S: Semiring>(
                 Some(hit) => hit,
                 None => {
                     obs::incr(obs::Counter::SvcPlanCacheMisses);
-                    match plan::prepare(&entry.job.config, &entry.job.a, &entry.job.b, &entry.job.mask)
-                    {
+                    let job = &entry.job;
+                    match single_product(&job.config, &job.a, &job.b, &job.mask) {
                         Ok(core) => (core, PlanScratch::default()),
                         Err(e) => {
                             obs::incr(obs::Counter::SvcCompleted);
@@ -691,38 +690,36 @@ fn dispatch_loop<S: Semiring>(
             prepared.push(PreparedJob { entry, key, fp, core, scratch, setup, queue_delay });
         }
 
-        // --- numeric phase: one coalesced run (or the classic single-run
-        // path for a singleton batch, which keeps the plan-id-keyed
-        // worker-persistent accumulators — the single-tenant latency
-        // guarantee). ---
+        // --- numeric phase: one coalesced run ---
         let batch_size = prepared.len();
-        let outcomes: Vec<Result<(Csr<S::T>, RunStats), SparseError>> = if batch_size == 1 {
-            let p = &mut prepared[0];
-            vec![run_plan::<S>(
-                exec.shared(),
-                &p.core,
-                Some(&mut p.scratch),
-                Some(&p.entry.job.cancel),
-                &p.entry.job.a,
-                &p.entry.job.b,
-                &p.entry.job.mask,
-                p.setup,
-            )]
-        } else {
-            let jobs: Vec<BatchJob<'_, S>> = prepared
-                .iter_mut()
-                .map(|p| BatchJob {
-                    core: &p.core,
-                    a: &p.entry.job.a,
-                    b: &p.entry.job.b,
-                    mask: &p.entry.job.mask,
-                    scratch: Some(&mut p.scratch),
-                    weight: 1 + p.entry.tag.priority as u32,
-                    setup: p.setup,
-                    cancel: Some(&p.entry.job.cancel),
+        let outcomes: Vec<Result<(Csr<S::T>, RunStats), SparseError>> = {
+            let mut operands: Vec<[&Csr<S::T>; 3]> = Vec::with_capacity(batch_size);
+            let mut parts = Vec::with_capacity(batch_size);
+            for p in prepared.iter_mut() {
+                let PreparedJob { entry, core, scratch, setup, .. } = p;
+                operands.push([&*entry.job.a, &*entry.job.b, &*entry.job.mask]);
+                parts.push((
+                    &*core,
+                    scratch,
+                    &entry.job.cancel,
+                    1 + u32::from(entry.tag.priority),
+                    *setup,
+                ));
+            }
+            let jobs: Vec<Job<'_, S>> = parts
+                .into_iter()
+                .zip(&operands)
+                .map(|((core, scratch, cancel, weight, setup), inputs)| Job {
+                    core,
+                    inputs,
+                    scratch,
+                    cancel: Some(cancel),
+                    weight,
+                    setup,
+                    fused_ops: 0,
                 })
                 .collect();
-            run_plan_batch::<S>(exec.shared(), jobs)
+            run_jobs::<S>(exec.shared(), jobs).into_iter().map(only_output).collect()
         };
 
         // --- completion: hand every ticket its reply, re-park the plan

@@ -1,29 +1,36 @@
-//! Equivalence suite for the two output-assembly paths.
+//! Equivalence suite for output assembly.
 //!
-//! The in-place path (mask-bounded slots + parallel compaction) must be
-//! **bit-identical** to the legacy fragment-stitch path for every point of
-//! the configuration grid — same column order, same values, same `row_ptr`.
-//! Both paths fold products in the same k-order per row, so equality is
-//! exact, not approximate.
+//! Mask-bounded slots + compaction (or zero-copy adoption) must be
+//! **bit-identical** to the dense `Dense::masked_matmul` oracle for every
+//! point of the configuration grid — same column order, same values, same
+//! `row_ptr`. The oracle folds products in the same k-order per row, so
+//! equality is exact, not approximate.
 //!
 //! This binary pins `MSPGEMM_COMPACT_PAR_MIN=0` before the first driver
 //! call (the threshold is read once per process), so the *parallel*
 //! compaction pass is exercised even on the tiny matrices used here —
 //! without the pin every test-sized run would take the serial branch.
 
-use mspgemm_core::{spgemm, Assembly, Config, IterationSpace, KernelPolicy};
+use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy};
 use mspgemm_rt::failpoint;
 use mspgemm_rt::testkit::{check, vec_of};
 use mspgemm_sched::{Schedule, TilingStrategy};
 use mspgemm_sparse::{Coo, Csr, Dense, PlusTimes};
 use std::sync::{Mutex, Once};
 
-/// Force the parallel compaction branch for every run in this binary.
-/// Must win the race against the driver's one-shot read, so every test
-/// calls it before touching the driver.
+/// Force the parallel compaction branch for every run in this binary, and
+/// make sure the failpoint registry is armable whichever test touches the
+/// driver first (without `MSPGEMM_FAILPOINTS` it would otherwise freeze
+/// unarmed and the fault tests could not arm it). Must win the race
+/// against the driver's one-shot reads, so every test calls it first.
 fn force_parallel_compaction() {
     static PIN: Once = Once::new();
-    PIN.call_once(|| std::env::set_var("MSPGEMM_COMPACT_PAR_MIN", "0"));
+    PIN.call_once(|| {
+        std::env::set_var("MSPGEMM_COMPACT_PAR_MIN", "0");
+        if std::env::var_os(failpoint::ENV_VAR).is_none() {
+            failpoint::arm(ALL_OFF).expect("registry must be armable before first use");
+        }
+    });
 }
 
 fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64> {
@@ -42,23 +49,21 @@ fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64>
     coo.to_csr_with(|a, _| a)
 }
 
-/// Assert the two assembly paths agree exactly (pattern *and* storage):
-/// `Csr` equality compares `row_ptr`, `cols` and `vals` verbatim.
-fn assert_paths_identical(a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>, base: &Config) {
-    let inplace = base.to_builder().assembly(Assembly::InPlace).build();
-    let legacy = base.to_builder().assembly(Assembly::Legacy).build();
-    let (ci, _) = spgemm::<PlusTimes>(a, b, m, &inplace).unwrap();
-    let (cl, _) = spgemm::<PlusTimes>(a, b, m, &legacy).unwrap();
-    assert_eq!(ci, cl, "assembly paths diverge under {}", base.label());
+/// Assert the assembled product equals the dense oracle exactly (pattern
+/// *and* storage): `Csr` equality compares `row_ptr`, `cols` and `vals`
+/// verbatim.
+fn assert_matches_oracle(a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>, base: &Config) {
+    let want = Dense::masked_matmul::<PlusTimes, f64>(a, b, m);
+    let (got, _) = spgemm::<PlusTimes>(a, b, m, base).unwrap();
+    assert_eq!(got, want, "assembly diverges from the oracle under {}", base.label());
 }
 
 #[test]
-fn inplace_matches_legacy_across_full_config_grid() {
+fn assembly_matches_oracle_across_full_config_grid() {
     force_parallel_compaction();
     let a = lcg_matrix(64, 64, 5, 1);
     let b = lcg_matrix(64, 64, 4, 2);
     let m = lcg_matrix(64, 64, 6, 3);
-    let oracle = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &m);
     for tiling in TilingStrategy::all() {
         for schedule in Schedule::all_extended() {
             for iteration in [
@@ -77,9 +82,7 @@ fn inplace_matches_legacy_across_full_config_grid() {
                             KernelPolicy::new().iteration(iteration).accumulator(accumulator),
                         )
                         .build();
-                    assert_paths_identical(&a, &b, &m, &base);
-                    let (got, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
-                    assert_eq!(got, oracle, "wrong product under {}", base.label());
+                    assert_matches_oracle(&a, &b, &m, &base);
                 }
             }
         }
@@ -87,7 +90,7 @@ fn inplace_matches_legacy_across_full_config_grid() {
 }
 
 #[test]
-fn inplace_matches_legacy_on_random_operands() {
+fn assembly_matches_oracle_on_random_operands() {
     force_parallel_compaction();
     const CASES: usize = 64;
     let s = (
@@ -102,14 +105,10 @@ fn inplace_matches_legacy_on_random_operands() {
         }
         coo.to_csr_last()
     };
-    check("inplace_matches_legacy_on_random_operands", CASES, s, |(ta, tb, tm)| {
+    check("assembly_matches_oracle_on_random_operands", CASES, s, |(ta, tb, tm)| {
         let (a, b, m) = (csr(&ta), csr(&tb), csr(&tm));
         let base = Config::builder().n_threads(2).n_tiles(5).build();
-        assert_paths_identical(&a, &b, &m, &base);
-        // and both agree with the dense oracle, not just with each other
-        let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &m);
-        let (got, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
-        assert_eq!(got, want);
+        assert_matches_oracle(&a, &b, &m, &base);
     });
 }
 
@@ -117,7 +116,7 @@ fn inplace_matches_legacy_on_random_operands() {
 fn zero_slack_run_adopts_slot_buffers() {
     force_parallel_compaction();
     // mask = the product's own pattern ⇒ every mask entry is filled,
-    // slack is zero and the in-place path adopts the slot buffers without
+    // slack is zero and the engine adopts the slot buffers without
     // copying (driver.compaction_bytes == 0 is asserted in metrics.rs;
     // here we check the result is still right on the adoption branch)
     let a = lcg_matrix(48, 48, 5, 9);
@@ -129,9 +128,7 @@ fn zero_slack_run_adopts_slot_buffers() {
     let base = Config::builder().n_threads(2).n_tiles(6).build();
     let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &mask);
     assert_eq!(want.nnz(), mask.nnz(), "test premise: zero slack");
-    assert_paths_identical(&a, &a, &mask, &base);
-    let (got, _) = spgemm::<PlusTimes>(&a, &a, &mask, &base).unwrap();
-    assert_eq!(got, want);
+    assert_matches_oracle(&a, &a, &mask, &base);
 }
 
 // ---------------------------------------------------------------------
@@ -166,7 +163,6 @@ fn fault_retried_tile_lands_in_its_slots_bit_identically() {
         .n_threads(2)
         .n_tiles(8)
         .schedule(Schedule::Dynamic { chunk: 1 })
-        .assembly(Assembly::InPlace)
         .build();
     with_failpoints("", || {
         let (want, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
@@ -189,7 +185,6 @@ fn fault_all_tiles_retried_still_assemble_in_place() {
     let base = Config::builder()
         .n_threads(2)
         .n_tiles(8)
-        .assembly(Assembly::InPlace)
         .build();
     with_failpoints("", || {
         let (want, _) = spgemm::<PlusTimes>(&a, &a, &a, &base).unwrap();

@@ -56,27 +56,13 @@ fn tile_output_nnz_counters_sum_to_run_output_nnz() {
         assert_eq!(m.counter("sched.tiles_failed"), 0);
         assert_eq!(m.counter("driver.runs"), 1);
         // slack = mask entries the product never filled; the driver records
-        // it once per run, regardless of assembly path
+        // it once per run
         let slack = (a.nnz() - c.nnz()) as u64;
         assert_eq!(m.counter("driver.slack_nnz"), slack);
-        // in-place assembly: zero-copy adoption when slack == 0, otherwise
-        // compaction moves every surviving entry once (4-byte col + 8-byte val)
+        // zero-copy adoption when slack == 0, otherwise compaction moves
+        // every surviving entry once (4-byte col + 8-byte val)
         let expect_bytes = if slack == 0 { 0 } else { c.nnz() as u64 * 12 };
         assert_eq!(m.counter("driver.compaction_bytes"), expect_bytes);
-    });
-}
-
-#[test]
-fn legacy_stitch_reports_compaction_bytes_for_every_entry() {
-    use mspgemm_core::Assembly;
-    let a = lcg_matrix(80, 80, 5, 8);
-    let cfg = Config::builder().n_threads(2).n_tiles(8).assembly(Assembly::Legacy).build();
-    with_armed_metrics(|| {
-        let (c, stats) = spgemm::<PlusTimes>(&a, &a, &a, &cfg).unwrap();
-        let m = stats.metrics.expect("armed run must attach a snapshot delta");
-        // the serial stitch always copies every output entry once
-        assert_eq!(m.counter("driver.compaction_bytes"), c.nnz() as u64 * 12);
-        assert_eq!(m.counter("driver.slack_nnz"), (a.nnz() - c.nnz()) as u64);
     });
 }
 

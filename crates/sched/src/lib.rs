@@ -12,7 +12,7 @@
 //!   the same estimated *work*, using the Eq. 2 estimator in
 //!   [`work::row_work`] (Fig. 6, sub-figure 2).
 //!
-//! and two schedulers over a pool of worker threads:
+//! and the schedulers the persistent [`WorkerPool`] claims tiles under:
 //!
 //! * [`Schedule::Static`] — tiles are assigned to threads offline in
 //!   contiguous blocks (OpenMP `schedule(static)` semantics);
@@ -40,7 +40,7 @@ pub use submit::{
     ticket, CancelOutcome, Entry, PushRefused, QueueTag, RefusalReason, SubmitQueue, Ticket,
     TicketLost, TicketWriter,
 };
-pub use pool::{catch_tile_panic, run_tiles, ExecError, Schedule, ThreadReport, TileFailure};
+pub use pool::{catch_tile_panic, ExecError, Schedule, ThreadReport, TileFailure};
 pub use slots::DisjointSlots;
 pub use tile::{balanced_tiles, uniform_tiles, Tile, TilingStrategy};
 pub use work::{row_work, total_work};

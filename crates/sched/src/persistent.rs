@@ -1,24 +1,23 @@
 //! A persistent worker pool — threads spawned once, parked between runs.
 //!
-//! The scoped pool in [`crate::pool`] spawns `p` fresh OS threads per call,
-//! which is the right shape for one-shot measurements (every run is
-//! hermetic) but wrong for the iterated workloads the paper motivates
-//! masked SpGEMM with (triangle counting, k-truss, BFS — all call
-//! `C = M ⊙ (A × B)` in a loop). This module keeps the workers alive:
+//! The iterated workloads the paper motivates masked SpGEMM with (triangle
+//! counting, k-truss, BFS) all call `C = M ⊙ (A × B)` in a loop, so the
+//! pool keeps its workers alive:
 //!
 //! * threads are spawned lazily on first use and then *parked* on a
 //!   condvar between runs — a run costs one lock + broadcast, not `p`
 //!   `clone(2)` calls;
-//! * each worker owns a [`WorkerScratch`] that survives across runs, so
-//!   per-worker state (the sparse accumulator, in the driver) amortises to
-//!   zero steady-state allocation across an entire session, not just
-//!   across the tiles of one call;
-//! * the tile-level fault model of the scoped pool is preserved exactly:
-//!   a panicking tile is caught, recorded as a [`TileFailure`], and the
-//!   worker invalidates its scratch and keeps draining. A panic that
-//!   escapes tile isolation (scheduler-infrastructure failure) *poisons*
-//!   the pool: the in-flight run fails with [`PoolError::Poisoned`] and
-//!   all future runs are refused, but the process — and the caller — live.
+//! * one claim loop ([`WorkerPool::run_tiles_multi`]) serves every caller:
+//!   a single run claims its tiles under the configured [`Schedule`], a
+//!   batch of runs interleaves their tile queues into one claim order;
+//! * the tile-level fault model is exact: a panicking tile is caught and
+//!   recorded as a [`TileFailure`] while siblings keep draining. Per-run
+//!   state that may be mid-update belongs to the caller (the driver keeps
+//!   its accumulators in plan-owned cells that a panic poisons). A panic
+//!   that escapes tile isolation (scheduler-infrastructure failure)
+//!   *poisons* the pool: the in-flight run fails with
+//!   [`PoolError::Poisoned`] and all future runs are refused, but the
+//!   process — and the caller — live.
 //!
 //! # Protocol
 //!
@@ -54,7 +53,6 @@
 //! healing and poisons the pool — [`PoolError::Poisoned`] is the last
 //! resort, not the first response.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -103,7 +101,7 @@ impl std::error::Error for PoolError {}
 
 /// Outcome of [`WorkerPool::run_tiles`] when something went wrong: either
 /// the pool itself failed (poisoned / could not spawn) or the run completed
-/// with per-tile failures, exactly like the scoped pool's [`ExecError`].
+/// with per-tile failures ([`ExecError`]).
 #[derive(Debug)]
 pub enum PoolRunError {
     /// Pool-infrastructure failure; no per-tile accounting is available.
@@ -184,54 +182,21 @@ impl Heartbeat {
     }
 }
 
-/// Per-worker state that survives across runs. The driver parks its sparse
-/// accumulator here keyed by plan identity, so re-executing a plan touches
-/// no allocator at all on the worker side.
+/// Per-thread state handed to every tile body: the thread's liveness
+/// record, through which a body can see that the watchdog gave its tile
+/// away ([`current_tile_abandoned`](Self::current_tile_abandoned)).
 pub struct WorkerScratch {
-    slot: Option<Box<dyn Any + Send>>,
-    owner: u64,
     /// This thread's liveness record (see [`Heartbeat`]).
     hb: Arc<Heartbeat>,
 }
 
 impl Default for WorkerScratch {
     fn default() -> Self {
-        WorkerScratch { slot: None, owner: 0, hb: Arc::new(Heartbeat::new()) }
+        WorkerScratch { hb: Arc::new(Heartbeat::new()) }
     }
 }
 
 impl WorkerScratch {
-    /// Borrow the cached `T` if `key` matches the builder that produced it,
-    /// else rebuild via `build`. The cache is invalidated on key change
-    /// *or* type change — e.g. arming metrics flips the accumulator's
-    /// `METER` const parameter, which changes its `TypeId`, so a stale
-    /// unmetered accumulator can never leak into a metered run.
-    pub fn get_or_build<T, F>(&mut self, key: u64, build: F) -> &mut T
-    where
-        T: Any + Send,
-        F: FnOnce() -> T,
-    {
-        let stale =
-            self.owner != key || !self.slot.as_ref().is_some_and(|b| b.as_ref().is::<T>());
-        if stale {
-            // drop the old value first so peak memory is one scratch, not two
-            self.slot = None;
-            self.slot = Some(Box::new(build()));
-            self.owner = key;
-        }
-        match self.slot.as_deref_mut().and_then(|b| b.downcast_mut::<T>()) {
-            Some(t) => t,
-            // the branch above just installed a `T` under this key
-            None => unreachable!(),
-        }
-    }
-
-    /// Drop the cached state. Called after a tile panic: the scratch may be
-    /// mid-update, so the next `get_or_build` rebuilds from clean.
-    pub fn invalidate(&mut self) {
-        self.slot = None;
-    }
-
     /// `true` while the tile this worker is currently executing has been
     /// abandoned by the pool watchdog (it overran the stall budget and a
     /// replacement worker took over the index). A tile body that observes
@@ -250,7 +215,7 @@ impl WorkerScratch {
 #[derive(Clone, Copy)]
 struct Job {
     n_workers: usize,
-    body: &'static (dyn Fn(usize, &mut WorkerScratch) + Sync),
+    body: &'static (dyn Fn(usize, &WorkerScratch) + Sync),
 }
 
 /// All mutable pool state, guarded by one mutex.
@@ -370,7 +335,7 @@ impl WorkerPool {
         }
     }
 
-    /// Execute `body(worker_index, &mut scratch)` once on each of
+    /// Execute `body(worker_index, &scratch)` once on each of
     /// `n_workers` pool workers, blocking until all complete.
     ///
     /// Errors with [`PoolError::Poisoned`] if the pool is (or becomes)
@@ -379,7 +344,7 @@ impl WorkerPool {
     pub fn run(
         &self,
         n_workers: usize,
-        body: &(dyn Fn(usize, &mut WorkerScratch) + Sync),
+        body: &(dyn Fn(usize, &WorkerScratch) + Sync),
     ) -> Result<(), PoolError> {
         let n_workers = n_workers.max(1);
         let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -424,7 +389,7 @@ impl WorkerPool {
         // `active` under the lock before calling the body, so the wait
         // below covers it, and the superseded thread keeps its own pending
         // decrement — nobody decrements on another thread's behalf.
-        let body: &'static (dyn Fn(usize, &mut WorkerScratch) + Sync) =
+        let body: &'static (dyn Fn(usize, &WorkerScratch) + Sync) =
             unsafe { std::mem::transmute(body) };
         st.job = Some(Job { n_workers, body });
         st.epoch = st.epoch.wrapping_add(1);
@@ -533,17 +498,15 @@ impl WorkerPool {
     }
 
     /// Execute `n_tiles` tiles on `n_threads` pool workers under
-    /// `schedule`, with the same per-tile fault isolation, claim metering
-    /// and tracing as the scoped [`crate::pool::run_tiles`] — but on
-    /// parked, reusable threads, and with `body` receiving the worker's
-    /// cross-run [`WorkerScratch`] instead of per-call state.
+    /// `schedule` — the one-run form of
+    /// [`run_tiles_multi`](Self::run_tiles_multi), with the same claim
+    /// loop, fault isolation, claim metering and tracing.
     ///
     /// `body(worker, scratch, tile)` runs once per tile; an unwinding tile
-    /// is recorded as a [`TileFailure`] (and the worker's scratch
-    /// invalidated, since it may be mid-update) while siblings keep
-    /// draining. Tile failures surface as [`PoolRunError::Tiles`]; a panic
-    /// escaping the infrastructure itself poisons the pool and surfaces as
-    /// [`PoolRunError::Pool`].
+    /// is recorded as a [`TileFailure`] while siblings keep draining. Tile
+    /// failures surface as [`PoolRunError::Tiles`] (sorted by tile); a
+    /// panic escaping the infrastructure itself poisons the pool and
+    /// surfaces as [`PoolRunError::Pool`].
     pub fn run_tiles<F>(
         &self,
         n_threads: usize,
@@ -552,63 +515,109 @@ impl WorkerPool {
         body: F,
     ) -> Result<Vec<ThreadReport>, PoolRunError>
     where
-        F: Fn(usize, &mut WorkerScratch, usize) + Sync,
+        F: Fn(usize, &WorkerScratch, usize) + Sync,
     {
-        self.run_tiles_cancellable(n_threads, n_tiles, schedule, None, body)
+        let run = MultiRun { n_tiles, weight: 1, cancel: None, body: &body };
+        let out = self.run_tiles_multi(n_threads, schedule, &[run]).map_err(PoolRunError::Pool)?;
+        let failures = out.failures.into_iter().next().unwrap_or_default();
+        if failures.is_empty() {
+            Ok(out.reports)
+        } else {
+            Err(PoolRunError::Tiles(ExecError { failures, reports: out.reports }))
+        }
     }
 
-    /// [`run_tiles`](Self::run_tiles) with a cooperative [`CancelToken`]:
-    /// once the token reports cancelled, workers stop claiming (and stop
-    /// starting queued tiles) — the remainder of the run is skipped, never
-    /// failed. The caller sees fewer tiles in the reports and decides what
-    /// cancellation means for its output; `sched.tiles_cancelled` counts
-    /// the skipped tiles when metrics are armed.
-    pub fn run_tiles_cancellable<F>(
+    /// Execute one or more independent tile runs on one worker team — the
+    /// pool's single claim loop. Workers claim *positions* of one claim
+    /// order under `schedule` (static blocks, dynamic chunks or guided
+    /// grabs, exactly as for a lone run): a single run's order is its own
+    /// tile sequence, so the schedule applies to it verbatim; several runs
+    /// are interleaved first, so a batch of small products costs one pool
+    /// synchronisation instead of one per product.
+    ///
+    /// The interleave is weighted round-robin: each fairness round, run
+    /// `r` contributes up to `runs[r].weight` of its remaining tiles (a
+    /// weight of 0 counts as 1). The order is a pure function of
+    /// `(n_tiles, weight)` across the slice — scheduling is deterministic
+    /// even though which *worker* executes a given tile is not.
+    ///
+    /// A run whose [`MultiRun::cancel`] token has fired has its remaining
+    /// tiles skipped at claim time (counted in [`MultiOutcome::skipped`]
+    /// and `sched.tiles_cancelled`), never failed. Fault isolation is per
+    /// tile *and* per run: an unwinding tile — or one the watchdog
+    /// abandoned — is recorded under its own run in
+    /// [`MultiOutcome::failures`] while every other tile keeps draining.
+    /// Tile failures therefore never surface as an `Err` here — only
+    /// pool-infrastructure failures do — because one tenant's failure must
+    /// not fail a sibling's run; callers settle each run from its own list.
+    pub fn run_tiles_multi(
         &self,
         n_threads: usize,
-        n_tiles: usize,
         schedule: Schedule,
-        cancel: Option<&CancelToken>,
-        body: F,
-    ) -> Result<Vec<ThreadReport>, PoolRunError>
-    where
-        F: Fn(usize, &mut WorkerScratch, usize) + Sync,
-    {
+        runs: &[MultiRun<'_>],
+    ) -> Result<MultiOutcome, PoolError> {
         let n_threads = n_threads.max(1);
-        if n_tiles == 0 {
-            return Ok(vec![ThreadReport::default(); n_threads]);
+        let total: usize = runs.iter().map(|r| r.n_tiles).sum();
+        if total == 0 {
+            return Ok(MultiOutcome {
+                reports: vec![ThreadReport::default(); n_threads],
+                completed: runs.iter().map(|_| 0).collect(),
+                skipped: runs.iter().map(|_| 0).collect(),
+                failures: runs.iter().map(|_| Vec::new()).collect(),
+            });
         }
+        // The claim order: identity for a lone run (no table needed), the
+        // deterministic weighted-round-robin interleave for a batch.
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        if runs.len() > 1 {
+            order.reserve(total);
+            let mut next: Vec<usize> = vec![0; runs.len()];
+            while order.len() < total {
+                for (r, run) in runs.iter().enumerate() {
+                    let take = (run.weight.max(1) as usize).min(run.n_tiles - next[r]);
+                    for _ in 0..take {
+                        order.push((r, next[r]));
+                        next[r] += 1;
+                    }
+                }
+            }
+        }
+        let at = |pos: usize| if order.is_empty() { (0, pos) } else { order[pos] };
         let queue = AtomicUsize::new(0);
-        let failures: Mutex<Vec<TileFailure>> = Mutex::new(Vec::new());
+        let skipped: Vec<AtomicUsize> = runs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let failures: Mutex<Vec<(usize, TileFailure)>> = Mutex::new(Vec::new());
         let reports: Vec<Mutex<ThreadReport>> =
             (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
-        // armed-state sampled once per run, same discipline as the scoped
-        // pool: per-tile observability costs one branch on a local bool
+        // armed state sampled once per run: per-tile observability costs
+        // one branch on a local bool
         let metrics_on = obs::armed();
         let trace_on = obs::trace_armed();
+        // static's single offline block per worker has no queue operation
+        // to measure; dynamic/guided meter every claim, including the final
+        // failed one that drains a worker
         let meter_claims = metrics_on && !matches!(schedule, Schedule::Static);
         let wd_on = self.inner.watchdog.enabled();
         let birth = self.inner.birth;
 
-        let job = |t: usize, ws: &mut WorkerScratch| {
+        let job = |t: usize, ws: &WorkerScratch| {
             let mut report = ThreadReport::default();
             let mut scratch = ObsScratch::default();
             let mut static_done = false;
-            'claims: loop {
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
+            loop {
                 let claim_start = if meter_claims { Some(Instant::now()) } else { None };
-                let claimed =
-                    next_range(schedule, t, n_threads, n_tiles, &queue, &mut static_done);
+                let claimed = next_range(schedule, t, n_threads, total, &queue, &mut static_done);
                 if let Some(s) = claim_start {
                     scratch.claims += 1;
                     scratch.claim_ns.record(s.elapsed().as_nanos() as u64);
                 }
                 let Some((lo, hi)) = claimed else { break };
-                for tile in lo..hi {
-                    if cancel.is_some_and(|c| c.is_cancelled()) {
-                        break 'claims;
+                for pos in lo..hi {
+                    let (r, tile) = at(pos);
+                    // cooperative cancellation: a cancelled run's remaining
+                    // tiles are skipped (not failed) — siblings untouched
+                    if runs[r].cancel.is_some_and(|c| c.is_cancelled()) {
+                        skipped[r].fetch_add(1, Ordering::Relaxed);
+                        continue;
                     }
                     let ts_us = if trace_on { obs::now_us() } else { 0 };
                     let start = Instant::now();
@@ -619,7 +628,7 @@ impl WorkerPool {
                     if wd_on {
                         ws.hb.busy_since.store(stamp, Ordering::Release);
                     }
-                    let outcome = catch_tile_panic(|| body(t, ws, tile));
+                    let outcome = catch_tile_panic(|| (runs[r].body)(t, ws, tile));
                     let was_abandoned = if wd_on {
                         let hit = ws.hb.abandoned.load(Ordering::Acquire) == stamp;
                         ws.hb.busy_since.store(0, Ordering::Release);
@@ -659,191 +668,17 @@ impl WorkerPool {
                             };
                             report.tiles_failed += 1;
                             scratch.failed += 1;
-                            let mut guard =
-                                failures.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.push(TileFailure {
-                                tile,
-                                payload: msg,
-                                elapsed: start.elapsed(),
-                            });
-                            drop(guard);
-                            // cross-run scratch may be mid-update; rebuild
-                            // from clean on next use
-                            ws.invalidate();
+                            let mut guard = failures.lock().unwrap_or_else(|e| e.into_inner());
+                            guard.push((
+                                r,
+                                TileFailure { tile, payload: msg, elapsed: start.elapsed() },
+                            ));
                         }
                     }
                 }
             }
             // flushed here — before the worker decrements `active` — so a
             // snapshot delta taken around the run sees every sample
-            if metrics_on {
-                scratch.flush(report.busy);
-            }
-            *reports[t].lock().unwrap_or_else(|e| e.into_inner()) = report;
-        };
-
-        self.run(n_threads, &job).map_err(PoolRunError::Pool)?;
-
-        let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
-        let reports: Vec<ThreadReport> = reports
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        if metrics_on && cancel.is_some_and(|c| c.is_cancelled()) {
-            let touched =
-                reports.iter().map(|r| r.tiles_run).sum::<usize>() + failures.len();
-            obs::add(obs::Counter::SchedTilesCancelled, (n_tiles - touched) as u64);
-        }
-        if failures.is_empty() {
-            Ok(reports)
-        } else {
-            failures.sort_by_key(|f| f.tile);
-            Err(PoolRunError::Tiles(ExecError { failures, reports }))
-        }
-    }
-
-    /// Execute several independent tile runs *multiplexed* onto one worker
-    /// team: the tile queues of all `runs` are interleaved into a single
-    /// deterministic claim order and drained by `n_threads` workers, so a
-    /// batch of small masked products costs one pool synchronisation
-    /// instead of one per product.
-    ///
-    /// The interleave is weighted round-robin: each fairness round, run
-    /// `r` contributes up to `runs[r].weight` of its remaining tiles (a
-    /// weight of 0 counts as 1). The order is a pure function of
-    /// `(n_tiles, weight)` across the slice — scheduling is deterministic
-    /// even though which *worker* executes a given tile is not.
-    ///
-    /// Fault isolation is per tile *and* per run: an unwinding tile is
-    /// recorded under its own run in [`MultiOutcome::failures`] (and the
-    /// worker's scratch invalidated) while every other run's tiles keep
-    /// draining untouched. Tile failures therefore never surface as an
-    /// `Err` here — only pool-infrastructure failures do — because one
-    /// tenant's failure must not fail a sibling's run; callers settle each
-    /// run from its own failure list.
-    pub fn run_tiles_multi(
-        &self,
-        n_threads: usize,
-        runs: &[MultiRun<'_>],
-    ) -> Result<MultiOutcome, PoolError> {
-        let n_threads = n_threads.max(1);
-        let total: usize = runs.iter().map(|r| r.n_tiles).sum();
-        if total == 0 {
-            return Ok(MultiOutcome {
-                reports: vec![ThreadReport::default(); n_threads],
-                completed: vec![0; runs.len()],
-                skipped: vec![0; runs.len()],
-                failures: runs.iter().map(|_| Vec::new()).collect(),
-            });
-        }
-        // Deterministic weighted-round-robin interleave. Workers claim
-        // positions in this order via one shared cursor (dynamic, chunk 1
-        // — the batch path exists for many *small* runs, where per-tile
-        // claims are the right granularity).
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(total);
-        let mut next: Vec<usize> = vec![0; runs.len()];
-        while order.len() < total {
-            for (r, run) in runs.iter().enumerate() {
-                let take = (run.weight.max(1) as usize).min(run.n_tiles - next[r]);
-                for _ in 0..take {
-                    order.push((r, next[r]));
-                    next[r] += 1;
-                }
-            }
-        }
-        let cursor = AtomicUsize::new(0);
-        let completed: Vec<AtomicUsize> = runs.iter().map(|_| AtomicUsize::new(0)).collect();
-        let skipped: Vec<AtomicUsize> = runs.iter().map(|_| AtomicUsize::new(0)).collect();
-        let failures: Mutex<Vec<(usize, TileFailure)>> = Mutex::new(Vec::new());
-        let reports: Vec<Mutex<ThreadReport>> =
-            (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
-        let metrics_on = obs::armed();
-        let trace_on = obs::trace_armed();
-        let wd_on = self.inner.watchdog.enabled();
-        let birth = self.inner.birth;
-
-        let job = |t: usize, ws: &mut WorkerScratch| {
-            let mut report = ThreadReport::default();
-            let mut scratch = ObsScratch::default();
-            loop {
-                let claim_start = if metrics_on { Some(Instant::now()) } else { None };
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = claim_start {
-                    scratch.claims += 1;
-                    scratch.claim_ns.record(s.elapsed().as_nanos() as u64);
-                }
-                if idx >= order.len() {
-                    break;
-                }
-                let (r, tile) = order[idx];
-                // cooperative cancellation: a cancelled run's remaining
-                // tiles are skipped (not failed) — siblings untouched
-                if runs[r].cancel.is_some_and(|c| c.is_cancelled()) {
-                    skipped[r].fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let ts_us = if trace_on { obs::now_us() } else { 0 };
-                let start = Instant::now();
-                if metrics_on {
-                    scratch.started += 1;
-                }
-                let stamp = if wd_on { stamp_now(&birth) } else { 0 };
-                if wd_on {
-                    ws.hb.busy_since.store(stamp, Ordering::Release);
-                }
-                let outcome = catch_tile_panic(|| (runs[r].body)(t, ws, tile));
-                let was_abandoned = if wd_on {
-                    let hit = ws.hb.abandoned.load(Ordering::Acquire) == stamp;
-                    ws.hb.busy_since.store(0, Ordering::Release);
-                    if hit {
-                        ws.hb.abandoned.store(0, Ordering::Release);
-                    }
-                    hit
-                } else {
-                    false
-                };
-                match outcome {
-                    Ok(()) if !was_abandoned => {
-                        let elapsed = start.elapsed();
-                        report.busy += elapsed;
-                        report.tiles_run += 1;
-                        completed[r].fetch_add(1, Ordering::Relaxed);
-                        if metrics_on {
-                            scratch.completed += 1;
-                            scratch.tile_us.record(elapsed.as_micros() as u64);
-                        }
-                        if trace_on {
-                            obs::complete_event(
-                                "tile",
-                                tile as u64,
-                                t as u64,
-                                ts_us,
-                                elapsed.as_micros() as u64,
-                            );
-                        }
-                    }
-                    outcome => {
-                        let msg = match outcome {
-                            Err(msg) => msg,
-                            Ok(()) => format!(
-                                "abandoned by watchdog: tile {tile} overran the \
-                                 stall budget; the degraded serial path owns it"
-                            ),
-                        };
-                        report.tiles_failed += 1;
-                        scratch.failed += 1;
-                        let mut guard = failures.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.push((
-                            r,
-                            TileFailure { tile, payload: msg, elapsed: start.elapsed() },
-                        ));
-                        drop(guard);
-                        // cross-run scratch may be mid-update; rebuild
-                        // from clean on next use
-                        ws.invalidate();
-                    }
-                }
-            }
             if metrics_on {
                 scratch.flush(report.busy);
             }
@@ -871,14 +706,20 @@ impl WorkerPool {
                 .into_iter()
                 .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
                 .collect(),
-            completed: completed.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            // every tile of a run either completed, was skipped, or failed
+            completed: runs
+                .iter()
+                .zip(&skipped)
+                .zip(&per_run)
+                .map(|((run, s), f)| run.n_tiles - s - f.len())
+                .collect(),
             skipped,
             failures: per_run,
         })
     }
 }
 
-/// One run's tile queue, as multiplexed by [`WorkerPool::run_tiles_multi`].
+/// One run's tile queue, as claimed by [`WorkerPool::run_tiles_multi`].
 pub struct MultiRun<'a> {
     /// Number of tiles this run contributes; the body sees `0..n_tiles`.
     pub n_tiles: usize,
@@ -892,7 +733,7 @@ pub struct MultiRun<'a> {
     pub cancel: Option<&'a CancelToken>,
     /// Per-tile body, `body(worker, scratch, tile)` — same contract as the
     /// body of [`WorkerPool::run_tiles`].
-    pub body: &'a (dyn Fn(usize, &mut WorkerScratch, usize) + Sync),
+    pub body: &'a (dyn Fn(usize, &WorkerScratch, usize) + Sync),
 }
 
 /// Per-run accounting from [`WorkerPool::run_tiles_multi`]. Indices into
@@ -936,7 +777,7 @@ fn execute_job(
     idx: usize,
     my_gen: u64,
     inner: &Inner,
-    scratch: &mut WorkerScratch,
+    scratch: &WorkerScratch,
     job: Job,
 ) -> bool {
     let outcome = catch_tile_panic(|| (job.body)(idx, scratch));
@@ -947,7 +788,6 @@ fn execute_job(
         if st.poison.is_none() {
             st.poison = Some(format!("worker {idx}: {msg}"));
         }
-        scratch.invalidate();
     }
     st.active -= 1;
     if st.active == 0 {
@@ -967,7 +807,7 @@ fn execute_job(
 /// decrement — the submitter's body-lifetime wait covers it) instead of
 /// waiting for the next epoch.
 fn worker_loop(idx: usize, my_gen: u64, inner: Arc<Inner>, join_epoch: Option<u64>) {
-    let mut scratch = WorkerScratch::default();
+    let scratch = WorkerScratch::default();
     inner
         .hbs
         .lock()
@@ -991,7 +831,7 @@ fn worker_loop(idx: usize, my_gen: u64, inner: Arc<Inner>, join_epoch: Option<u6
                 None => return,
             };
             drop(st);
-            if !execute_job(idx, my_gen, &inner, &mut scratch, job) {
+            if !execute_job(idx, my_gen, &inner, &scratch, job) {
                 return;
             }
         }
@@ -1024,7 +864,7 @@ fn worker_loop(idx: usize, my_gen: u64, inner: Arc<Inner>, join_epoch: Option<u6
             None => continue,
         };
         drop(st);
-        if idx < job.n_workers && !execute_job(idx, my_gen, &inner, &mut scratch, job) {
+        if idx < job.n_workers && !execute_job(idx, my_gen, &inner, &scratch, job) {
             return;
         }
     }
@@ -1034,29 +874,6 @@ fn worker_loop(idx: usize, my_gen: u64, inner: Arc<Inner>, join_epoch: Option<u6
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn every_tile_runs_exactly_once_on_every_schedule() {
-        let pool = WorkerPool::new();
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided { chunk: 1 },
-        ] {
-            let n_tiles = 97;
-            let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let reports = pool
-                .run_tiles(4, n_tiles, schedule, |_, _, tile| {
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                })
-                .unwrap();
-            for (i, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} under {schedule:?}");
-            }
-            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
-        }
-    }
 
     #[test]
     fn workers_are_spawned_once_and_reused() {
@@ -1069,43 +886,6 @@ mod tests {
         pool.run_tiles(5, 32, Schedule::Static, |_, _, _| {}).unwrap();
         pool.run_tiles(2, 32, Schedule::Static, |_, _, _| {}).unwrap();
         assert_eq!(pool.spawned_workers(), 5);
-    }
-
-    #[test]
-    fn worker_scratch_survives_across_runs() {
-        let pool = WorkerPool::new();
-        let builds = AtomicU64::new(0);
-        for _ in 0..5 {
-            pool.run_tiles(2, 16, Schedule::Static, |_, ws, _| {
-                let v: &mut Vec<u8> = ws.get_or_build(7, || {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    Vec::new()
-                });
-                v.push(0);
-            })
-            .unwrap();
-        }
-        assert_eq!(
-            builds.load(Ordering::Relaxed),
-            2,
-            "one build per worker for the whole session, not per run"
-        );
-    }
-
-    #[test]
-    fn scratch_rebuilds_on_key_or_type_change() {
-        let mut ws = WorkerScratch::default();
-        let v: &mut Vec<u8> = ws.get_or_build(1, || vec![1u8]);
-        v.push(2);
-        assert_eq!(ws.get_or_build::<Vec<u8>, _>(1, Vec::new), &[1, 2], "same key reuses");
-        assert!(ws.get_or_build::<Vec<u8>, _>(2, Vec::new).is_empty(), "key change rebuilds");
-        let s: &mut String = ws.get_or_build(2, String::new);
-        assert!(s.is_empty(), "type change rebuilds even under the same key");
-        ws.invalidate();
-        assert!(
-            ws.get_or_build::<String, _>(2, String::new).is_empty(),
-            "invalidate drops the cached state"
-        );
     }
 
     #[test]
@@ -1135,27 +915,6 @@ mod tests {
         let reports =
             pool.run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 40);
-    }
-
-    #[test]
-    fn tile_panic_invalidates_the_worker_scratch() {
-        let pool = WorkerPool::new();
-        let builds = AtomicU64::new(0);
-        let result = pool.run_tiles(1, 8, Schedule::Static, |_, ws, tile| {
-            ws.get_or_build(3, || {
-                builds.fetch_add(1, Ordering::Relaxed);
-                0u64
-            });
-            if tile == 2 {
-                panic!("mid-update");
-            }
-        });
-        assert!(matches!(result, Err(PoolRunError::Tiles(_))));
-        assert_eq!(
-            builds.load(Ordering::Relaxed),
-            2,
-            "scratch is rebuilt exactly once, after the panic"
-        );
     }
 
     #[test]
@@ -1216,13 +975,13 @@ mod tests {
             .iter()
             .map(|&n| (0..n).map(|_| AtomicU64::new(0)).collect())
             .collect();
-        let bodies: Vec<Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync>> = counts
+        let bodies: Vec<Box<dyn Fn(usize, &WorkerScratch, usize) + Sync>> = counts
             .iter()
             .map(|c| {
                 let c = c;
-                Box::new(move |_: usize, _: &mut WorkerScratch, tile: usize| {
+                Box::new(move |_: usize, _: &WorkerScratch, tile: usize| {
                     c[tile].fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync>
+                }) as Box<dyn Fn(usize, &WorkerScratch, usize) + Sync>
             })
             .collect();
         let runs: Vec<MultiRun<'_>> = sizes
@@ -1230,7 +989,7 @@ mod tests {
             .zip(&bodies)
             .map(|(&n_tiles, body)| MultiRun { n_tiles, weight: 1, cancel: None, body: body.as_ref() })
             .collect();
-        let out = pool.run_tiles_multi(4, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
         for (r, c) in counts.iter().enumerate() {
             for (i, n) in c.iter().enumerate() {
                 assert_eq!(n.load(Ordering::Relaxed), 1, "run {r} tile {i}");
@@ -1251,17 +1010,17 @@ mod tests {
         // tiles of run 0 with one of run 1 until run 0 drains.
         let pool = WorkerPool::new();
         let seen: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-        let body0 = |_: usize, _: &mut WorkerScratch, tile: usize| {
+        let body0 = |_: usize, _: &WorkerScratch, tile: usize| {
             seen.lock().unwrap().push((0, tile));
         };
-        let body1 = |_: usize, _: &mut WorkerScratch, tile: usize| {
+        let body1 = |_: usize, _: &WorkerScratch, tile: usize| {
             seen.lock().unwrap().push((1, tile));
         };
         let runs = [
             MultiRun { n_tiles: 4, weight: 2, cancel: None, body: &body0 },
             MultiRun { n_tiles: 4, weight: 1, cancel: None, body: &body1 },
         ];
-        pool.run_tiles_multi(1, &runs).unwrap();
+        pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
         let seen = seen.into_inner().unwrap();
         assert_eq!(
             seen,
@@ -1277,8 +1036,8 @@ mod tests {
     #[test]
     fn multi_run_panic_is_charged_to_its_own_run_only() {
         let pool = WorkerPool::new();
-        let body_ok = |_: usize, _: &mut WorkerScratch, _: usize| {};
-        let body_bad = |_: usize, _: &mut WorkerScratch, tile: usize| {
+        let body_ok = |_: usize, _: &WorkerScratch, _: usize| {};
+        let body_bad = |_: usize, _: &WorkerScratch, tile: usize| {
             if tile == 3 {
                 panic!("tenant-local failure on tile {tile}");
             }
@@ -1288,7 +1047,7 @@ mod tests {
             MultiRun { n_tiles: 10, weight: 1, cancel: None, body: &body_bad },
             MultiRun { n_tiles: 20, weight: 1, cancel: None, body: &body_ok },
         ];
-        let out = pool.run_tiles_multi(4, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
         assert!(out.failures[0].is_empty(), "healthy run 0 sees no failures");
         assert!(out.failures[2].is_empty(), "healthy run 2 sees no failures");
         assert_eq!(out.failures[1].len(), 1);
@@ -1304,7 +1063,7 @@ mod tests {
     #[test]
     fn multi_run_empty_batch_is_a_noop() {
         let pool = WorkerPool::new();
-        let out = pool.run_tiles_multi(4, &[]).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &[]).unwrap();
         assert!(out.completed.is_empty());
         assert_eq!(pool.spawned_workers(), 0, "no work, no threads");
     }
@@ -1416,17 +1175,17 @@ mod tests {
         // One worker drains the deterministic interleave A0 B0 A1 B1 …;
         // A cancels itself while executing its third tile, so A3..A5 are
         // skipped while B drains completely.
-        let body_a = move |_: usize, _: &mut WorkerScratch, tile: usize| {
+        let body_a = move |_: usize, _: &WorkerScratch, tile: usize| {
             if tile == 2 {
                 tok.cancel();
             }
         };
-        let body_b = |_: usize, _: &mut WorkerScratch, _: usize| {};
+        let body_b = |_: usize, _: &WorkerScratch, _: usize| {};
         let runs = [
             MultiRun { n_tiles: 6, weight: 1, cancel: Some(&token), body: &body_a },
             MultiRun { n_tiles: 6, weight: 1, cancel: None, body: &body_b },
         ];
-        let out = pool.run_tiles_multi(1, &runs).unwrap();
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
         assert_eq!(out.completed[0], 3, "A ran tiles 0..=2 then stopped");
         assert_eq!(out.skipped[0], 3, "A3..A5 skipped at claim time");
         assert!(out.failures[0].is_empty(), "cancelled tiles are skipped, not failed");
@@ -1438,25 +1197,25 @@ mod tests {
     }
 
     #[test]
-    fn run_tiles_cancellable_stops_claiming_after_cancel() {
+    fn single_run_stops_starting_tiles_after_cancel() {
         let pool = WorkerPool::new();
         let token = CancelToken::new();
         let tok = &token;
         let ran = AtomicU64::new(0);
-        let reports = pool
-            .run_tiles_cancellable(1, 100, Schedule::Dynamic { chunk: 1 }, Some(&token), {
-                let ran = &ran;
-                move |_, _, tile| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if tile == 4 {
-                        tok.cancel();
-                    }
-                }
-            })
-            .unwrap();
-        let n = ran.load(Ordering::Relaxed);
+        let body = |_: usize, _: &WorkerScratch, tile: usize| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if tile == 4 {
+                tok.cancel();
+            }
+        };
+        let run = MultiRun { n_tiles: 100, weight: 1, cancel: Some(&token), body: &body };
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &[run]).unwrap();
+        let n = ran.load(Ordering::Relaxed) as usize;
         assert_eq!(n, 5, "tiles after the cancelling one are never started");
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n as usize);
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), n);
+        assert_eq!(out.completed[0], 5);
+        assert_eq!(out.skipped[0], 95, "the rest is skipped, not failed");
+        assert!(out.failures[0].is_empty());
     }
 
     #[test]
@@ -1464,18 +1223,174 @@ mod tests {
         let pool = WorkerPool::new();
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(25));
         let ran = AtomicU64::new(0);
-        let reports = pool
-            .run_tiles_cancellable(1, 50, Schedule::Dynamic { chunk: 1 }, Some(&token), {
-                let ran = &ran;
-                move |_, _, _| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(4));
-                }
-            })
-            .unwrap();
+        let body = |_: usize, _: &WorkerScratch, _: usize| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(4));
+        };
+        let run = MultiRun { n_tiles: 50, weight: 1, cancel: Some(&token), body: &body };
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &[run]).unwrap();
         let n = ran.load(Ordering::Relaxed) as usize;
         assert!(n < 50, "the deadline must cut the run short");
         assert!(token.deadline_expired());
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n);
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), n);
+    }
+
+    // --- claim-discipline coverage (one claim loop serves every caller) ---
+
+    #[test]
+    fn every_variant_visits_each_tile_exactly_once_across_the_count_matrix() {
+        // every schedule variant × tile counts around the thread count
+        // (1, p−1, p, 64·p) plus the more-threads-than-tiles regime
+        let pool = WorkerPool::new();
+        let p = 4usize;
+        let variants = [
+            Schedule::Static,
+            Schedule::Dynamic { chunk: 1 },
+            Schedule::Dynamic { chunk: 7 },
+            Schedule::Guided { chunk: 1 },
+            Schedule::Guided { chunk: 4 },
+        ];
+        let cases = [(p, 1usize), (p, p - 1), (p, p), (p, 64 * p), (4 * p, p / 2), (3, 97)];
+        for schedule in variants {
+            for (n_threads, n_tiles) in cases {
+                let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+                let reports = pool
+                    .run_tiles(n_threads, n_tiles, schedule, |_, _, tile| {
+                        counts[tile].fetch_add(1, Ordering::Relaxed);
+                    })
+                    .unwrap();
+                let ctx = format!("{schedule:?} p={n_threads} n={n_tiles}");
+                assert_eq!(reports.len(), n_threads, "{ctx}");
+                for (i, c) in counts.iter().enumerate() {
+                    assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} under {ctx}");
+                }
+                assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles, "{ctx}");
+                if matches!(schedule, Schedule::Static) {
+                    // static: offline blocks differ by at most one tile
+                    let max = reports.iter().map(|r| r.tiles_run).max().unwrap();
+                    let min = reports.iter().map(|r| r.tiles_run).min().unwrap();
+                    assert!(max - min <= 1, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// Spin for `n` iterations (a CPU-bound tile the optimiser keeps).
+    fn spin(n: u64) {
+        let mut x = 0u64;
+        for i in 0..n {
+            x = x.wrapping_add(i);
+        }
+        std::hint::black_box(x);
+    }
+
+    #[test]
+    fn dynamic_and_guided_shift_tiles_away_from_a_slow_worker() {
+        // tile 0 is far slower than the rest: the queue disciplines must
+        // let the other worker absorb the remaining tiles
+        let pool = WorkerPool::new();
+        for schedule in [Schedule::Dynamic { chunk: 1 }, Schedule::Guided { chunk: 1 }] {
+            let reports = pool
+                .run_tiles(2, 64, schedule, |_, _, tile| {
+                    spin(if tile == 0 { 6_000_000 } else { 5_000 });
+                })
+                .unwrap();
+            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 64);
+            let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
+            assert!(
+                max_tiles > 32,
+                "{schedule:?}: the unblocked worker should take most tiles: {:?}",
+                reports.iter().map(|r| r.tiles_run).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn panicking_tile_is_isolated_under_every_schedule() {
+        let pool = WorkerPool::new();
+        for schedule in Schedule::all_extended() {
+            let counts: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+            let err = pool
+                .run_tiles(4, 40, schedule, |_, _, tile| {
+                    if tile == 13 {
+                        panic!("kernel died on tile {tile}");
+                    }
+                    counts[tile].fetch_add(1, Ordering::Relaxed);
+                })
+                .expect_err("tile 13 must be reported");
+            let PoolRunError::Tiles(e) = err else { panic!("tile failure is not a pool failure") };
+            assert_eq!(e.failures.len(), 1, "{schedule:?}");
+            assert_eq!(e.failures[0].tile, 13);
+            for (i, c) in counts.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), u64::from(i != 13), "tile {i} {schedule:?}");
+            }
+            assert_eq!(e.reports.iter().map(|r| r.tiles_failed).sum::<usize>(), 1);
+        }
+    }
+
+    #[test]
+    fn multiple_failures_are_sorted_by_tile() {
+        let pool = WorkerPool::new();
+        let err = pool
+            .run_tiles(3, 30, Schedule::Dynamic { chunk: 2 }, |_, _, tile| {
+                if tile % 7 == 0 {
+                    panic!("bad tile");
+                }
+            })
+            .expect_err("tiles 0,7,14,21,28 fail");
+        let PoolRunError::Tiles(e) = err else { panic!("tile failure is not a pool failure") };
+        let failed: Vec<usize> = e.failures.iter().map(|f| f.tile).collect();
+        assert_eq!(failed, vec![0, 7, 14, 21, 28]);
+    }
+
+    #[test]
+    fn exec_error_display_names_tiles() {
+        let pool = WorkerPool::new();
+        let err = pool
+            .run_tiles(2, 8, Schedule::Static, |_, _, tile| {
+                if tile >= 2 {
+                    panic!("boom {tile}");
+                }
+            })
+            .expect_err("six tiles fail");
+        let msg = err.to_string();
+        assert!(msg.contains("6 tile(s) failed"), "{msg}");
+        assert!(msg.contains("tile 2"), "{msg}");
+        assert!(msg.contains("and 2 more"), "{msg}");
+    }
+
+    #[test]
+    fn batch_runs_honour_the_schedule() {
+        // a static batch hands each worker one contiguous block of the
+        // interleaved claim order; every tile still runs exactly once
+        let pool = WorkerPool::new();
+        let sizes = [5usize, 9, 3];
+        let counts: Vec<Vec<AtomicU64>> =
+            sizes.iter().map(|&n| (0..n).map(|_| AtomicU64::new(0)).collect()).collect();
+        type Body<'b> = Box<dyn Fn(usize, &WorkerScratch, usize) + Sync + 'b>;
+        let bodies: Vec<Body<'_>> = counts
+            .iter()
+            .map(|c| {
+                Box::new(move |_: usize, _: &WorkerScratch, tile: usize| {
+                    c[tile].fetch_add(1, Ordering::Relaxed);
+                }) as Body<'_>
+            })
+            .collect();
+        let runs: Vec<MultiRun<'_>> = sizes
+            .iter()
+            .zip(&bodies)
+            .map(|(&n_tiles, body)| {
+                MultiRun { n_tiles, weight: 2, cancel: None, body: body.as_ref() }
+            })
+            .collect();
+        for schedule in Schedule::all_extended() {
+            for c in counts.iter().flatten() {
+                c.store(0, Ordering::Relaxed);
+            }
+            let out = pool.run_tiles_multi(3, schedule, &runs).unwrap();
+            let once = counts.iter().flatten().all(|c| c.load(Ordering::Relaxed) == 1);
+            assert!(once, "{schedule:?}");
+            assert_eq!(out.completed, sizes.to_vec(), "{schedule:?}");
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! The tile scheduler — OpenMP `schedule(static|dynamic)` semantics over
-//! scoped threads, with panic-isolated tile execution.
+//! Tile scheduling primitives — OpenMP `schedule(static|dynamic|guided)`
+//! claim disciplines plus panic-isolated tile execution records.
 //!
 //! The paper's experiments sweep the OpenMP scheduling policy with "each
-//! tile assigned to one thread" (§IV-C). We reproduce both policies
-//! directly rather than delegating to rayon, so the scheduling behaviour
-//! under measurement is exactly the one described:
+//! tile assigned to one thread" (§IV-C). We reproduce the policies
+//! directly rather than delegating to a runtime, so the scheduling
+//! behaviour under measurement is exactly the one described:
 //!
 //! * **static** — tiles are partitioned offline into `p` contiguous blocks,
 //!   one per thread, no runtime coordination at all ("the tasks are
@@ -13,35 +13,34 @@
 //!   `chunk` tiles when it runs dry ("a runtime system schedules threads to
 //!   remaining tasks as soon as they complete their current task").
 //!
-//! Worker state (the sparse accumulator, in the masked-SpGEMM driver) is
-//! created *inside* each worker thread via the `init` callback, giving
-//! per-thread scratch without `Sync` on the state itself.
+//! The pool that executes tiles under these disciplines is the persistent
+//! [`crate::WorkerPool`]; this module holds the pieces it is built from —
+//! the claim arithmetic (`next_range`), the per-thread reports, and the
+//! fault records.
 //!
 //! # Fault tolerance
 //!
-//! Each tile body runs under `std::panic::catch_unwind`: a misbehaving
-//! kernel can neither take down the process nor strand sibling threads.
+//! Each tile body runs under [`catch_tile_panic`]: a misbehaving kernel
+//! can neither take down the process nor strand sibling threads.
 //! Survivors keep draining the queue; the failed tiles are collected into
 //! structured [`TileFailure`] records and surfaced through [`ExecError`],
 //! so the caller knows exactly which tiles need recovery (the masked-SpGEMM
-//! driver retries them serially with a conservative configuration). A
-//! worker whose scratch state may be mid-update after an unwind rebuilds it
-//! via `init` before touching the next tile.
+//! driver retries them serially with a conservative configuration).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
-use std::time::{Duration, Instant};
+use std::sync::Once;
+use std::time::Duration;
 
 use mspgemm_rt::obs;
 
 /// Per-worker observability scratch: plain integers bumped on the worker's
 /// own stack and folded into the global `obs` registry once, when the
-/// worker exits (scoped pool) or finishes its share of a run (persistent
-/// pool). Unarmed runs skip even these (see `metrics_on` below), so the
-/// scheduling loops stay free of atomic traffic either way.
+/// worker finishes its share of a run. Unarmed runs skip even these (the
+/// claim loop samples `obs::armed` once per run), so the scheduling loops
+/// stay free of atomic traffic either way.
 #[derive(Default)]
 pub(crate) struct ObsScratch {
     pub(crate) started: u64,
@@ -187,9 +186,8 @@ fn install_quiet_hook() {
 
 /// Claim the next contiguous tile range for worker `t` under `schedule`,
 /// or `None` once the worker's share of the queue is drained. This is the
-/// one implementation of the three claim disciplines, shared by the scoped
-/// pool ([`run_tiles`]) and the persistent pool
-/// (`crate::persistent::WorkerPool`):
+/// one implementation of the three claim disciplines, used by the claim
+/// loop of [`crate::WorkerPool::run_tiles_multi`]:
 ///
 /// * static — the worker's single offline block (`*static_done` marks it
 ///   claimed; same arithmetic as uniform tiling);
@@ -265,171 +263,6 @@ pub fn catch_tile_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     outcome.map_err(|payload| payload_message(payload.as_ref()))
 }
 
-/// Execute `n_tiles` tiles on `n_threads` worker threads under `schedule`.
-///
-/// For each worker thread `t`, `init(t)` runs first (in that thread, lazily
-/// before its first tile) to build its private state `W`; then
-/// `body(&mut state, tile_index)` runs for every tile the scheduler hands
-/// the thread. Returns one [`ThreadReport`] per thread.
-///
-/// A body that unwinds is caught: the tile is recorded as a
-/// [`TileFailure`], the worker rebuilds its state with `init` (the old
-/// state may have been mid-update) and keeps draining the queue. If state
-/// cannot be rebuilt, the tiles the worker had already claimed are recorded
-/// as failures and — under dynamic/guided scheduling — the remaining queue
-/// drains to the surviving workers. `Err` is returned iff at least one tile
-/// failed; the failure list is sorted by tile index, so the outcome is
-/// deterministic even though thread interleaving is not.
-pub fn run_tiles<W, I, F>(
-    n_threads: usize,
-    n_tiles: usize,
-    schedule: Schedule,
-    init: I,
-    body: F,
-) -> Result<Vec<ThreadReport>, ExecError>
-where
-    I: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, usize) + Sync,
-{
-    let n_threads = n_threads.max(1);
-    if n_tiles == 0 {
-        return Ok(vec![ThreadReport::default(); n_threads]);
-    }
-    let queue = AtomicUsize::new(0);
-    let failures: Mutex<Vec<TileFailure>> = Mutex::new(Vec::new());
-    let mut reports = vec![ThreadReport::default(); n_threads];
-
-    let record = |tile: usize, payload: String, elapsed: Duration| {
-        let mut guard = failures.lock().unwrap_or_else(|e| e.into_inner());
-        guard.push(TileFailure { tile, payload, elapsed });
-    };
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_threads);
-        for t in 0..n_threads {
-            let init = &init;
-            let body = &body;
-            let queue = &queue;
-            let record = &record;
-            handles.push(scope.spawn(move || {
-                let mut state: Option<W> = None;
-                let mut report = ThreadReport::default();
-                // armed-state sampled once per worker: the per-tile cost of
-                // observability is one predictable branch on a local bool
-                let metrics_on = obs::armed();
-                let trace_on = obs::trace_armed();
-                let mut scratch = ObsScratch::default();
-                // Run one claimed range of tiles; returns false when the
-                // worker's state is unrecoverable (remaining tiles of the
-                // range are recorded as failures) so callers stop claiming.
-                let run_range = |state: &mut Option<W>,
-                                     report: &mut ThreadReport,
-                                     scratch: &mut ObsScratch,
-                                     lo: usize,
-                                     hi: usize|
-                 -> bool {
-                    for tile in lo..hi {
-                        if state.is_none() {
-                            match catch_tile_panic(|| init(t)) {
-                                Ok(fresh) => *state = Some(fresh),
-                                Err(msg) => {
-                                    for lost in tile..hi {
-                                        report.tiles_failed += 1;
-                                        scratch.failed += 1;
-                                        record(
-                                            lost,
-                                            format!("worker state init: {msg}"),
-                                            Duration::ZERO,
-                                        );
-                                    }
-                                    return false;
-                                }
-                            }
-                        }
-                        let Some(w) = state.as_mut() else { return false };
-                        let ts_us = if trace_on { obs::now_us() } else { 0 };
-                        let start = Instant::now();
-                        if metrics_on {
-                            scratch.started += 1;
-                        }
-                        match catch_tile_panic(|| body(w, tile)) {
-                            Ok(()) => {
-                                let elapsed = start.elapsed();
-                                report.busy += elapsed;
-                                report.tiles_run += 1;
-                                if metrics_on {
-                                    scratch.completed += 1;
-                                    scratch.tile_us.record(elapsed.as_micros() as u64);
-                                }
-                                if trace_on {
-                                    obs::complete_event(
-                                        "tile",
-                                        tile as u64,
-                                        t as u64,
-                                        ts_us,
-                                        elapsed.as_micros() as u64,
-                                    );
-                                }
-                            }
-                            Err(msg) => {
-                                report.tiles_failed += 1;
-                                scratch.failed += 1;
-                                record(tile, msg, start.elapsed());
-                                // scratch may be mid-update; rebuild lazily
-                                *state = None;
-                            }
-                        }
-                    }
-                    true
-                };
-                // Unified claim loop over the shared `next_range` discipline.
-                // Static's single offline block is unmetered (there is no
-                // queue operation to measure); dynamic/guided meter every
-                // claim, including the final failed one that drains a worker.
-                let meter_claims = metrics_on && !matches!(schedule, Schedule::Static);
-                let mut static_done = false;
-                loop {
-                    let claim_start = if meter_claims { Some(Instant::now()) } else { None };
-                    let claimed =
-                        next_range(schedule, t, n_threads, n_tiles, queue, &mut static_done);
-                    if let Some(s) = claim_start {
-                        scratch.claims += 1;
-                        scratch.claim_ns.record(s.elapsed().as_nanos() as u64);
-                    }
-                    let Some((lo, hi)) = claimed else { break };
-                    if !run_range(&mut state, &mut report, &mut scratch, lo, hi) {
-                        break;
-                    }
-                }
-                if metrics_on {
-                    scratch.flush(report.busy);
-                }
-                report
-            }));
-        }
-        for (t, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(rep) => reports[t] = rep,
-                // Cannot happen (everything inside the worker is caught),
-                // but a lost worker must not take down the caller.
-                Err(payload) => record(
-                    usize::MAX,
-                    format!("worker {t} aborted: {}", payload_message(payload.as_ref())),
-                    Duration::ZERO,
-                ),
-            }
-        }
-    });
-
-    let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
-    if failures.is_empty() {
-        Ok(reports)
-    } else {
-        failures.sort_by_key(|f| f.tile);
-        Err(ExecError { failures, reports })
-    }
-}
-
 /// Load-imbalance metric over the per-thread busy times:
 /// `max(busy) / mean(busy)`; 1.0 is perfect balance.
 pub fn imbalance(reports: &[ThreadReport]) -> f64 {
@@ -446,414 +279,6 @@ pub fn imbalance(reports: &[ThreadReport]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn every_tile_runs_exactly_once_static() {
-        let n_tiles = 101;
-        let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-        let reports = run_tiles(
-            4,
-            n_tiles,
-            Schedule::Static,
-            |_| (),
-            |_, tile| {
-                counts[tile].fetch_add(1, Ordering::Relaxed);
-            },
-        )
-        .unwrap();
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i}");
-        }
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
-        // static: block sizes differ by at most 1
-        let max = reports.iter().map(|r| r.tiles_run).max().unwrap();
-        let min = reports.iter().map(|r| r.tiles_run).min().unwrap();
-        assert!(max - min <= 1);
-    }
-
-    #[test]
-    fn every_tile_runs_exactly_once_dynamic() {
-        for chunk in [1, 3, 16] {
-            let n_tiles = 97;
-            let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let reports = run_tiles(
-                3,
-                n_tiles,
-                Schedule::Dynamic { chunk },
-                |_| (),
-                |_, tile| {
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .unwrap();
-            for (i, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} chunk {chunk}");
-            }
-            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
-        }
-    }
-
-    #[test]
-    fn every_tile_runs_exactly_once_guided() {
-        for chunk in [1, 4] {
-            for n_tiles in [5usize, 97, 1000] {
-                let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-                let reports = run_tiles(
-                    3,
-                    n_tiles,
-                    Schedule::Guided { chunk },
-                    |_| (),
-                    |_, tile| {
-                        counts[tile].fetch_add(1, Ordering::Relaxed);
-                    },
-                )
-                .unwrap();
-                for (i, c) in counts.iter().enumerate() {
-                    assert_eq!(
-                        c.load(Ordering::Relaxed),
-                        1,
-                        "tile {i}, chunk {chunk}, n {n_tiles}"
-                    );
-                }
-                assert_eq!(
-                    reports.iter().map(|r| r.tiles_run).sum::<usize>(),
-                    n_tiles
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn guided_balances_skewed_work() {
-        // tile 0 is much slower; guided's shrinking tail chunks must let
-        // the other thread absorb the remaining tiles (like dynamic)
-        let reports = run_tiles(
-            2,
-            64,
-            Schedule::Guided { chunk: 1 },
-            |_| (),
-            |_, tile| {
-                let spins = if tile == 0 { 6_000_000 } else { 5_000 };
-                let mut x = 0u64;
-                for i in 0..spins {
-                    x = x.wrapping_add(i);
-                }
-                std::hint::black_box(x);
-            },
-        )
-        .unwrap();
-        let total: usize = reports.iter().map(|r| r.tiles_run).sum();
-        assert_eq!(total, 64);
-        let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
-        assert!(
-            max_tiles > 32,
-            "the unblocked thread should take more than half the tiles: {:?}",
-            reports.iter().map(|r| r.tiles_run).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn per_thread_state_is_private() {
-        // each thread pushes into its own Vec; totals must add up with no
-        // interleaving corruption
-        let total = AtomicU64::new(0);
-        run_tiles(
-            4,
-            64,
-            Schedule::Dynamic { chunk: 1 },
-            |_| Vec::<usize>::new(),
-            |state, tile| {
-                state.push(tile);
-                total.fetch_add(1, Ordering::Relaxed);
-            },
-        )
-        .unwrap();
-        assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn init_receives_thread_index() {
-        let seen: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        run_tiles(
-            3,
-            3,
-            Schedule::Static,
-            |t| {
-                seen[t].fetch_add(1, Ordering::Relaxed);
-                t
-            },
-            |_, _| {},
-        )
-        .unwrap();
-        for s in &seen {
-            assert_eq!(s.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn dynamic_balances_skewed_work() {
-        // tile 0 is 100x slower; dynamic should let the other thread take
-        // everything else. With static, thread 0 would own half the tiles
-        // *plus* the slow one.
-        let reports = run_tiles(
-            2,
-            32,
-            Schedule::Dynamic { chunk: 1 },
-            |_| (),
-            |_, tile| {
-                let spins = if tile == 0 { 4_000_000 } else { 10_000 };
-                let mut x = 0u64;
-                for i in 0..spins {
-                    x = x.wrapping_add(i);
-                }
-                std::hint::black_box(x);
-            },
-        )
-        .unwrap();
-        let min_tiles = reports.iter().map(|r| r.tiles_run).min().unwrap();
-        let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
-        assert!(
-            max_tiles > min_tiles,
-            "dynamic scheduling should shift tiles away from the slow thread \
-             (got {min_tiles} vs {max_tiles})"
-        );
-    }
-
-    #[test]
-    fn zero_tiles_is_a_noop() {
-        let reports =
-            run_tiles(4, 0, Schedule::Static, |_| (), |_, _: usize| panic!("no tiles"))
-                .unwrap();
-        assert_eq!(reports.len(), 4);
-        assert!(reports.iter().all(|r| r.tiles_run == 0));
-    }
-
-    #[test]
-    fn more_threads_than_tiles() {
-        let counts: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
-        run_tiles(
-            8,
-            2,
-            Schedule::Static,
-            |_| (),
-            |_, tile| {
-                counts[tile].fetch_add(1, Ordering::Relaxed);
-            },
-        )
-        .unwrap();
-        for c in &counts {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn every_variant_visits_each_tile_exactly_once_across_the_count_matrix() {
-        // the full coverage matrix: every schedule variant × tile counts
-        // around the thread count (1, p−1, p, 64·p) plus the
-        // more-threads-than-tiles regime
-        let p = 4usize;
-        let variants = [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided { chunk: 1 },
-            Schedule::Guided { chunk: 4 },
-        ];
-        let cases = [(p, 1usize), (p, p - 1), (p, p), (p, 64 * p), (4 * p, p / 2)];
-        for schedule in variants {
-            for (n_threads, n_tiles) in cases {
-                let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-                let reports = run_tiles(n_threads, n_tiles, schedule, |_| (), |_, tile| {
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                })
-                .unwrap();
-                assert_eq!(reports.len(), n_threads, "{schedule:?} p={n_threads} n={n_tiles}");
-                for (i, c) in counts.iter().enumerate() {
-                    assert_eq!(
-                        c.load(Ordering::Relaxed),
-                        1,
-                        "tile {i} under {schedule:?} with p={n_threads} n={n_tiles}"
-                    );
-                }
-                assert_eq!(
-                    reports.iter().map(|r| r.tiles_run).sum::<usize>(),
-                    n_tiles,
-                    "report totals under {schedule:?} with p={n_threads} n={n_tiles}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn panicking_tile_is_isolated_and_survivors_drain() {
-        // tile 13 always panics; every other tile must still run exactly
-        // once, and the process must not abort
-        for schedule in [Schedule::Dynamic { chunk: 1 }, Schedule::Static, Schedule::Guided { chunk: 1 }] {
-            let n_tiles = 40;
-            let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let err = run_tiles(
-                4,
-                n_tiles,
-                schedule,
-                |_| (),
-                |_, tile| {
-                    if tile == 13 {
-                        panic!("kernel died on tile {tile}");
-                    }
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .expect_err("tile 13 must be reported");
-            assert_eq!(err.failures.len(), 1, "{schedule:?}");
-            assert_eq!(err.failures[0].tile, 13);
-            assert!(err.failures[0].payload.contains("kernel died on tile 13"));
-            for (i, c) in counts.iter().enumerate() {
-                let want = if i == 13 { 0 } else { 1 };
-                assert_eq!(c.load(Ordering::Relaxed), want, "tile {i} under {schedule:?}");
-            }
-            assert_eq!(
-                err.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
-                n_tiles - 1,
-                "{schedule:?}"
-            );
-            assert_eq!(err.reports.iter().map(|r| r.tiles_failed).sum::<usize>(), 1);
-        }
-    }
-
-    #[test]
-    fn multiple_failures_are_sorted_by_tile() {
-        let err = run_tiles(
-            3,
-            30,
-            Schedule::Dynamic { chunk: 2 },
-            |_| (),
-            |_, tile| {
-                if tile % 7 == 0 {
-                    panic!("bad tile");
-                }
-            },
-        )
-        .expect_err("tiles 0,7,14,21,28 fail");
-        let failed: Vec<usize> = err.failures.iter().map(|f| f.tile).collect();
-        assert_eq!(failed, vec![0, 7, 14, 21, 28]);
-    }
-
-    #[test]
-    fn worker_state_is_rebuilt_after_a_failure() {
-        // state is a guard value the body corrupts before unwinding; the
-        // rebuilt state must be fresh for subsequent tiles on that worker
-        let rebuilds = AtomicU64::new(0);
-        let err = run_tiles(
-            1,
-            10,
-            Schedule::Static,
-            |_| {
-                rebuilds.fetch_add(1, Ordering::Relaxed);
-                0u64 // healthy state
-            },
-            |state, tile| {
-                assert_eq!(*state, 0, "state must never be observed corrupted");
-                if tile == 4 {
-                    *state = 99; // corrupt, then die mid-update
-                    panic!("mid-update failure");
-                }
-            },
-        )
-        .expect_err("tile 4 fails");
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(rebuilds.load(Ordering::Relaxed), 2, "init runs again after the failure");
-        assert_eq!(err.reports[0].tiles_run, 9);
-    }
-
-    #[test]
-    fn worker_state_persists_across_all_claimed_tiles() {
-        // the worker-persistent-scratch contract: on a healthy run, init
-        // runs exactly once per worker no matter how many tiles that
-        // worker claims, so state built there (accumulators, staging
-        // buffers) amortises to zero steady-state allocation
-        for schedule in Schedule::all_extended() {
-            let inits = AtomicU64::new(0);
-            let reports = run_tiles(
-                3,
-                48,
-                schedule,
-                |_| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0u64
-                },
-                |seen, _tile| *seen += 1,
-            )
-            .unwrap();
-            let active = reports.iter().filter(|r| r.tiles_run > 0).count() as u64;
-            assert_eq!(
-                inits.load(Ordering::Relaxed),
-                active,
-                "exactly one init per worker that claimed work, {schedule:?}"
-            );
-            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 48);
-        }
-    }
-
-    #[test]
-    fn failing_init_reports_the_claimed_tiles() {
-        // worker 1's init always fails: under static scheduling its whole
-        // block surfaces as failures, nothing silently vanishes
-        let err = run_tiles(
-            2,
-            10,
-            Schedule::Static,
-            |t| {
-                if t == 1 {
-                    panic!("no scratch for worker 1");
-                }
-            },
-            |_, _| {},
-        )
-        .expect_err("worker 1's block must fail");
-        let failed: Vec<usize> = err.failures.iter().map(|f| f.tile).collect();
-        assert_eq!(failed, vec![5, 6, 7, 8, 9]);
-        assert!(err.failures[0].payload.contains("worker state init"));
-        assert_eq!(err.reports[0].tiles_run, 5, "worker 0's block is unaffected");
-    }
-
-    #[test]
-    fn failing_init_under_dynamic_lets_survivors_drain() {
-        let err = run_tiles(
-            2,
-            20,
-            Schedule::Dynamic { chunk: 1 },
-            |t| {
-                if t == 1 {
-                    panic!("no scratch for worker 1");
-                }
-            },
-            // slow tiles, so worker 1 is certain to claim at least one
-            // before worker 0 drains the queue
-            |_, _| std::thread::sleep(Duration::from_millis(5)),
-        )
-        .expect_err("at least worker 1's first claim fails");
-        // worker 1 stops claiming after its failed chunk; worker 0 drains
-        // the rest, so failures + successes cover all 20 tiles exactly
-        let total =
-            err.failures.len() + err.reports.iter().map(|r| r.tiles_run).sum::<usize>();
-        assert_eq!(total, 20);
-        assert!(err.failures.len() <= 2, "only the claimed chunk is lost: {err}");
-    }
-
-    #[test]
-    fn exec_error_display_names_tiles() {
-        let err = run_tiles(2, 8, Schedule::Static, |_| (), |_, tile| {
-            if tile >= 2 {
-                panic!("boom {tile}");
-            }
-        })
-        .expect_err("six tiles fail");
-        let msg = err.to_string();
-        assert!(msg.contains("6 tile(s) failed"), "{msg}");
-        assert!(msg.contains("tile 2"), "{msg}");
-        assert!(msg.contains("and 2 more"), "{msg}");
-    }
 
     #[test]
     fn catch_tile_panic_preserves_payloads() {

@@ -24,8 +24,9 @@ use std::fmt::Debug;
 /// straight-line arithmetic with no dynamic dispatch — critical for a kernel
 /// the paper shows is sensitive to per-element instruction counts.
 pub trait Semiring: Copy + Send + Sync + 'static {
-    /// Element type flowing through the computation.
-    type T: Copy + PartialEq + Debug + Send + Sync + 'static;
+    /// Element type flowing through the computation. Ordered so fused
+    /// `select`-by-threshold stages can run on any semiring's values.
+    type T: Copy + PartialEq + PartialOrd + Debug + Send + Sync + 'static;
 
     /// Human-readable name used by the benchmark reporters.
     const NAME: &'static str;

@@ -10,6 +10,15 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo=$(pwd)
+
+# The committed results/ are regenerated only by their documented
+# commands, never by a CI smoke: checksum the tree now and require the
+# same checksum at the end.
+results_digest() {
+    find results -type f -print0 | sort -z | xargs -0 sha256sum | sha256sum
+}
+results_before=$(results_digest)
 
 echo "== dependency hermeticity =="
 # Every dependency edge must resolve to a workspace path crate. `cargo
@@ -147,18 +156,6 @@ if [ -n "$hits" ]; then
 fi
 echo "ok: accumulators and kernels are atomics-free"
 
-echo "== assembly bench smoke (legacy vs in-place) =="
-# The assembly ablation must run end-to-end at smoke scale and emit a
-# schema-valid mspgemm.bench/1 document comparing the two assembly paths.
-MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
-    cargo run --release --offline -q -p mspgemm-bench --bin assembly > /dev/null
-target/release/mspgemm check-metrics --file results/BENCH_assembly.json
-grep -q ',legacy,' results/assembly.csv || {
-    echo "FAIL: assembly.csv is missing the legacy rows" >&2; exit 1; }
-grep -q ',inplace,' results/assembly.csv || {
-    echo "FAIL: assembly.csv is missing the in-place rows" >&2; exit 1; }
-echo "ok: assembly ablation emits schema-valid BENCH_assembly.json"
-
 echo "== kernel allocation grep gate =="
 # The per-row kernels write through RowSink into preallocated slots; the
 # steady state must not allocate. Non-test kernel code therefore must not
@@ -194,12 +191,15 @@ echo "== panic-hygiene grep gate =="
 # modules (from `#[cfg(test)]` onward) and comment lines (doc examples
 # unwrap on purpose) are exempt.
 gate_fail=0
-for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
+for f in crates/sched/src/lib.rs crates/sched/src/pool.rs \
+         crates/sched/src/persistent.rs \
          crates/sched/src/submit.rs crates/sched/src/cancel.rs \
          crates/core/src/driver.rs crates/core/src/plan.rs \
          crates/core/src/executor.rs crates/core/src/service.rs \
          crates/core/src/stress.rs crates/core/src/graph.rs \
-         crates/core/src/simd.rs; do
+         crates/core/src/simd.rs crates/core/src/dot.rs \
+         crates/core/src/config.rs crates/core/src/presets.rs \
+         crates/core/src/model.rs crates/core/src/lib.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
                 /^[[:space:]]*\/\// { next }
                 /\.unwrap\(\)|\.expect\(|panic!/ { print FILENAME ":" FNR ": " $0 }' "$f")
@@ -210,7 +210,7 @@ for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
     fi
 done
 [ "$gate_fail" -eq 0 ] || exit 1
-echo "ok: pool/persistent/submit/cancel/driver/plan/executor/service/stress/graph/simd non-test code is unwrap/panic free"
+echo "ok: sched and core engine/plan/config non-test code is unwrap/panic free"
 
 echo "== fusion smoke (fused vs unfused k-truss + counters) =="
 # The ktruss subcommand runs the fused PlanGraph pipeline and the unfused
@@ -232,14 +232,21 @@ if [ "${fused_ops:-0}" -lt 1 ] || [ "${sink_elems:-0}" -lt 1 ]; then
 fi
 echo "ok: fused k-truss matches unfused (ops_fused=$fused_ops, sink_fused_elements=$sink_elems)"
 
+# The bench smokes below run from a scratch working directory: the bins
+# write results/ relative to the current directory, and a smoke-scale run
+# must never overwrite the committed BENCH files.
+bench_dir=$(mktemp -d)
+trap 'rm -rf "$obs_dir" "$bench_dir"' EXIT
+
 echo "== fusion bench smoke (fused vs unfused ablation) =="
 # The fusion ablation must run end-to-end at smoke scale and emit a
 # schema-valid mspgemm.bench/1 document with all three workload rows.
-MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
-    cargo run --release --offline -q -p mspgemm-bench --bin fusion > /dev/null
-target/release/mspgemm check-metrics --file results/BENCH_fusion.json
+(cd "$bench_dir" && MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
+    cargo run --release --offline -q --manifest-path "$repo/Cargo.toml" \
+    -p mspgemm-bench --bin fusion > /dev/null)
+target/release/mspgemm check-metrics --file "$bench_dir/results/BENCH_fusion.json"
 for w in ktruss bc-fwd single-op; do
-    grep -q "^$w," results/fusion.csv || {
+    grep -q "^$w," "$bench_dir/results/fusion.csv" || {
         echo "FAIL: fusion.csv is missing the $w rows" >&2; exit 1; }
 done
 echo "ok: fusion ablation emits schema-valid BENCH_fusion.json"
@@ -249,11 +256,12 @@ echo "== overbook bench smoke (quantile vs hard-bound ablation) =="
 # count before timing anything, so a passing smoke is also a correctness
 # pass over the planted/R-MAT/co-iteration/uniform grid. The emitted
 # document must be schema-valid and carry all four class rows.
-MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
-    cargo run --release --offline -q -p mspgemm-bench --bin overbook > /dev/null
-target/release/mspgemm check-metrics --file results/BENCH_overbook.json
+(cd "$bench_dir" && MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
+    cargo run --release --offline -q --manifest-path "$repo/Cargo.toml" \
+    -p mspgemm-bench --bin overbook > /dev/null)
+target/release/mspgemm check-metrics --file "$bench_dir/results/BENCH_overbook.json"
 for c in planted-mask social-mask coiterate-rmat uniform-bulk; do
-    grep -q "^$c," results/overbook.csv || {
+    grep -q "^$c," "$bench_dir/results/overbook.csv" || {
         echo "FAIL: overbook.csv is missing the $c rows" >&2; exit 1; }
 done
 echo "ok: overbook ablation emits schema-valid BENCH_overbook.json"
@@ -271,5 +279,13 @@ echo "== doc build (warnings are errors) =="
 # The Session/Plan/Executor surface is documented API: intra-doc links
 # and doc examples must stay valid.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
+echo "== committed results untouched =="
+if [ "$(results_digest)" != "$results_before" ]; then
+    echo "FAIL: a CI step changed files under results/:" >&2
+    git status --short -- results >&2
+    exit 1
+fi
+echo "ok: results/ is byte-identical to its state before the run"
 
 echo "CI OK"

@@ -262,8 +262,6 @@ fn usage() -> ! {
          \n\
          execution (run/tc/session):\n\
            --threads <n>       worker threads (default: all cores)\n\
-           --assembly <inplace|legacy>             output assembly (default inplace:\n\
-                               mask-bounded slots + parallel compaction)\n\
            --bands <n>         2-D tiling column bands (run only, default 1)\n\
            --reps <n>          timing repetitions (run only, default 3)\n\
            --iters <n>         planned executions (session only, default 50)\n\
@@ -299,12 +297,24 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Every `--name` some subcommand reads. Anything else is a usage error: a
+/// misspelled or retired flag must not silently run the defaults.
+const KNOWN_FLAGS: &[&str] = &[
+    "acc", "bands", "batch", "cancel", "chunk", "deadline", "drop", "file", "graph", "iter",
+    "iters", "k", "kappa", "metrics", "mtx", "overbook", "queue", "reps", "runs", "scale",
+    "schedule", "seed", "simd", "tenants", "threads", "tiles", "tiling", "trace",
+];
+
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !KNOWN_FLAGS.contains(&name) {
+                eprintln!("unknown flag --{name}");
+                usage();
+            }
             if i + 1 >= args.len() {
                 eprintln!("missing value for --{name}");
                 usage();
@@ -421,16 +431,6 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
     } else if chunk != 1 {
         // --chunk without --schedule adjusts the default dynamic schedule
         b = b.schedule(Schedule::Dynamic { chunk });
-    }
-    if let Some(a) = flags.get("assembly") {
-        b = b.assembly(match a.as_str() {
-            "inplace" => Assembly::InPlace,
-            "legacy" => Assembly::Legacy,
-            other => {
-                eprintln!("bad --assembly {other:?}");
-                usage();
-            }
-        });
     }
     // --- kernel-policy group: --acc / --iter / --kappa / --overbook / --simd ---
     let mut kernel = KernelPolicy::new();

@@ -30,7 +30,7 @@ pub mod prelude {
     pub use mspgemm_accum::{AccumulatorKind, MarkerWidth};
     pub use mspgemm_core::{
         masked_spgemm_2d, masked_spgemm_csc, masked_spgemm_dot, predict_config, preset_config,
-        run_stress, spgemm, tune, Assembly, CancelStatus, CancelToken, Config, ConfigBuilder,
+        run_stress, spgemm, tune, CancelStatus, CancelToken, Config, ConfigBuilder,
         Executor, GraphBuilder, IterationSpace, JobTicket, KernelPolicy, Operand, Overbook,
         Plan, PlanGraph, Preset, RetryPolicy, RunStats, Service, ServiceOptions, ServiceReply,
         Session, SimdMode, StressCase, StressReport, StressSpec, SubmitOptions, TunerOptions,

@@ -1,0 +1,33 @@
+//! The `mspgemm` binary's argument handling: flags no subcommand reads are
+//! usage errors (exit 2), so a misspelled or retired flag can never
+//! silently run the default configuration.
+
+use std::process::Command;
+
+fn mspgemm(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_mspgemm")).args(args).output().expect("spawn mspgemm")
+}
+
+#[test]
+fn retired_assembly_flag_is_a_usage_error() {
+    let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", "--assembly", "legacy"]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --assembly"));
+}
+
+#[test]
+fn misspelled_flag_is_a_usage_error() {
+    let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", "--acc-typo", "dense8"]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --acc-typo"));
+}
+
+#[test]
+fn tiny_valid_run_succeeds() {
+    let out = mspgemm(&[
+        "run", "--graph", "GAP-road", "--scale", "0.02", "--acc", "dense8", "--threads", "2",
+        "--reps", "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("output nnz"));
+}

@@ -58,12 +58,18 @@ fn stress_cases(a: &Arc<Csr<u64>>) -> Vec<StressCase<PlusPair>> {
             config: Config::default(),
         })
         .chain(std::iter::once(StressCase {
-            // one legacy-assembly case: batches route it down the
-            // sequential dispatch path next to multiplexed siblings
+            // one different-kernel case (dense 64-bit markers, vanilla
+            // iteration), so every batch multiplexes heterogeneous plans
             a: Arc::clone(a),
             b: Arc::clone(a),
             mask: Arc::new(frontier_mask(a, 8)),
-            config: Config::builder().assembly(Assembly::Legacy).build(),
+            config: Config::builder()
+                .kernel_policy(
+                    KernelPolicy::new()
+                        .accumulator(AccumulatorKind::Dense(MarkerWidth::W64))
+                        .iteration(IterationSpace::Vanilla),
+                )
+                .build(),
         }))
         .collect()
 }

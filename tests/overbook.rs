@@ -151,3 +151,50 @@ fn overbooked_plans_reuse_bit_identically() {
         assert!(stats.overbook_spills >= 1, "rep {rep} lost the spill path");
     }
 }
+
+/// The fused graph path honours overbooking exactly like a single
+/// product: a planted-outlier input through one product node with fused
+/// `select_ge` + `intersect` post-ops must spill — a spilled row restarts
+/// its post-op chain on a fresh sink — and stay bit-identical to the
+/// hard-bound run, with the default SIMD selection or every vector path
+/// forced.
+#[test]
+fn overbooked_graphs_spill_and_stay_bit_identical() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0b00_9a4f);
+    for case in 0..3 {
+        let a = adversarial_graph(&mut rng);
+        // drop a third of the entries so the intersect really filters
+        let pattern = a.select(|i, j, _| !(i + j as usize).is_multiple_of(3));
+        let run = |policy: KernelPolicy| {
+            let session = Session::<PlusPair>::new(cfg(policy));
+            let mut gb = session.graph();
+            let (x, p) = (gb.input(), gb.input());
+            let n = gb.product(x, x, x);
+            gb.select_ge(n, 1);
+            gb.intersect(n, p);
+            let mut g = gb.build(&[&a, &pattern]).unwrap();
+            let (mut outs, stats) = g.execute(&[&a, &pattern]).unwrap();
+            (outs.remove(0), stats)
+        };
+        for iteration in [IterationSpace::MaskAccumulate, IterationSpace::Hybrid { kappa: 1.0 }] {
+            let policy = KernelPolicy::new().iteration(iteration);
+            let (want, base) = run(policy.overbook(Overbook::Off));
+            assert_eq!(base.overbook_spills, 0, "case {case}: hard bound never spills");
+            assert!(want.nnz() > 0, "case {case}: the fused filters left nothing to compare");
+            for simd in [SimdMode::Auto, SimdMode::Force] {
+                let (got, stats) = run(policy.overbook(Overbook::p90()).simd(simd));
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}: {} + p90 + {simd:?} diverged from the hard bound",
+                    iteration.label()
+                );
+                assert!(
+                    stats.overbook_spills >= 1,
+                    "case {case}: planted outliers never spilled under {} + {simd:?}",
+                    iteration.label()
+                );
+            }
+        }
+    }
+}
