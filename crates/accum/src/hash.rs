@@ -35,16 +35,7 @@ fn bucket_of(j: Idx, hash_shift: u32, cap_mask: usize) -> usize {
 /// per slot is measurable there; the default `false` build therefore
 /// carries no counting code at all, and the driver swaps in the `true`
 /// instantiation only when metrics are armed.
-///
-/// `SIMD` selects the AVX2 group-probe instantiation: eight slots are
-/// compared per step instead of one, with results identical to the scalar
-/// probe (same slot, same found/stale verdict, same inspected-slot count).
-/// It is a request, not a promise — the constructor re-checks the CPU at
-/// runtime and quietly falls back to the scalar loop when AVX2 is absent
-/// or the marker is not 32-bit, so a `SIMD = true` instantiation is always
-/// safe to build.
-pub struct HashAccumulator<S: Semiring, M: Marker, const METER: bool = false, const SIMD: bool = false>
-{
+pub struct HashAccumulator<S: Semiring, M: Marker, const METER: bool = false> {
     keys: Vec<Idx>,
     vals: Vec<S::T>,
     marks: Vec<M>,
@@ -64,23 +55,11 @@ pub struct HashAccumulator<S: Semiring, M: Marker, const METER: bool = false, co
     inserted: usize,
     /// Latched when an insert was refused this row (see `limit`).
     overflowed: bool,
-    /// Runtime half of the `SIMD` request: true only when AVX2 was
-    /// actually detected on this CPU.
-    simd_ok: bool,
     /// Plain (non-atomic) observability scratch, only ever touched by the
     /// `METER = true` instantiation and folded into the global registry by
     /// [`Accumulator::flush_metrics`]; never atomic traffic. Boxed so the
     /// unmetered accumulator stays as small as the uninstrumented one.
     scratch: Box<ObsScratch>,
-}
-
-/// Cached one-shot AVX2 detection (the probe itself must stay branch-lean,
-/// so instances snapshot this into a plain bool at construction).
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// Instance-local observability scratch for [`HashAccumulator`].
@@ -94,9 +73,7 @@ struct ObsScratch {
     unflushed_resets: u64,
 }
 
-impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
-    HashAccumulator<S, M, METER, SIMD>
-{
+impl<S: Semiring, M: Marker, const METER: bool> HashAccumulator<S, M, METER> {
     /// Create an accumulator able to hold `max_row_entries` distinct
     /// columns per row. Capacity is the next power of two at ≤ 50 % load;
     /// a row that tries to claim more distinct columns than requested
@@ -122,17 +99,13 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
     /// that branch into a per-probe coin flip, and on miss-heavy masked
     /// workloads the misprediction tax can triple the probe cost — wiping
     /// out the cache-residency win overbooking exists for. Extra slack
-    /// (8× in the driver) keeps the overbooked table's load factor in the
-    /// same near-empty regime while remaining orders of magnitude smaller
-    /// than the max-bound table. The spill threshold is unaffected: it is
-    /// the entry `limit`, not the table capacity.
+    /// (the driver's `hash_slack`, up to 32×) keeps the overbooked table's
+    /// load factor in the same near-empty regime while remaining orders of
+    /// magnitude smaller than the max-bound table. The spill threshold is
+    /// unaffected: it is the entry `limit`, not the table capacity.
     pub fn with_row_capacity_slack(max_row_entries: usize, slack: usize) -> Self {
         let limit = max_row_entries.max(1);
         let cap = (limit * slack.max(2)).next_power_of_two();
-        #[cfg(target_arch = "x86_64")]
-        let simd_ok = SIMD && std::mem::size_of::<M>() == 4 && avx2_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd_ok = false;
         HashAccumulator {
             keys: vec![0; cap],
             vals: vec![S::zero(); cap],
@@ -144,7 +117,6 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
             limit,
             inserted: 0,
             overflowed: false,
-            simd_ok,
             scratch: Box::default(),
         }
     }
@@ -177,35 +149,6 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
         let fresh_mask = M::from_epoch(self.cur);
         let fresh_written = M::from_epoch(self.cur + 1);
         let mut s = bucket_of(j, self.hash_shift, self.cap_mask);
-        #[cfg(target_arch = "x86_64")]
-        if SIMD && std::mem::size_of::<M>() == 4 && self.simd_ok {
-            // Walk the first group of slots inline: at ≤ 50 % load almost
-            // every probe terminates within a handful of slots, and the
-            // vector path's per-call overhead (broadcast setup behind a
-            // non-inlinable `target_feature` call) would dominate those
-            // short probes. Only a chain that outlives a full group — a
-            // genuinely clustered pathology, the case group-scanning is
-            // for — takes the AVX2 tail.
-            let mut steps = 0u64;
-            for _ in 0..8 {
-                if METER || cfg!(debug_assertions) {
-                    steps += 1;
-                }
-                let mark = self.marks[s];
-                if mark == fresh_mask || mark == fresh_written {
-                    if self.keys[s] == j {
-                        return (s, true, steps);
-                    }
-                } else {
-                    return (s, false, steps);
-                }
-                s = (s + 1) & self.cap_mask;
-            }
-            // SAFETY: `simd_ok` is only set when AVX2 was detected at
-            // runtime (and the marker is 32-bit, which the group loads
-            // rely on).
-            return unsafe { self.probe_avx2(j, s, steps) };
-        }
         let mut steps = 0u64;
         loop {
             if METER || cfg!(debug_assertions) {
@@ -241,89 +184,6 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
         }
     }
 
-    /// AVX2 group probe over the collision chain starting at `start`
-    /// (the slot after the chain prefix the caller already inspected
-    /// inline; `steps_base` is that prefix's inspected-slot count):
-    /// inspects eight slots per step. Lane order within a group is probe
-    /// order, so "first stop lane" reproduces the scalar probe's exit
-    /// exactly — same slot, same verdict, and the same inspected-slot
-    /// count (a full group only advances when all eight lanes are fresh
-    /// non-matches, i.e. exactly when the scalar loop would also walk all
-    /// eight).
-    ///
-    /// # Safety
-    /// Caller must guarantee AVX2 is available and `size_of::<M>() == 4`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn probe_avx2(&self, j: Idx, start: usize, steps_base: u64) -> (usize, bool, u64) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(std::mem::size_of::<M>(), 4);
-        let fresh_mask: u32 = std::mem::transmute_copy(&M::from_epoch(self.cur));
-        let fresh_written: u32 = std::mem::transmute_copy(&M::from_epoch(self.cur + 1));
-        let cap = self.keys.len();
-        let keys = self.keys.as_ptr();
-        let marks = self.marks.as_ptr() as *const u32;
-        let vj = _mm256_set1_epi32(j as i32);
-        let vm = _mm256_set1_epi32(fresh_mask as i32);
-        let vw = _mm256_set1_epi32(fresh_written as i32);
-        let ones = _mm256_set1_epi32(-1);
-        let mut s = start;
-        let mut steps = steps_base;
-        loop {
-            if METER || cfg!(debug_assertions) {
-                debug_assert!(
-                    steps as usize <= cap,
-                    "hash accumulator overfilled: capacity {cap} too small for this row"
-                );
-            }
-            if s + 8 <= cap {
-                let k = _mm256_loadu_si256(keys.add(s) as *const __m256i);
-                let m = _mm256_loadu_si256(marks.add(s) as *const __m256i);
-                let fresh =
-                    _mm256_or_si256(_mm256_cmpeq_epi32(m, vm), _mm256_cmpeq_epi32(m, vw));
-                let eq = _mm256_and_si256(_mm256_cmpeq_epi32(k, vj), fresh);
-                // stop at the first stale lane (insertion point) or fresh
-                // key match — the scalar probe's exit condition
-                let stale = _mm256_andnot_si256(fresh, ones);
-                let stop =
-                    _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_or_si256(eq, stale))) as u32;
-                if stop != 0 {
-                    let lane = stop.trailing_zeros() as usize;
-                    let hit =
-                        (_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32 >> lane) & 1 == 1;
-                    if METER || cfg!(debug_assertions) {
-                        steps += lane as u64 + 1;
-                    }
-                    return (s + lane, hit, steps);
-                }
-                if METER || cfg!(debug_assertions) {
-                    steps += 8;
-                }
-                s += 8;
-                if s == cap {
-                    s = 0;
-                }
-            } else {
-                // fewer than eight slots to the wrap point: single-step
-                if METER || cfg!(debug_assertions) {
-                    steps += 1;
-                }
-                let mark = *marks.add(s);
-                if mark == fresh_mask || mark == fresh_written {
-                    if *keys.add(s) == j {
-                        return (s, true, steps);
-                    }
-                } else {
-                    return (s, false, steps);
-                }
-                s += 1;
-                if s == cap {
-                    s = 0;
-                }
-            }
-        }
-    }
-
     /// Probe and, when metrics are armed, note the probe length in the
     /// instance-local scratch.
     #[inline(always)]
@@ -338,9 +198,7 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
     }
 }
 
-impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool> Accumulator<S>
-    for HashAccumulator<S, M, METER, SIMD>
-{
+impl<S: Semiring, M: Marker, const METER: bool> Accumulator<S> for HashAccumulator<S, M, METER> {
     #[inline]
     fn begin_row(&mut self) {
         failpoint::maybe_fire(failpoint::ACCUM_RESET, self.cur);
@@ -725,58 +583,5 @@ mod tests {
         assert!(!acc.accumulate_masked(30, 1.0, 1.0));
         assert!(acc.accumulate_masked(10, 1.0, 1.0));
         assert!(acc.take_overflow());
-    }
-
-    #[test]
-    fn simd_probe_matches_scalar() {
-        // Drive the scalar and SIMD instantiations through an identical
-        // collision-heavy workload and require identical observable state.
-        // On CPUs without AVX2 the SIMD instantiation falls back to the
-        // scalar loop, so the test stays meaningful (if trivial) there.
-        fn run<const SIMD: bool>() -> (Vec<Option<f64>>, u64) {
-            let mut acc: HashAccumulator<PlusTimes, u32, true, SIMD> =
-                HashAccumulator::with_row_capacity(64); // cap 128
-            let mut out = Vec::new();
-            for row in 0..5u64 {
-                acc.begin_row();
-                // clustered keys force long probe chains; stride 128
-                // aliases buckets in a 128-slot table
-                for i in 0..48u32 {
-                    acc.set_mask(i % 6 + (i / 6) * 128 + row as u32);
-                }
-                for i in 0..96u32 {
-                    let j = i % 8 + (i / 8) * 128 + row as u32;
-                    acc.accumulate_masked(j, (i + 1) as f64, 0.5);
-                }
-                for i in 0..64u32 {
-                    acc.accumulate_any(i % 10 + (i / 10) * 64 + row as u32, 1.0, 2.0);
-                }
-                for j in 0..1024u32 {
-                    out.push(acc.written(j));
-                }
-            }
-            (out, acc.scratch.probe_steps)
-        }
-        let (scalar, scalar_steps) = run::<false>();
-        let (simd, simd_steps) = run::<true>();
-        assert_eq!(scalar, simd);
-        // the group probe must inspect exactly the slots the scalar one does
-        assert_eq!(scalar_steps, simd_steps);
-    }
-
-    #[test]
-    fn simd_probe_handles_wrap_and_tail() {
-        // tiny table: every group load straddles the wrap point, forcing
-        // the scalar tail path; keys collide into one cluster
-        fn run<const SIMD: bool>() -> Vec<Option<f64>> {
-            let mut acc: HashAccumulator<PlusTimes, u32, false, SIMD> =
-                HashAccumulator::with_row_capacity(2); // cap 4
-            acc.begin_row();
-            for j in [0u32, 4, 8] {
-                acc.accumulate_any(j, j as f64 + 1.0, 1.0);
-            }
-            (0..16u32).map(|j| acc.written(j)).collect()
-        }
-        assert_eq!(run::<false>(), run::<true>());
     }
 }

@@ -99,24 +99,6 @@ fn bench_kappa_extremes(c: &mut Micro) {
     group.finish();
 }
 
-fn bench_2d_tiling(c: &mut Micro) {
-    // com-Orkut: the widest working set of the suite — where column
-    // banding has a chance to pay (see driver2d's module docs)
-    let a = graph("com-Orkut");
-    let mut group = c.benchmark_group("tiling_2d");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(1000));
-    let cfg = Config::builder().n_tiles(256).build();
-    for bands in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("col_bands", bands), &a, |b, a| {
-            b.iter(|| mspgemm_core::masked_spgemm_2d::<PlusPair>(a, a, a, &cfg, bands).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_sort_accumulator_outsider(c: &mut Micro) {
     // why the paper's sweep is dense/hash only: the sort accumulator on a
     // short-row graph (its best case) vs the same graph on hash
@@ -199,7 +181,6 @@ micro_group!(
     bench_fused_vs_two_step,
     bench_reset_policy,
     bench_kappa_extremes,
-    bench_2d_tiling,
     bench_sort_accumulator_outsider,
     bench_reordering,
     bench_dot_vs_saxpy

@@ -1,5 +1,4 @@
-//! Overbooked-accumulator + SIMD-probe ablation (the `KernelPolicy`
-//! overbook/simd axes).
+//! Overbooked-accumulator ablation (the `KernelPolicy` overbook axis).
 //!
 //! Overbooking sizes the worker-persistent hash accumulator at a quantile
 //! of the per-row mask bounds instead of the max. The overflow latch then
@@ -25,8 +24,7 @@
 //!   cuts into the tail but the tail is not as fat.
 //! * `coiterate-rmat` — the co-iteration iteration space on the R-MAT
 //!   mask: fat mask rows make the kernel's `w · log` searches expensive;
-//!   the spill path flips them to `products · log w`, and `SimdMode::Auto`
-//!   vectorises the binary search both take.
+//!   the spill path flips them to `products · log w`.
 //! * `uniform-bulk` — constant-degree circulant for mask and operands:
 //!   every quantile equals the max, overbooking is a structural no-op,
 //!   and the run must sit at 1.0x within noise (it shares the code path,
@@ -38,13 +36,13 @@
 //! planted: a symmetric planted graph smears each fat row's edges back
 //! over the bulk, coupling the populations the bench needs separated.
 //!
-//! Baseline: hard bound + scalar kernels. Treatment: quantile overbook +
-//! SIMD auto. Run: `cargo run --release -p mspgemm-bench --bin overbook`
+//! Baseline: hard bound. Treatment: quantile overbook. The two arms differ
+//! in nothing else. Run: `cargo run --release -p mspgemm-bench --bin overbook`
 //!
 //! Emits `results/overbook.csv` (+ the `BENCH_overbook.json` twin).
 
 use mspgemm_bench::{write_csv, HarnessOptions};
-use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy, Overbook, SimdMode};
+use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy, Overbook};
 use mspgemm_gen::outlier::{planted_outliers, uniform_bulk, OutlierParams};
 use mspgemm_gen::rmat::{rmat, RmatParams};
 use mspgemm_sched::{Schedule, TilingStrategy};
@@ -144,18 +142,15 @@ fn main() {
         ("uniform-bulk", mask_acc, Overbook::p90(), &circulant, &circulant),
     ];
 
-    println!("Overbooking + SIMD: hard-bound scalar baseline vs quantile overbook + SIMD auto");
+    println!("Overbooking: hard-bound baseline vs quantile overbook");
     println!(
         "{:<15} {:>7} {:>14} {:>14} {:>8} {:>7}",
         "class", "tiles", "baseline (ms)", "overbook (ms)", "speedup", "spills"
     );
     let mut rows = Vec::new();
     for (name, iteration, quantile, a, mask) in classes {
-        let baseline_kernel = KernelPolicy::new()
-            .iteration(iteration)
-            .overbook(Overbook::Off)
-            .simd(SimdMode::Scalar);
-        let treated_kernel = baseline_kernel.overbook(quantile).simd(SimdMode::Auto);
+        let baseline_kernel = KernelPolicy::new().iteration(iteration).overbook(Overbook::Off);
+        let treated_kernel = baseline_kernel.overbook(quantile);
         for &n_tiles in &TILE_COUNTS {
             let base_cfg = config(opts.threads, n_tiles, baseline_kernel);
             let over_cfg = config(opts.threads, n_tiles, treated_kernel);

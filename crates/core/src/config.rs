@@ -103,51 +103,9 @@ impl Overbook {
     }
 }
 
-/// SIMD lane-width selection for the hot probe/search loops (the hash
-/// accumulator probe and the co-iteration binary search).
-///
-/// Both variants are bit-identical — the vector paths reproduce the scalar
-/// loops' results exactly — so this is purely a performance axis.
-///
-/// Marked `#[non_exhaustive]`: downstream `match`es need a wildcard arm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SimdMode {
-    /// Let the plan pick the profitable vector paths (runtime detection,
-    /// AVX2 on x86-64): the co-iteration binary search vectorises, while
-    /// the hash probe stays scalar — slack-sized tables keep probe chains
-    /// inside the scalar fast path, where the group probe only adds setup
-    /// cost (see `HashAccumulator::with_row_capacity_slack`).
-    Auto,
-    /// Force the portable scalar loops (baseline for A/B benching).
-    Scalar,
-    /// Engage every vector instantiation the CPU supports, including the
-    /// AVX2 group probe in the hash accumulator. Bit-identical to the
-    /// scalar loops; useful for probing adversarial tables (long collision
-    /// chains) and for exercising the vector paths in tests.
-    Force,
-}
-
-impl Default for SimdMode {
-    fn default() -> Self {
-        SimdMode::Auto
-    }
-}
-
-impl SimdMode {
-    /// Label used in benchmark reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SimdMode::Auto => "simd-auto",
-            SimdMode::Scalar => "scalar",
-            SimdMode::Force => "simd-force",
-        }
-    }
-}
-
 /// The per-row kernel policy: every knob that decides how one output row
-/// is computed, in one value — accumulator family/width, iteration space,
-/// scratch overbooking, and SIMD selection.
+/// is computed, in one value — accumulator family/width, iteration space
+/// and scratch overbooking.
 ///
 /// Built fluently from the recommended defaults:
 ///
@@ -169,20 +127,16 @@ pub struct KernelPolicy {
     pub iteration: IterationSpace,
     /// Accumulator scratch sizing (off = the paper's hard bound).
     pub overbook: Overbook,
-    /// SIMD lane selection for the hot probe/search loops.
-    pub simd: SimdMode,
 }
 
 impl Default for KernelPolicy {
     /// The paper's recommended kernel point: hash accumulator with 32-bit
-    /// markers (§V-C), hybrid iteration at κ = 1 (§V-B), no overbooking,
-    /// SIMD auto-detected.
+    /// markers (§V-C), hybrid iteration at κ = 1 (§V-B), no overbooking.
     fn default() -> Self {
         KernelPolicy {
             accumulator: AccumulatorKind::Hash(MarkerWidth::W32),
             iteration: IterationSpace::Hybrid { kappa: 1.0 },
             overbook: Overbook::Off,
-            simd: SimdMode::Auto,
         }
     }
 }
@@ -218,22 +172,12 @@ impl KernelPolicy {
         self
     }
 
-    /// Set the SIMD selection mode.
-    pub fn simd(mut self, simd: SimdMode) -> Self {
-        self.simd = simd;
-        self
-    }
-
-    /// Label used in reports: `hash32/hybrid(k=1)`, with `/ob(..)` and/or
-    /// `/scalar` appended only when those axes deviate from the defaults —
-    /// historical labels stay stable.
+    /// Label used in reports: `hash32/hybrid(k=1)`, with `/ob(..)` appended
+    /// only when overbooking is on — historical labels stay stable.
     pub fn label(&self) -> String {
         let mut l = format!("{}/{}", self.accumulator.label(), self.iteration.label());
         if !matches!(self.overbook, Overbook::Off) {
             l = format!("{l}/{}", self.overbook.label());
-        }
-        if self.simd != SimdMode::Auto {
-            l = format!("{l}/{}", self.simd.label());
         }
         l
     }
@@ -257,7 +201,7 @@ pub struct Config {
     /// Static vs dynamic tile scheduling.
     pub schedule: Schedule,
     /// Per-row kernel policy: accumulator family/width, iteration space,
-    /// scratch overbooking, SIMD selection (§III-B/C, Fig. 13/14).
+    /// scratch overbooking (§III-B/C, Fig. 13/14).
     pub kernel: KernelPolicy,
 }
 
@@ -330,7 +274,7 @@ impl ConfigBuilder {
     }
 
     /// Set the whole per-row kernel policy — accumulator, iteration space,
-    /// overbooking, SIMD — in one value.
+    /// overbooking — in one value.
     pub fn kernel_policy(mut self, kernel: KernelPolicy) -> Self {
         self.cfg.kernel = kernel;
         self
@@ -376,8 +320,8 @@ impl Config {
     }
 
     /// Compact label for reports: `balanced/dynamic/2048/hash32/hybrid(k=1)`.
-    /// The kernel policy's overbook/SIMD axes are appended only when they
-    /// deviate from the defaults, so historical labels stay stable.
+    /// The kernel policy's overbook axis is appended only when it deviates
+    /// from the default, so historical labels stay stable.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}",
@@ -402,7 +346,6 @@ mod tests {
         assert!(matches!(c.kernel.iteration, IterationSpace::Hybrid { kappa } if kappa == 1.0));
         assert_eq!(c.kernel.accumulator, AccumulatorKind::Hash(MarkerWidth::W32));
         assert_eq!(c.kernel.overbook, Overbook::Off, "overbooking is opt-in");
-        assert_eq!(c.kernel.simd, SimdMode::Auto);
     }
 
     #[test]
@@ -430,8 +373,7 @@ mod tests {
                 KernelPolicy::new()
                     .accumulator(AccumulatorKind::Sort)
                     .iteration(IterationSpace::CoIterate)
-                    .overbook(Overbook::p90())
-                    .simd(SimdMode::Scalar),
+                    .overbook(Overbook::p90()),
             )
             .build();
         assert_eq!(cfg.n_threads, 3);
@@ -441,7 +383,6 @@ mod tests {
         assert_eq!(cfg.kernel.accumulator, AccumulatorKind::Sort);
         assert_eq!(cfg.kernel.iteration, IterationSpace::CoIterate);
         assert_eq!(cfg.kernel.overbook, Overbook::Quantile { q: 0.90 });
-        assert_eq!(cfg.kernel.simd, SimdMode::Scalar);
     }
 
     #[test]
@@ -464,8 +405,8 @@ mod tests {
     #[test]
     fn kernel_policy_label_appends_only_non_defaults() {
         assert_eq!(KernelPolicy::new().label(), "hash32/hybrid(k=1)");
-        let k = KernelPolicy::new().overbook(Overbook::p99()).simd(SimdMode::Scalar);
-        assert_eq!(k.label(), "hash32/hybrid(k=1)/ob(p99)/scalar");
+        let k = KernelPolicy::new().overbook(Overbook::p99());
+        assert_eq!(k.label(), "hash32/hybrid(k=1)/ob(p99)");
         assert_eq!(Overbook::p90().label(), "ob(p90)");
         assert_eq!(Overbook::Off.label(), "off");
     }

@@ -404,7 +404,7 @@ impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
 }
 
 /// The one accumulator dispatch: monomorphise on the accumulator family ×
-/// marker width × SIMD probe — and on the metering flag: armed runs use
+/// marker width — and on the metering flag: armed runs use
 /// the counting (`METER = true`) accumulator instantiations, unarmed runs
 /// compile to instantiations whose hot loops are instruction-identical to
 /// the uninstrumented baseline. Arming is checked once per run, never per
@@ -451,16 +451,6 @@ fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
         }),
         AccumulatorKind::Hash(MarkerWidth::W16) => v.with(move |cap| {
             HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-        }),
-        // The 8-lane probe wants 32-bit keys *and* marks, so W32 is the
-        // only width with a vector instantiation. Only `SimdMode::Force`
-        // resolves `simd_probe` on: slack-sized tables keep chains inside
-        // the scalar fast path, so Auto keeps the scalar probe.
-        AccumulatorKind::Hash(MarkerWidth::W32) if core.simd_probe => v.with(move |cap| {
-            HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(
-                cap,
-                hash_slack(cap, full),
-            )
         }),
         AccumulatorKind::Hash(MarkerWidth::W32) => v.with(move |cap| {
             HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
@@ -512,7 +502,6 @@ fn cached<T: Any + Send>(
 #[derive(Clone, Copy)]
 struct Knobs {
     iteration: IterationSpace,
-    simd: bool,
     /// Rows wider than this may overflow the worker table and spill.
     overbook: usize,
 }
@@ -553,7 +542,6 @@ fn run_tile<S, A, F>(
     let (acc, spill) = (&mut pair.0, &mut pair.1);
     let knobs = Knobs {
         iteration: core.config.kernel.iteration,
-        simd: core.simd,
         overbook: core.overbook_row_entries,
     };
     // earlier nodes' windows, read by chained successors (a lone product
@@ -798,7 +786,7 @@ where
     R: RowRead<S::T> + ?Sized,
     G: Fn() -> A,
 {
-    let Knobs { iteration, simd, overbook } = knobs;
+    let Knobs { iteration, overbook } = knobs;
     let mut hstats = HybridStats::armed();
     let (mut tile_nnz, mut spills, mut fused) = (0u64, 0u64, 0u64);
     // The mask-preloading kernels are guaranteed to overflow a table
@@ -819,7 +807,7 @@ where
         let mut n = 0usize;
         if !spilled {
             let acc = &mut *acc;
-            let mut row = Kernel { iteration, simd, a, b, mask_cols, acc, hstats: &mut hstats };
+            let mut row = Kernel { iteration, a, b, mask_cols, acc, hstats: &mut hstats };
             n = emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row);
             // the latch *is* the overflow detector: a row that outgrew the
             // overbooked table dropped entries above — redo it below
@@ -832,12 +820,12 @@ where
                 // the hard (operation-count) bound can hold the row
                 let full = spill.full.get_or_insert_with(make_full);
                 let hstats = &mut hstats;
-                let mut row = Kernel { iteration, simd, a, b, mask_cols, acc: full, hstats };
+                let mut row = Kernel { iteration, a, b, mask_cols, acc: full, hstats };
                 emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
             } else {
                 // mask-bound spaces: recompute through the mask-indexed
                 // dense scratch — no hard-bound table, no O(w) preload
-                let mut row = SpillRow { spill: &mut *spill, a, b, mask_cols, simd };
+                let mut row = SpillRow { spill: &mut *spill, a, b, mask_cols };
                 emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
             };
             spills += 1;
@@ -865,7 +853,6 @@ trait EmitRow<T> {
 /// The configured kernel over an accumulator.
 struct Kernel<'k, S: Semiring, A, R: ?Sized> {
     iteration: IterationSpace,
-    simd: bool,
     a: &'k R,
     b: &'k Csr<S::T>,
     mask_cols: &'k [Idx],
@@ -884,7 +871,6 @@ where
         run_row::<S, A, R, W>(
             i,
             self.iteration,
-            self.simd,
             self.a,
             self.b,
             self.mask_cols,
@@ -901,7 +887,6 @@ struct SpillRow<'k, S: Semiring, A, R: ?Sized> {
     a: &'k R,
     b: &'k Csr<S::T>,
     mask_cols: &'k [Idx],
-    simd: bool,
 }
 
 impl<S, A, R> EmitRow<S::T> for SpillRow<'_, S, A, R>
@@ -910,7 +895,7 @@ where
     R: RowRead<S::T> + ?Sized,
 {
     fn emit<W: RowSink<S::T> + ?Sized>(&mut self, i: usize, out: &mut W) {
-        self.spill.recompute(i, self.a, self.b, self.mask_cols, self.simd, out);
+        self.spill.recompute(i, self.a, self.b, self.mask_cols, out);
     }
 }
 
@@ -948,7 +933,6 @@ fn emit<T: Copy + PartialOrd, E: EmitRow<T>, const FUSED: bool>(
 fn run_row<S, A, R, W>(
     i: usize,
     iteration: IterationSpace,
-    simd: bool,
     a: &R,
     b: &Csr<S::T>,
     mask_cols: &[Idx],
@@ -971,9 +955,9 @@ fn run_row<S, A, R, W>(
     match iteration {
         IterationSpace::Vanilla => row_vanilla(i, a, b, mask_cols, acc, out),
         IterationSpace::MaskAccumulate => row_mask_accumulate(i, a, b, mask_cols, acc, out),
-        IterationSpace::CoIterate => row_coiterate(i, a, b, mask_cols, simd, acc, out),
+        IterationSpace::CoIterate => row_coiterate(i, a, b, mask_cols, acc, out),
         IterationSpace::Hybrid { kappa } => {
-            row_hybrid(i, a, b, mask_cols, kappa, simd, acc, out);
+            row_hybrid(i, a, b, mask_cols, kappa, acc, out);
             // replay the Eq. 3 decisions (pure function of the same
             // inputs) so the kernel itself stays uninstrumented
             if hstats.on {
@@ -991,8 +975,8 @@ fn run_row<S, A, R, W>(
 /// row does not need a hash table at the hard bound at all: it needs one
 /// value slot per *mask position*. The recompute walks the row's products
 /// in the same `(k, B[k,:])` order as the kernels, binary-searches each
-/// product column in the sorted mask row ([`crate::simd::find`] — the same
-/// search the co-iteration kernel uses), and folds into a mask-indexed
+/// product column in the sorted mask row (the same search the
+/// co-iteration kernel uses), and folds into a mask-indexed
 /// dense scratch. Per-column folds still arrive in ascending-`k` order, so
 /// the result is bit-identical to what a hard-bound hash run writes — while
 /// skipping the `O(w)` preload and `O(w)` gather probes that make fat rows
@@ -1025,7 +1009,6 @@ impl<S: Semiring, A> OverbookSpill<S, A> {
         a: &R,
         b: &Csr<S::T>,
         mask_cols: &[Idx],
-        simd: bool,
         out: &mut W,
     ) {
         let w = mask_cols.len();
@@ -1045,7 +1028,7 @@ impl<S: Semiring, A> OverbookSpill<S, A> {
         for (&k, &av) in acols.iter().zip(avals) {
             let (bcols, bvals) = b.row(k as usize);
             for (&j, &bv) in bcols.iter().zip(bvals) {
-                if let Some(pos) = crate::simd::find(mask_cols, j, simd) {
+                if let Ok(pos) = mask_cols.binary_search(&j) {
                     if self.mark[pos] == e {
                         self.vals[pos] = S::fma(self.vals[pos], av, bv);
                     } else {
@@ -1120,7 +1103,7 @@ fn settle<S: Semiring>(
         // The retry deliberately does NOT re-fire `tile-kernel`: the
         // degraded path is the recovery path, exercised on its own via the
         // `accum-reset` site. It is also deliberately the conservative
-        // *scalar* configuration — no SIMD, no overbooking.
+        // configuration — vanilla over a dense table, no overbooking.
         let slots = &mut job.scratch.slots;
         match catch_tile_panic(|| retry_tile::<S>(core, job.inputs, slots, tile_idx)) {
             Ok(()) => {
@@ -1177,7 +1160,7 @@ fn retry_tile<S: Semiring>(
     tile_idx: usize,
 ) {
     let tile = core.tiles[tile_idx];
-    let knobs = Knobs { iteration: IterationSpace::Vanilla, simd: false, overbook: usize::MAX };
+    let knobs = Knobs { iteration: IterationSpace::Vanilla, overbook: usize::MAX };
     let mut acc = DenseAccumulator::<S, u64>::new(core.max_ncols);
     let mut spill = OverbookSpill::<S, DenseAccumulator<S, u64>>::new();
     let make_full = || DenseAccumulator::<S, u64>::new(core.max_ncols);
@@ -1414,7 +1397,7 @@ fn note_overbook_savings<S: Semiring>(core: &GraphCore<S::T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelPolicy, Overbook, SimdMode};
+    use crate::config::{KernelPolicy, Overbook};
     use mspgemm_sched::TilingStrategy;
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
@@ -1648,24 +1631,6 @@ mod tests {
                 // the fat mask row cannot fit the p90 table: guaranteed spill
                 assert!(stats.overbook_spills >= 1, "expected a spill ({})", it.label());
             }
-        }
-    }
-
-    #[test]
-    fn simd_and_scalar_runs_are_bit_identical() {
-        let a = lcg_matrix(60, 60, 6, 41);
-        let mask = lcg_matrix(60, 60, 8, 43);
-        for it in [IterationSpace::CoIterate, IterationSpace::Hybrid { kappa: 1.0 }] {
-            let mk = |simd| {
-                Config::builder()
-                    .n_threads(2)
-                    .n_tiles(4)
-                    .kernel_policy(KernelPolicy::new().iteration(it).simd(simd))
-                    .build()
-            };
-            let (auto_c, _) = spgemm::<PlusTimes>(&a, &a, &mask, &mk(SimdMode::Auto)).unwrap();
-            let (scalar_c, _) = spgemm::<PlusTimes>(&a, &a, &mask, &mk(SimdMode::Scalar)).unwrap();
-            assert_eq!(auto_c, scalar_c, "{}", it.label());
         }
     }
 

@@ -32,9 +32,9 @@
 //!
 //! A graph runs on the same tile engine as every other caller
 //! ([`crate::driver`]) — a single-product [`crate::Plan`] *is* a one-node
-//! graph — so it honours the whole kernel policy, overbooking and
-//! `SimdMode::Force` included, and shares its fault model: a panicking
-//! tile loses only its own chain, and the degraded serial retry recomputes
+//! graph — so it honours the whole kernel policy, overbooking included,
+//! and shares its fault model: a panicking tile loses only its own chain,
+//! and the degraded serial retry recomputes
 //! **every node of that tile in order** (vanilla kernel + dense `u64`
 //! accumulator), so a retried node's successors are rebuilt from its
 //! recovered output and can never observe a poisoned intermediate. All
@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::{Config, IterationSpace, Overbook, SimdMode};
+use crate::config::{Config, IterationSpace, Overbook};
 use crate::driver::{run_job, Job, JobResult, RunStats};
 use crate::executor::{Executor, ExecutorShared};
 use crate::plan::{structure_hash, Pin, PlanScratch};
@@ -301,16 +301,45 @@ pub(crate) fn single_product<T: Copy + Sync>(
     b: &Csr<T>,
     mask: &Csr<T>,
 ) -> Result<GraphCore<T>, SparseError> {
-    let node =
-        NodeDecl { a: OperandRef::Ext(0), b: 1, mask: 2, post: Vec::new(), output: true };
-    freeze(*config, vec![node], &[a, b, mask])
+    freeze(*config, vec![single_product_node()], &[a, b, mask])
+}
+
+/// The lone product `[A, B, M] → C` as a graph node.
+fn single_product_node<T>() -> NodeDecl<T> {
+    NodeDecl { a: OperandRef::Ext(0), b: 1, mask: 2, post: Vec::new(), output: true }
+}
+
+/// The fingerprint pins of a lone product's `[A, B, M]` under `config` —
+/// what the service hashes before it looks up a cached plan.
+pub(crate) fn single_product_pins(config: &Config) -> Vec<Pin> {
+    input_pins::<()>(config, &[single_product_node()], 3)
+}
+
+/// Fingerprint pins: exactly the structure the frozen artifacts were
+/// computed from (see `crate::plan`, "What the fingerprint covers").
+fn input_pins<T>(config: &Config, nodes: &[NodeDecl<T>], n_inputs: usize) -> Vec<Pin> {
+    let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
+    let mut pins = vec![Pin::Dims; n_inputs];
+    for node in nodes {
+        // the mask's row pointers feed the slot layout: always pinned
+        pins[node.mask] = pins[node.mask].max(Pin::Rows);
+        if let (true, OperandRef::Ext(e)) = (vanilla, node.a) {
+            // Eq. 2 walked A's columns into B's row lengths and the
+            // estimate froze the accumulator bound
+            pins[e] = pins[e].max(Pin::RowsAndCols);
+            pins[node.b] = pins[node.b].max(Pin::Rows);
+        }
+        // intersect/subtract patterns are read fresh at run time; only
+        // their shape is load-bearing (Pin::Dims covers it)
+    }
+    pins
 }
 
 /// The symbolic prologue every caller shares: shape validation, Eq. 2
 /// work estimation, one FLOP-balanced row partition for all nodes (their
 /// summed estimates), the accumulator bounds (hard and overbooked), every
-/// node's mask-bound slot layout, the SIMD resolution, and the per-input
-/// fingerprint pins. None of it depends on the inputs' *values*.
+/// node's mask-bound slot layout, and the per-input fingerprint pins.
+/// None of it depends on the inputs' *values*.
 pub(crate) fn freeze<T: Copy + Sync>(
     config: Config,
     nodes: Vec<NodeDecl<T>>,
@@ -444,22 +473,7 @@ pub(crate) fn freeze<T: Copy + Sync>(
     let (estimated_work, tiles, max_row_entries, overbook_row_entries, layouts) = prologue
         .map_err(|msg| SparseError::Internal { detail: format!("work estimation: {msg}") })?;
 
-    // --- fingerprint pins: exactly the structure the frozen artifacts
-    // were computed from (see `crate::plan`, "What the fingerprint
-    // covers") ---
-    let mut pins = vec![Pin::Dims; inputs.len()];
-    for node in &nodes {
-        // the mask's row pointers feed the slot layout: always pinned
-        pins[node.mask] = pins[node.mask].max(Pin::Rows);
-        if let (true, OperandRef::Ext(e)) = (vanilla, node.a) {
-            // Eq. 2 walked A's columns into B's row lengths and the
-            // estimate froze the accumulator bound
-            pins[e] = pins[e].max(Pin::RowsAndCols);
-            pins[node.b] = pins[node.b].max(Pin::Rows);
-        }
-        // intersect/subtract patterns are read fresh at run time; only
-        // their shape is load-bearing (Pin::Dims covers it)
-    }
+    let pins = input_pins(&config, &nodes, inputs.len());
 
     let frozen: Vec<NodePlan<T>> = nodes
         .into_iter()
@@ -478,7 +492,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
             bound: layout.bound,
         })
         .collect();
-    let simd_available = crate::simd::simd_available();
     Ok(GraphCore {
         config,
         n_threads,
@@ -490,13 +503,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
         max_row_entries,
         overbook_row_entries,
         estimated_work,
-        // `Scalar` forces the portable loops; everything else takes the
-        // vector search wherever the CPU has it
-        simd: simd_available && config.kernel.simd != SimdMode::Scalar,
-        // the AVX2 group probe only under `Force`: slack-sized tables keep
-        // probe chains within the scalar fast path, so the group probe's
-        // setup cost never pays for itself under `Auto`
-        simd_probe: simd_available && config.kernel.simd == SimdMode::Force,
         pins,
         id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
     })
@@ -586,10 +592,6 @@ pub(crate) struct GraphCore<T> {
     /// Dense-accumulator column bound, max over nodes.
     pub(crate) max_ncols: usize,
     pub(crate) estimated_work: u64,
-    /// Whether the SIMD co-iteration search is in effect.
-    pub(crate) simd: bool,
-    /// Whether the AVX2 group-probe hash instantiation is in effect.
-    pub(crate) simd_probe: bool,
     /// How much of each input's structure the fingerprint must pin.
     pub(crate) pins: Vec<Pin>,
     /// Unique identity; keys the accumulators in the per-worker cells, so
@@ -1022,8 +1024,7 @@ mod tests {
         }
         assert_eq!(prev, node.bound);
         assert_eq!((core.nrows, node.ncols), (4, 4));
-        // the pins are exactly the single-product operand pins
-        let (pa, pb, pm) = crate::plan::operand_pins(&cfg);
-        assert_eq!(core.pins, vec![pa, pb, pm]);
+        // the hybrid default pins only the mask's row pointers
+        assert_eq!(core.pins, vec![Pin::Dims, Pin::Dims, Pin::Rows]);
     }
 }

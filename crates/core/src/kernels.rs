@@ -81,8 +81,8 @@ impl HybridStats {
 }
 
 /// Replay the Eq. 3 decisions [`row_hybrid`] takes for row `i` and add
-/// them to `stats`. The branch below must mirror the kernel's exactly;
-/// `metrics.rs` asserts the tallies against the driver's actual runs.
+/// them to `stats`. Both decide through `coiterate_wins`, so the replay
+/// is exact; `metrics.rs` asserts the tallies against the driver's runs.
 #[cold]
 #[inline(never)]
 pub fn tally_row_hybrid<T: Copy, R: RowRead<T> + ?Sized>(
@@ -100,10 +100,9 @@ pub fn tally_row_hybrid<T: Copy, R: RowRead<T> + ?Sized>(
         if blen == 0 {
             continue;
         }
-        let lg = log2_ceil(blen);
-        if m * lg < kappa * blen as f64 {
+        if coiterate_wins(m, blen, kappa) {
             stats.coiterate += 1;
-            stats.binsearch_steps += mask_nnz as u64 * lg as u64;
+            stats.binsearch_steps += mask_nnz as u64 * log2_ceil(blen) as u64;
         } else {
             stats.saxpy += 1;
         }
@@ -179,15 +178,13 @@ pub fn row_mask_accumulate<S, A, R, W>(
 
 /// Fig. 7 — pure co-iteration: for every fetched `B[k,:]`, iterate the
 /// *mask* and binary search each mask column within the B row. Only the
-/// matching elements of B are ever loaded. `simd` selects the AVX2 search
-/// tail ([`crate::simd::find`]) — bit-identical to the scalar search.
+/// matching elements of B are ever loaded.
 #[inline]
 pub fn row_coiterate<S, A, R, W>(
     i: usize,
     a: &R,
     b: &Csr<S::T>,
     mask_cols: &[Idx],
-    simd: bool,
     acc: &mut A,
     out: &mut W,
 ) where
@@ -201,7 +198,7 @@ pub fn row_coiterate<S, A, R, W>(
     for (&k, &av) in acols.iter().zip(avals) {
         let (bcols, bvals) = b.row(k as usize);
         for &j in mask_cols {
-            if let Some(pos) = crate::simd::find(bcols, j, simd) {
+            if let Ok(pos) = bcols.binary_search(&j) {
                 acc.accumulate_any(j, av, bvals[pos]);
             }
         }
@@ -220,7 +217,6 @@ pub fn row_hybrid<S, A, R, W>(
     b: &Csr<S::T>,
     mask_cols: &[Idx],
     kappa: f64,
-    simd: bool,
     acc: &mut A,
     out: &mut W,
 ) where
@@ -240,13 +236,10 @@ pub fn row_hybrid<S, A, R, W>(
         if bcols.is_empty() {
             continue;
         }
-        // Eq. 3 prices traversals, not lane widths: the decision is
-        // independent of `simd`, so `tally_row_hybrid`'s replay stays exact
-        let w_co = mask_nnz * log2_ceil(bcols.len());
-        if w_co < kappa * bcols.len() as f64 {
+        if coiterate_wins(mask_nnz, bcols.len(), kappa) {
             // co-iterate M[i,:] with B[k,:] (Fig. 9 lines 11-18)
             for &j in mask_cols {
-                if let Some(pos) = crate::simd::find(bcols, j, simd) {
+                if let Ok(pos) = bcols.binary_search(&j) {
                     acc.accumulate_masked(j, av, bvals[pos]);
                 }
             }
@@ -258,6 +251,15 @@ pub fn row_hybrid<S, A, R, W>(
         }
     }
     acc.gather_into(mask_cols, out);
+}
+
+/// Eq. 3: co-iterate a non-empty `B[k,:]` of `blen` entries against a mask
+/// row of `mask_nnz` entries when `W_co = nnz(M[i,:]) · ⌈log₂ nnz(B[k,:])⌉`
+/// is below `κ · nnz(B[k,:])`. [`row_hybrid`] and [`tally_row_hybrid`] both
+/// decide here, so the metered replay can never drift from the kernel.
+#[inline(always)]
+fn coiterate_wins(mask_nnz: f64, blen: usize, kappa: f64) -> bool {
+    mask_nnz * log2_ceil(blen) < kappa * blen as f64
 }
 
 /// `⌈log₂ n⌉` as f64, with `log₂ 1 = 1` so a one-element row still costs a
@@ -327,19 +329,7 @@ mod tests {
         oc: &mut Vec<Idx>,
         ov: &mut Vec<f64>,
     ) {
-        row_coiterate(i, a, b, m, false, acc, &mut VecSink { cols: oc, vals: ov })
-    }
-
-    fn vec_coiterate_simd<A: Accumulator<PlusTimes>>(
-        i: usize,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        m: &[Idx],
-        acc: &mut A,
-        oc: &mut Vec<Idx>,
-        ov: &mut Vec<f64>,
-    ) {
-        row_coiterate(i, a, b, m, true, acc, &mut VecSink { cols: oc, vals: ov })
+        row_coiterate(i, a, b, m, acc, &mut VecSink { cols: oc, vals: ov })
     }
 
     /// Run one kernel over all rows with a given accumulator and collect
@@ -384,11 +374,10 @@ mod tests {
         assert_eq!(run_all(vec_vanilla, &a, &b, &mask, &mut acc), want, "vanilla");
         assert_eq!(run_all(vec_mask_accumulate, &a, &b, &mask, &mut acc), want, "mask-accumulate");
         assert_eq!(run_all(vec_coiterate, &a, &b, &mask, &mut acc), want, "coiterate");
-        assert_eq!(run_all(vec_coiterate_simd, &a, &b, &mask, &mut acc), want, "coiterate+simd");
         for kappa in [0.0, 0.5, 1.0, 100.0] {
             let got = run_all(
                 |i, a, b, m, acc, oc, ov| {
-                    row_hybrid(i, a, b, m, kappa, false, acc, &mut VecSink { cols: oc, vals: ov })
+                    row_hybrid(i, a, b, m, kappa, acc, &mut VecSink { cols: oc, vals: ov })
                 },
                 &a,
                 &b,
@@ -417,10 +406,9 @@ mod tests {
         assert_eq!(run_all(vec_vanilla, &a, &b, &mask, &mut acc), want, "vanilla");
         assert_eq!(run_all(vec_mask_accumulate, &a, &b, &mask, &mut acc), want, "mask-accumulate");
         assert_eq!(run_all(vec_coiterate, &a, &b, &mask, &mut acc), want, "coiterate");
-        assert_eq!(run_all(vec_coiterate_simd, &a, &b, &mask, &mut acc), want, "coiterate+simd");
         let got = run_all(
             |i, a, b, m, acc, oc, ov| {
-                row_hybrid(i, a, b, m, 1.0, false, acc, &mut VecSink { cols: oc, vals: ov })
+                row_hybrid(i, a, b, m, 1.0, acc, &mut VecSink { cols: oc, vals: ov })
             },
             &a,
             &b,
@@ -441,7 +429,7 @@ mod tests {
         for kappa in [0.0, f64::INFINITY] {
             let got = run_all(
                 |i, a, b, m, acc, oc, ov| {
-                    row_hybrid(i, a, b, m, kappa, false, acc, &mut VecSink { cols: oc, vals: ov })
+                    row_hybrid(i, a, b, m, kappa, acc, &mut VecSink { cols: oc, vals: ov })
                 },
                 &a,
                 &a,
@@ -497,7 +485,7 @@ mod tests {
             oc: &mut Vec<Idx>,
             ov: &mut Vec<f64>,
         ) {
-            row_hybrid(i, a, b, m, 1.0, false, acc, &mut VecSink { cols: oc, vals: ov })
+            row_hybrid(i, a, b, m, 1.0, acc, &mut VecSink { cols: oc, vals: ov })
         }
     }
 

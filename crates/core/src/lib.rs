@@ -13,7 +13,6 @@
 //! | Iteration space | [`KernelPolicy::iteration`] via [`ConfigBuilder::kernel_policy`] | vanilla (Fig. 3), mask-accumulate (Fig. 5), co-iteration (Fig. 7), hybrid-κ (Fig. 9) |
 //! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash / sort × marker width 8/16/32/64 |
 //! | Scratch sizing | [`KernelPolicy::overbook`] | hard bound / quantile overbooking with spill recovery |
-//! | SIMD | [`KernelPolicy::simd`] | auto-detected AVX2 / forced scalar |
 //!
 //! Three policy presets reproduce the systems the paper compares
 //! ([`presets`]), and [`tuner`] implements the staged tuning flow of
@@ -67,7 +66,6 @@
 pub mod config;
 pub mod dot;
 pub mod driver;
-pub mod driver2d;
 pub mod executor;
 pub mod graph;
 pub mod kernels;
@@ -75,14 +73,12 @@ pub mod model;
 pub mod plan;
 pub mod presets;
 pub mod service;
-pub mod simd;
 pub mod stress;
 pub mod tuner;
 
-pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook, SimdMode};
+pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook};
 pub use dot::{masked_spgemm_csc, masked_spgemm_dot};
 pub use driver::{spgemm, RunStats};
-pub use driver2d::masked_spgemm_2d;
 pub use executor::{Executor, Session};
 pub use graph::{ExtId, GraphBuilder, NodeId, Operand, PlanGraph};
 pub use model::predict_config;

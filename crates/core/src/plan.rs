@@ -48,7 +48,7 @@ use std::any::Any;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::config::{Config, IterationSpace};
+use crate::config::Config;
 use crate::driver::{only_output, RunStats};
 use crate::executor::Executor;
 use crate::graph::{GraphBuilder, GraphCore, PlanGraph};
@@ -57,9 +57,7 @@ use mspgemm_sched::CancelToken;
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 
 /// Structural fingerprint of the `(A, B, M)` operand triple. Hashable so
-/// the service layer can key its plan cache on it (equality is still
-/// checked on every cache hit — the hash is a lookup accelerator, not the
-/// validity proof).
+/// the service layer can key its plan cache on it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Fingerprint {
     pub(crate) a: u64,
@@ -70,7 +68,7 @@ pub(crate) struct Fingerprint {
 /// FNV-style sequential fold with a strong finalizer — not cryptographic,
 /// just a cheap structure digest with good avalanche on single-entry
 /// edits (the mutation-detection property the plan-reuse suite checks).
-pub(crate) fn fold(h: u64, v: u64) -> u64 {
+fn fold(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
@@ -94,7 +92,7 @@ fn fold_lanes<T: Copy>(mut lanes: [u64; 4], xs: &[T], to64: impl Fn(T) -> u64) -
 }
 
 /// splitmix64 finalizer.
-pub(crate) fn finish(mut h: u64) -> u64 {
+fn finish(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -135,28 +133,19 @@ pub(crate) fn structure_hash<T: Copy>(m: &Csr<T>, pin: Pin) -> u64 {
     finish(fold(fold(fold(lanes[0], lanes[1]), lanes[2]), lanes[3]))
 }
 
-/// The pin levels for `(A, B, M)` under `config`. The mask's row pointers
-/// are always load-bearing (slot layout); `A` and `B` matter beyond their
-/// shape only when the vanilla kernel's Eq. 2-derived accumulator bound
-/// froze them into the plan.
-pub(crate) fn operand_pins(config: &Config) -> (Pin, Pin, Pin) {
-    match config.kernel.iteration {
-        IterationSpace::Vanilla => (Pin::RowsAndCols, Pin::Rows, Pin::Rows),
-        _ => (Pin::Dims, Pin::Dims, Pin::Rows),
-    }
-}
-
+/// The structural fingerprint of a lone product's operands, pinned by
+/// the same rule `graph::freeze` applies to every node.
 pub(crate) fn fingerprint<T: Copy>(
     a: &Csr<T>,
     b: &Csr<T>,
     mask: &Csr<T>,
     config: &Config,
 ) -> Fingerprint {
-    let (pin_a, pin_b, pin_m) = operand_pins(config);
+    let pins = crate::graph::single_product_pins(config);
     Fingerprint {
-        a: structure_hash(a, pin_a),
-        b: structure_hash(b, pin_b),
-        mask: structure_hash(mask, pin_m),
+        a: structure_hash(a, pins[0]),
+        b: structure_hash(b, pins[1]),
+        mask: structure_hash(mask, pins[2]),
     }
 }
 
@@ -399,17 +388,19 @@ mod tests {
             "dims-only pin ignores row pointers — drift there only shifts balance"
         );
 
+        use crate::config::{IterationSpace, KernelPolicy};
         let vanilla = Config::builder()
-            .kernel_policy(crate::config::KernelPolicy::new().iteration(IterationSpace::Vanilla))
+            .kernel_policy(KernelPolicy::new().iteration(IterationSpace::Vanilla))
             .build();
+        let pins = crate::graph::single_product_pins;
         assert_eq!(
-            operand_pins(&vanilla),
-            (Pin::RowsAndCols, Pin::Rows, Pin::Rows),
+            pins(&vanilla),
+            vec![Pin::RowsAndCols, Pin::Rows, Pin::Rows],
             "vanilla sizes from Eq. 2 row work: A cols and B row lengths are frozen"
         );
         assert_eq!(
-            operand_pins(&Config::default()),
-            (Pin::Dims, Pin::Dims, Pin::Rows),
+            pins(&Config::default()),
+            vec![Pin::Dims, Pin::Dims, Pin::Rows],
             "mask-bounded kernels read A and B fresh; the mask slot layout stays pinned"
         );
     }

@@ -25,10 +25,10 @@
 //!   poison a sibling's product.
 //!
 //! The dispatcher keeps a small structural **plan cache** keyed by the
-//! operands' fingerprint + configuration, so a tenant resubmitting the
-//! same shape gets plan reuse (no re-tiling, recycled slot buffers and
-//! per-worker accumulators) without holding a [`crate::plan::Plan`] of
-//! its own.
+//! operands' fingerprint (a lease matches the exact configuration), so a
+//! tenant resubmitting the same shape gets plan reuse (no re-tiling,
+//! recycled slot buffers and per-worker accumulators) without holding a
+//! [`crate::plan::Plan`] of its own.
 //!
 //! Every submission carries a [`CancelToken`]: [`JobTicket::cancel`]
 //! withdraws a still-queued job outright and fires the token of a job the
@@ -56,16 +56,15 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::config::{Config, IterationSpace};
+use crate::config::Config;
 use crate::driver::{only_output, run_jobs, Job, RunStats};
 use crate::executor::Executor;
 use crate::graph::{single_product, GraphCore};
 use crate::plan::{self, Fingerprint, PlanScratch};
-use mspgemm_accum::AccumulatorKind;
 use mspgemm_rt::obs;
 use mspgemm_sched::{
-    ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, Schedule, SubmitQueue,
-    Ticket, TicketWriter,
+    ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, SubmitQueue, Ticket,
+    TicketWriter,
 };
 use mspgemm_sparse::{Csr, Semiring, SparseError};
 
@@ -312,10 +311,9 @@ impl<S: Semiring> Drop for JobTicket<S> {
     }
 }
 
-/// One cached symbolic plan: fingerprint-guarded core + its cross-run
+/// One cached symbolic plan: a core frozen under `config` + its cross-run
 /// scratch, leased out to at most one batch job at a time.
 struct CachedPlan<S: Semiring> {
-    fp: Fingerprint,
     config: Config,
     core: GraphCore<S::T>,
     scratch: PlanScratch<S::T>,
@@ -495,71 +493,11 @@ impl<S: Semiring> Drop for Service<S> {
 /// A popped entry carried through planning to execution.
 struct PreparedJob<S: Semiring> {
     entry: Entry<JobPayload<S>>,
-    key: u64,
     fp: Fingerprint,
     core: GraphCore<S::T>,
     scratch: PlanScratch<S::T>,
     setup: Duration,
     queue_delay: Duration,
-}
-
-/// Plan-cache key: the structural fingerprint folded with the
-/// configuration label. The hash accelerates lookup only — a hit is
-/// verified against the stored fingerprint *and* configuration before the
-/// plan is trusted.
-fn cache_key(fp: &Fingerprint, config: &Config) -> u64 {
-    let mut h = plan::fold(fp.a, fp.b);
-    h = plan::fold(h, fp.mask);
-    // fold the configuration axes numerically (this runs once per
-    // dispatched job — no label-string formatting on the hot path);
-    // collisions are harmless because every hit is verified with an
-    // exact `config ==` comparison before the plan is trusted
-    h = plan::fold(h, config.n_threads as u64);
-    h = plan::fold(h, config.n_tiles as u64);
-    h = plan::fold(h, config.tiling as u64);
-    h = plan::fold(
-        h,
-        match config.schedule {
-            Schedule::Static => 1,
-            Schedule::Dynamic { chunk } => 2 | (chunk as u64) << 8,
-            Schedule::Guided { chunk } => 3 | (chunk as u64) << 8,
-        },
-    );
-    h = plan::fold(
-        h,
-        match config.kernel.accumulator {
-            AccumulatorKind::Dense(w) => 1 | (w as u64) << 8,
-            AccumulatorKind::Hash(w) => 2 | (w as u64) << 8,
-            AccumulatorKind::Sort => 3,
-        },
-    );
-    h = plan::fold(
-        h,
-        match config.kernel.iteration {
-            IterationSpace::Vanilla => 1,
-            IterationSpace::MaskAccumulate => 2,
-            IterationSpace::CoIterate => 3,
-            IterationSpace::Hybrid { kappa } => 4 | (kappa.to_bits() & !0xffu64),
-        },
-    );
-    // the overbook and SIMD axes change the planned accumulator bound and
-    // kernel instantiation, so they distinguish plans too
-    h = plan::fold(
-        h,
-        match config.kernel.overbook {
-            crate::config::Overbook::Off => 1,
-            crate::config::Overbook::Quantile { q } => 2 | (q.to_bits() & !0xffu64),
-        },
-    );
-    h = plan::fold(
-        h,
-        match config.kernel.simd {
-            crate::config::SimdMode::Auto => 1,
-            crate::config::SimdMode::Scalar => 2,
-            crate::config::SimdMode::Force => 3,
-        },
-    );
-    plan::finish(h)
 }
 
 /// The dispatcher: pop fair batches, plan (or reuse) each job, coalesce
@@ -574,14 +512,15 @@ fn dispatch_loop<S: Semiring>(
     poisoned: Arc<OnceLock<String>>,
 ) {
     let mut batch: Vec<Entry<JobPayload<S>>> = Vec::new();
-    // Multi-lease plan cache: each key holds a *stack* of interchangeable
-    // plans, because one batch routinely carries many same-shape jobs and
-    // every job in a run needs its own plan (slot buffers cannot be
-    // shared within a run). A single-plan cache would hit once per batch
-    // and re-run the full symbolic phase for every sibling — the stack
-    // warms up to the observed batch width instead. `cached_plans`
-    // counts plans (not keys) against `cache_max`.
-    let mut cache: HashMap<u64, Vec<CachedPlan<S>>> = HashMap::new();
+    // Multi-lease plan cache: each fingerprint holds a *stack* of plans,
+    // because one batch routinely carries many same-shape jobs and every
+    // job in a run needs its own plan (slot buffers cannot be shared
+    // within a run). A single-plan cache would hit once per batch and
+    // re-run the full symbolic phase for every sibling — the stack warms
+    // up to the observed batch width instead. A lease takes the first
+    // plan frozen under the job's exact configuration. `cached_plans`
+    // counts plans (not fingerprints) against `cache_max`.
+    let mut cache: HashMap<Fingerprint, Vec<CachedPlan<S>>> = HashMap::new();
     let mut cached_plans = 0usize;
     // One-entry fingerprint memo keyed by operand *identity*: closed-loop
     // clients resubmit the same `Arc`'d operands job after job, and
@@ -654,12 +593,9 @@ fn dispatch_loop<S: Semiring>(
                     f
                 }
             };
-            let key = cache_key(&fp, &entry.job.config);
-            let leased = cache.get_mut(&key).and_then(|stack| {
-                // hash collisions or stale slots stay put; plan fresh
-                let pos = stack
-                    .iter()
-                    .position(|c| c.fp == fp && c.config == entry.job.config)?;
+            let leased = cache.get_mut(&fp).and_then(|stack| {
+                // plans frozen under another configuration stay put
+                let pos = stack.iter().position(|c| c.config == entry.job.config)?;
                 Some(stack.swap_remove(pos))
             });
             let leased = match leased {
@@ -687,7 +623,7 @@ fn dispatch_loop<S: Semiring>(
                 }
             };
             let setup = setup_start.elapsed();
-            prepared.push(PreparedJob { entry, key, fp, core, scratch, setup, queue_delay });
+            prepared.push(PreparedJob { entry, fp, core, scratch, setup, queue_delay });
         }
 
         // --- numeric phase: one coalesced run ---
@@ -750,8 +686,7 @@ fn dispatch_loop<S: Semiring>(
                 cache.clear();
                 cached_plans = 0;
             }
-            cache.entry(p.key).or_default().push(CachedPlan {
-                fp: p.fp,
+            cache.entry(p.fp).or_default().push(CachedPlan {
                 config: p.entry.job.config,
                 core: p.core,
                 scratch: p.scratch,

@@ -6,7 +6,7 @@
 //! each test self-contained either way), runs under a shared mutex because
 //! the registry is process-global, and disarms its sites on the way out.
 
-use mspgemm_core::{masked_spgemm_2d, spgemm, Config};
+use mspgemm_core::{spgemm, Config};
 use mspgemm_rt::failpoint;
 use mspgemm_sched::Schedule;
 use mspgemm_sparse::{Coo, Csr, PlusTimes, SparseError};
@@ -168,28 +168,6 @@ fn fault_work_estimate_failure_is_internal() {
         }
         other => panic!("expected Internal, got {other:?}"),
     }
-}
-
-#[test]
-fn fault_driver2d_propagates_tile_failures() {
-    let a = lcg_matrix(40, 40, 4, 10);
-    let cfg = test_config();
-    with_failpoints("", || {
-        // recovery path: the banded driver's inner calls retry and succeed
-        let want = masked_spgemm_2d::<PlusTimes>(&a, &a, &a, &cfg, 3).unwrap();
-        failpoint::arm("tile-kernel=panic@p:1.0").unwrap();
-        let got = masked_spgemm_2d::<PlusTimes>(&a, &a, &a, &cfg, 3)
-            .expect("banded driver recovers via per-band retries");
-        assert_eq!(got, want);
-        // unrecoverable path: the error threads out instead of aborting
-        failpoint::arm("accum-reset=panic@p:1.0").unwrap();
-        let err = masked_spgemm_2d::<PlusTimes>(&a, &a, &a, &cfg, 3)
-            .expect_err("unrecoverable failure surfaces");
-        assert!(
-            matches!(err, SparseError::TileFailed { .. }),
-            "expected TileFailed, got {err:?}"
-        );
-    });
 }
 
 #[test]

@@ -6,11 +6,14 @@
 //! zero-cost guarantee is asserted in `metrics_unarmed.rs` — it must live
 //! in a separate test binary because arming is irreversible per process.
 
-use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy};
+use mspgemm_core::{
+    spgemm, Config, Executor, IterationSpace, KernelPolicy, Service, ServiceOptions,
+    SubmitOptions,
+};
 use mspgemm_rt::obs;
 use mspgemm_sched::Schedule;
 use mspgemm_sparse::{Coo, Csr, PlusTimes};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -169,6 +172,45 @@ fn thread_busy_histogram_counts_every_worker() {
             busy.iter().sum::<u64>(),
             cfg.n_threads as u64,
             "one busy-time sample per worker thread"
+        );
+    });
+}
+
+#[test]
+fn plan_cache_separates_configs_that_share_a_fingerprint() {
+    // Two configs that differ only in the tile count pin the operands
+    // identically, so their cached plans share one fingerprint bucket.
+    // Alternating submissions must still lease the plan frozen under the
+    // job's own config, and the repeats must hit the cache.
+    let a = Arc::new(lcg_matrix(96, 96, 5, 21));
+    let mask = Arc::new(lcg_matrix(96, 96, 6, 22));
+    let configs = [4usize, 16].map(|n| Config::builder().n_threads(2).n_tiles(n).build());
+    with_armed_metrics(|| {
+        // serial references under the lock too: the armed registry is
+        // process-global, and an unlocked run would leak into the deltas
+        // other tests assert on
+        let exec = Executor::new();
+        let want: Vec<Csr<f64>> = configs
+            .iter()
+            .map(|cfg| exec.execute::<PlusTimes>(&a, &a, &mask, cfg).unwrap().0)
+            .collect();
+        let svc = Service::<PlusTimes>::on(&exec, ServiceOptions::default());
+        let before = obs::snapshot();
+        for round in 0..3 {
+            for (cfg, want) in configs.iter().zip(&want) {
+                let reply = svc
+                    .submit(a.clone(), a.clone(), mask.clone(), *cfg, SubmitOptions::default())
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(&reply.c, want, "round {round}, {} tiles", cfg.n_tiles);
+                assert_eq!(reply.stats.n_tiles, cfg.n_tiles, "round {round}: leased another plan");
+            }
+        }
+        let delta = obs::snapshot().delta_since(&before);
+        assert!(
+            delta.counter("svc.plan_cache_hits") >= 1,
+            "repeated shapes never hit the plan cache"
         );
     });
 }

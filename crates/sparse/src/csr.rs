@@ -342,58 +342,6 @@ impl<T: Copy> Csr<T> {
         }
     }
 
-    /// Extract columns `lo..hi` as a standalone matrix with column indices
-    /// rebased to `0..hi-lo`. Row count is unchanged. This is the column
-    /// band used by 2-D tiling (the paper's §V-A future work direction).
-    ///
-    /// `O(nnz)` via per-row binary search on the (sorted) column indices.
-    pub fn col_slice(&self, lo: usize, hi: usize) -> Csr<T> {
-        assert!(lo <= hi && hi <= self.ncols, "column range out of bounds");
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            let start = cols.partition_point(|&c| (c as usize) < lo);
-            let end = cols.partition_point(|&c| (c as usize) < hi);
-            for (&c, &v) in cols[start..end].iter().zip(&vals[start..end]) {
-                col_idx.push(c - lo as Idx);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr { nrows: self.nrows, ncols: hi - lo, row_ptr, col_idx, values }
-    }
-
-    /// Horizontally concatenate matrices with equal row counts:
-    /// `[A₀ | A₁ | …]`. The inverse of slicing by [`Csr::col_slice`] over a
-    /// partition of the columns.
-    pub fn hconcat(parts: &[&Csr<T>]) -> Csr<T> {
-        assert!(!parts.is_empty(), "need at least one part");
-        let nrows = parts[0].nrows;
-        assert!(parts.iter().all(|p| p.nrows == nrows), "row counts must match");
-        let ncols: usize = parts.iter().map(|p| p.ncols).sum();
-        let nnz: usize = parts.iter().map(|p| p.nnz()).sum();
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for i in 0..nrows {
-            let mut offset = 0usize;
-            for p in parts {
-                let (cols, vals) = p.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    col_idx.push(c + offset as Idx);
-                    values.push(v);
-                }
-                offset += p.ncols;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr { nrows, ncols, row_ptr, col_idx, values }
-    }
-
     /// Total scalar multiplications of an (unmasked) SpGEMM `self × B`:
     /// `Σ_{A[i,k]≠0} nnz(B[k,:])`. The paper uses this `O(nnz(A))`
     /// computation as the basis of FLOP-balanced tiling (§III-A).
@@ -556,43 +504,6 @@ mod tests {
         assert_eq!(s.nrows(), 2);
         assert_eq!(s.row(0).0, a.row(1).0);
         assert_eq!(s.row(1).1, a.row(2).1);
-    }
-
-    #[test]
-    fn col_slice_rebases_columns() {
-        let a = small();
-        let s = a.col_slice(1, 3); // columns {1, 2}
-        assert_eq!(s.ncols(), 2);
-        assert_eq!(s.nrows(), 3);
-        assert_eq!(s.get(0, 1), Some(2.0)); // was (0,2)
-        assert_eq!(s.get(2, 0), Some(4.0)); // was (2,1)
-        assert_eq!(s.nnz(), 2);
-        // full-range slice is identity
-        assert_eq!(a.col_slice(0, 3), a);
-        // empty slice
-        assert_eq!(a.col_slice(2, 2).nnz(), 0);
-    }
-
-    #[test]
-    fn hconcat_inverts_col_slicing() {
-        let a = small();
-        let left = a.col_slice(0, 1);
-        let mid = a.col_slice(1, 2);
-        let right = a.col_slice(2, 3);
-        let back = Csr::hconcat(&[&left, &mid, &right]);
-        assert_eq!(back, a);
-        let two = Csr::hconcat(&[&a.col_slice(0, 2), &a.col_slice(2, 3)]);
-        assert_eq!(two, a);
-    }
-
-    #[test]
-    fn hconcat_widens() {
-        let a = small();
-        let b = Csr::hconcat(&[&a, &a]);
-        assert_eq!(b.ncols(), 6);
-        assert_eq!(b.nnz(), 2 * a.nnz());
-        assert_eq!(b.get(0, 0), Some(1.0));
-        assert_eq!(b.get(0, 3), Some(1.0));
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub enum SparseError {
     /// panicking; it always indicates a bug, never bad user input.
     Internal { detail: String },
     /// An argument value is outside the accepted range for the entry point
-    /// (e.g. zero column bands, an empty tuner sweep grid). Unlike
+    /// (e.g. an empty tuner sweep grid, a plan graph with no product
+    /// node). Unlike
     /// [`Internal`](Self::Internal) this indicates caller input, not a bug.
     InvalidConfig { detail: String },
     /// A reusable execution plan was run against operands whose sparsity
@@ -285,9 +286,9 @@ mod tests {
 
     #[test]
     fn invalid_config_is_a_caller_error() {
-        let e = SparseError::InvalidConfig { detail: "col_bands must be >= 1".into() };
+        let e = SparseError::InvalidConfig { detail: "tuner: marker_widths grid is empty".into() };
         assert!(e.to_string().contains("invalid configuration"));
-        assert!(e.to_string().contains("col_bands"));
+        assert!(e.to_string().contains("marker_widths"));
     }
 
     #[test]

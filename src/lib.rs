@@ -29,11 +29,11 @@ pub use mspgemm_sparse as sparse;
 pub mod prelude {
     pub use mspgemm_accum::{AccumulatorKind, MarkerWidth};
     pub use mspgemm_core::{
-        masked_spgemm_2d, masked_spgemm_csc, masked_spgemm_dot, predict_config, preset_config,
-        run_stress, spgemm, tune, CancelStatus, CancelToken, Config, ConfigBuilder,
-        Executor, GraphBuilder, IterationSpace, JobTicket, KernelPolicy, Operand, Overbook,
-        Plan, PlanGraph, Preset, RetryPolicy, RunStats, Service, ServiceOptions, ServiceReply,
-        Session, SimdMode, StressCase, StressReport, StressSpec, SubmitOptions, TunerOptions,
+        masked_spgemm_csc, masked_spgemm_dot, predict_config, preset_config, run_stress,
+        spgemm, tune, CancelStatus, CancelToken, Config, ConfigBuilder, Executor,
+        GraphBuilder, IterationSpace, JobTicket, KernelPolicy, Operand, Overbook, Plan,
+        PlanGraph, Preset, RetryPolicy, RunStats, Service, ServiceOptions, ServiceReply,
+        Session, StressCase, StressReport, StressSpec, SubmitOptions, TunerOptions,
         WatchdogConfig,
     };
     pub use mspgemm_gen::{er, rmat, road, suite_graph, suite_specs, web, GraphKind};

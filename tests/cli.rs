@@ -1,6 +1,7 @@
-//! The `mspgemm` binary's argument handling: flags no subcommand reads are
-//! usage errors (exit 2), so a misspelled or retired flag can never
-//! silently run the default configuration.
+//! The `mspgemm` binary's argument handling: flags no subcommand reads and
+//! values that do not parse are usage errors (exit 2), so a misspelled or
+//! retired flag can never silently run the default configuration, and a
+//! malformed number never panics.
 
 use std::process::Command;
 
@@ -13,6 +14,26 @@ fn retired_assembly_flag_is_a_usage_error() {
     let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", "--assembly", "legacy"]);
     assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --assembly"));
+}
+
+#[test]
+fn retired_simd_and_bands_flags_are_usage_errors() {
+    for (flag, value) in [("--simd", "force"), ("--bands", "4")] {
+        let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_numbers_are_usage_errors() {
+    for (flag, value) in [("--tiles", "abc"), ("--kappa", "x")] {
+        let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("bad {flag}")), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]

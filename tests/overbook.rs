@@ -7,8 +7,7 @@
 //! same `k` order regardless of accumulator capacity. This suite attacks
 //! that invariant with the graphs most likely to break it — power-law
 //! bulks with planted outliers far above any reasonable quantile — across
-//! every iteration space, both overbooking quantiles, and the SIMD/scalar
-//! kernel pair.
+//! every iteration space and both overbooking quantiles.
 
 use masked_spgemm_repro::gen::outlier::{planted_outliers, uniform_bulk, OutlierParams};
 use masked_spgemm_repro::prelude::*;
@@ -107,36 +106,6 @@ fn dense_and_sort_accumulators_ignore_overbooking() {
 }
 
 #[test]
-fn simd_and_scalar_probes_agree_on_adversarial_graphs() {
-    // `Auto` resolves to the vector co-iteration search; `Force` also
-    // engages the AVX2 group probe in the hash accumulator. Both must be
-    // bit-identical to the scalar loops, with and without overbooking.
-    let mut rng = ChaCha8Rng::seed_from_u64(0x51d3_cafe);
-    for _ in 0..3 {
-        let a = adversarial_graph(&mut rng);
-        for iteration in [
-            IterationSpace::MaskAccumulate,
-            IterationSpace::CoIterate,
-            IterationSpace::Hybrid { kappa: 1.0 },
-        ] {
-            let policy = KernelPolicy::new().iteration(iteration).overbook(Overbook::p99());
-            let (scalar, _) =
-                spgemm::<PlusPair>(&a, &a, &a, &cfg(policy.simd(SimdMode::Scalar))).unwrap();
-            for simd in [SimdMode::Auto, SimdMode::Force] {
-                let (vector, _) =
-                    spgemm::<PlusPair>(&a, &a, &a, &cfg(policy.simd(simd))).unwrap();
-                assert_eq!(
-                    vector,
-                    scalar,
-                    "{simd:?} diverged under {}",
-                    iteration.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn overbooked_plans_reuse_bit_identically() {
     // a reused plan must keep spilling (and keep matching) run after run
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -156,8 +125,7 @@ fn overbooked_plans_reuse_bit_identically() {
 /// product: a planted-outlier input through one product node with fused
 /// `select_ge` + `intersect` post-ops must spill — a spilled row restarts
 /// its post-op chain on a fresh sink — and stay bit-identical to the
-/// hard-bound run, with the default SIMD selection or every vector path
-/// forced.
+/// hard-bound run.
 #[test]
 fn overbooked_graphs_spill_and_stay_bit_identical() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0b00_9a4f);
@@ -181,20 +149,18 @@ fn overbooked_graphs_spill_and_stay_bit_identical() {
             let (want, base) = run(policy.overbook(Overbook::Off));
             assert_eq!(base.overbook_spills, 0, "case {case}: hard bound never spills");
             assert!(want.nnz() > 0, "case {case}: the fused filters left nothing to compare");
-            for simd in [SimdMode::Auto, SimdMode::Force] {
-                let (got, stats) = run(policy.overbook(Overbook::p90()).simd(simd));
-                assert_eq!(
-                    got,
-                    want,
-                    "case {case}: {} + p90 + {simd:?} diverged from the hard bound",
-                    iteration.label()
-                );
-                assert!(
-                    stats.overbook_spills >= 1,
-                    "case {case}: planted outliers never spilled under {} + {simd:?}",
-                    iteration.label()
-                );
-            }
+            let (got, stats) = run(policy.overbook(Overbook::p90()));
+            assert_eq!(
+                got,
+                want,
+                "case {case}: {} + p90 diverged from the hard bound",
+                iteration.label()
+            );
+            assert!(
+                stats.overbook_spills >= 1,
+                "case {case}: planted outliers never spilled under {}",
+                iteration.label()
+            );
         }
     }
 }
