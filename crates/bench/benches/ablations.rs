@@ -32,7 +32,9 @@ fn bench_fused_vs_two_step(c: &mut Micro) {
         .measurement_time(Duration::from_millis(900));
     for name in ["com-LiveJournal", "GAP-road"] {
         let a = graph(name);
-        let cfg = Config::builder().n_tiles(256).build();
+        // one thread, like the serial two-step arm: §III-B is about the
+        // materialised intermediate, not the thread count
+        let cfg = Config::builder().n_threads(1).n_tiles(256).build();
         group.bench_with_input(BenchmarkId::new("fused", name), &a, |b, a| {
             b.iter(|| spgemm::<PlusPair>(a, a, a, &cfg).unwrap());
         });

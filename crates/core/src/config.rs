@@ -292,6 +292,17 @@ impl From<Config> for ConfigBuilder {
     }
 }
 
+/// The worker count a thread setting means: the setting itself, or the
+/// machine's available parallelism for `0`. The one rule behind
+/// [`Config::resolved_threads`], the presets and the model.
+pub(crate) fn resolve_threads(n_threads: usize) -> usize {
+    if n_threads > 0 {
+        n_threads
+    } else {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    }
+}
+
 impl Config {
     /// Fluent constructor starting from the recommended defaults.
     pub fn builder() -> ConfigBuilder {
@@ -305,11 +316,7 @@ impl Config {
 
     /// Resolve `n_threads == 0` to the machine's parallelism.
     pub fn resolved_threads(&self) -> usize {
-        if self.n_threads > 0 {
-            self.n_threads
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
+        resolve_threads(self.n_threads)
     }
 
     /// Resolve `n_tiles == 0` to one tile per thread, and never more tiles

@@ -1644,7 +1644,7 @@ mod tests {
         let a = lcg_matrix(80, 80, 5, 61);
         let cfg = Config::builder().n_threads(2).n_tiles(16).schedule(Schedule::Static).build();
         let exec = Executor::new();
-        let core = crate::graph::single_product(&cfg, &a, &a, &a).unwrap();
+        let core = crate::graph::single_product(exec.shared(), &cfg, &a, &a, &a).unwrap();
         let inputs = [&a, &a, &a];
         let mut scratch = PlanScratch::default();
         let run = |scratch: &mut PlanScratch<f64>| {

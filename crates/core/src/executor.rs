@@ -139,7 +139,7 @@ impl Executor {
         config: &Config,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
         let setup_start = Instant::now();
-        let core = single_product(config, a, b, mask)?;
+        let core = single_product(&self.shared, config, a, b, mask)?;
         let setup = setup_start.elapsed();
         let cells = &self.shared.oneshot_cells;
         let mut scratch = PlanScratch {

@@ -70,7 +70,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::config::{Config, IterationSpace, Overbook};
@@ -78,12 +78,12 @@ use crate::driver::{run_job, Job, JobResult, RunStats};
 use crate::executor::{Executor, ExecutorShared};
 use crate::plan::{structure_hash, Pin, PlanScratch};
 use mspgemm_accum::AccumulatorKind;
-use mspgemm_rt::obs;
+use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
     catch_tile_panic,
     tile::tiles_for,
-    work::{row_work, total_work},
-    CancelToken, Tile,
+    work::{row_work_into, total_work},
+    CancelToken, DisjointSlots, Schedule, Tile,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 
@@ -274,7 +274,8 @@ impl<S: Semiring> GraphBuilder<S> {
                 last.output = true;
             }
         }
-        let core = freeze(self.config, std::mem::take(&mut self.nodes), inputs)?;
+        let nodes = std::mem::take(&mut self.nodes);
+        let core = freeze(self.exec.shared(), self.config, nodes, inputs)?;
         let ext_fps = inputs
             .iter()
             .zip(&core.pins)
@@ -296,12 +297,13 @@ impl<S: Semiring> GraphBuilder<S> {
 /// Freeze the one product `mask ⊙ (A × B)` — a one-node chain over inputs
 /// `[A, B, M]`, the shape every single-product caller runs.
 pub(crate) fn single_product<T: Copy + Sync>(
+    exec: &ExecutorShared,
     config: &Config,
     a: &Csr<T>,
     b: &Csr<T>,
     mask: &Csr<T>,
 ) -> Result<GraphCore<T>, SparseError> {
-    freeze(*config, vec![single_product_node()], &[a, b, mask])
+    freeze(exec, *config, vec![single_product_node()], &[a, b, mask])
 }
 
 /// The lone product `[A, B, M] → C` as a graph node.
@@ -336,11 +338,13 @@ fn input_pins<T>(config: &Config, nodes: &[NodeDecl<T>], n_inputs: usize) -> Vec
 }
 
 /// The symbolic prologue every caller shares: shape validation, Eq. 2
-/// work estimation, one FLOP-balanced row partition for all nodes (their
-/// summed estimates), the accumulator bounds (hard and overbooked), every
-/// node's mask-bound slot layout, and the per-input fingerprint pins.
-/// None of it depends on the inputs' *values*.
+/// work estimation (on `exec`'s pool, see [`estimate_work`]), one
+/// FLOP-balanced row partition for all nodes (their summed estimates),
+/// the accumulator bounds (hard and overbooked), every node's mask-bound
+/// slot layout, and the per-input fingerprint pins. None of it depends on
+/// the inputs' *values*.
 pub(crate) fn freeze<T: Copy + Sync>(
+    exec: &ExecutorShared,
     config: Config,
     nodes: Vec<NodeDecl<T>>,
     inputs: &[&Csr<T>],
@@ -422,7 +426,9 @@ pub(crate) fn freeze<T: Copy + Sync>(
         for (node, &ncols) in nodes.iter().zip(&node_ncols) {
             let mask = inputs[node.mask];
             let work = match node.a {
-                OperandRef::Ext(e) => row_work(inputs[e], inputs[node.b], mask),
+                OperandRef::Ext(e) => {
+                    estimate_work(exec, config.schedule, n_threads, inputs[e], inputs[node.b], mask)
+                }
                 // an intermediate's structure is unknown at freeze time:
                 // proxy its row work with the mask bound
                 OperandRef::Node(_) => (0..nrows).map(|i| mask.row_nnz(i) as u64).collect(),
@@ -506,6 +512,87 @@ pub(crate) fn freeze<T: Copy + Sync>(
         pins,
         id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
     })
+}
+
+/// Below this many stored entries in `A`, Eq. 2 runs serially on the
+/// calling thread: waking the pool costs more than it saves. Measured at
+/// 2 threads on a 2-vCPU host, median `RunStats::setup` over perfbench's
+/// seed-1 `oneshot-mix` inputs: the social class (63k nnz) set up in
+/// 0.23 ms serially against 0.26 ms on the pool, the web class (357k nnz)
+/// in 0.94 ms on the pool against 1.25 ms serially.
+const EQ2_POOL_MIN_NNZ: usize = 1 << 17;
+
+/// Eq. 2 for one node whose `A` is an external input, on the calling
+/// thread for one-thread configs and inputs under [`EQ2_POOL_MIN_NNZ`],
+/// otherwise on `exec`'s resident workers at the run's width. A block the
+/// pool loses, or a pool that fails outright, sends the whole vector
+/// through the serial loop, which rewrites every entry.
+fn estimate_work<T: Copy + Sync>(
+    exec: &ExecutorShared,
+    schedule: Schedule,
+    n_threads: usize,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: &Csr<T>,
+) -> Vec<u64> {
+    failpoint::maybe_fire(failpoint::WORK_ESTIMATE, a.nrows() as u64);
+    let mut work = vec![0u64; a.nrows()];
+    let pooled = n_threads > 1
+        && a.nnz() >= EQ2_POOL_MIN_NNZ
+        && estimate_on_pool(exec, schedule, n_threads, a, b, mask, &mut work);
+    if !pooled {
+        row_work_into(a, b, mask, 0, &mut work);
+    }
+    work
+}
+
+/// Eq. 2 in row blocks balanced by `nnz(A)` (a row costs one step per
+/// stored entry of `A`), each writing its own window of `work`, under the
+/// run lock so per-run metric deltas never interleave. One block per
+/// worker, claimed offline, under [`Schedule::Static`]; otherwise 8 per
+/// worker off the dynamic queue, few enough that the pool's claim
+/// counters barely move. Returns whether every block completed.
+fn estimate_on_pool<T: Copy + Sync>(
+    exec: &ExecutorShared,
+    schedule: Schedule,
+    n_threads: usize,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    mask: &Csr<T>,
+    work: &mut [u64],
+) -> bool {
+    let (per_worker, schedule) = match schedule {
+        Schedule::Static => (1, Schedule::Static),
+        _ => (8, Schedule::Dynamic { chunk: 1 }),
+    };
+    let nrows = a.nrows();
+    let n_blocks = n_threads.saturating_mul(per_worker).min(nrows);
+    // block k ends at the first row whose row pointer reaches k shares of
+    // nnz(A)
+    let row_ptr = a.row_ptr();
+    let mut ranges = Vec::with_capacity(n_blocks);
+    let mut lo = 0;
+    for k in 1..=n_blocks {
+        let hi = if k == n_blocks {
+            nrows
+        } else {
+            let target = (a.nnz() as u128 * k as u128 / n_blocks as u128) as usize;
+            row_ptr.partition_point(|&p| p < target).clamp(lo, nrows)
+        };
+        ranges.push((lo, hi));
+        lo = hi;
+    }
+    let Ok(slots) = DisjointSlots::new(work, &ranges) else { return false };
+    let done: Vec<OnceLock<()>> = (0..n_blocks).map(|_| OnceLock::new()).collect();
+    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+    // a lost block or a pool failure leaves `done` incomplete
+    let _ = exec.pool.run_tiles(n_threads, n_blocks, schedule, |_, _, idx| {
+        if let Some(out) = slots.take(idx) {
+            row_work_into(a, b, mask, ranges[idx].0, out);
+            let _ = done[idx].set(());
+        }
+    });
+    done.iter().all(|d| d.get().is_some())
 }
 
 /// One node's mask-bound slot layout over the shared tiles. Tiles
@@ -948,6 +1035,10 @@ mod tests {
 
     // --- the symbolic prologue, as every single-product caller sees it ---
 
+    fn exec() -> &'static ExecutorShared {
+        Executor::global().shared()
+    }
+
     #[test]
     fn single_product_rejects_shape_mismatches() {
         let cfg = Config::default();
@@ -955,13 +1046,13 @@ mod tests {
         let b = Csr::<f64>::zeros(5, 3); // inner 4 != 5
         let m = Csr::<f64>::zeros(3, 3);
         assert!(matches!(
-            single_product(&cfg, &a, &b, &m),
+            single_product(exec(), &cfg, &a, &b, &m),
             Err(SparseError::ShapeMismatch { context: "masked_spgemm: A×B inner dimension", .. })
         ));
         let b2 = Csr::<f64>::zeros(4, 3);
         let bad_mask = Csr::<f64>::zeros(2, 3);
         assert!(matches!(
-            single_product(&cfg, &a, &b2, &bad_mask),
+            single_product(exec(), &cfg, &a, &b2, &bad_mask),
             Err(SparseError::ShapeMismatch { context: "masked_spgemm: mask shape", .. })
         ));
     }
@@ -978,14 +1069,14 @@ mod tests {
         cols.extend(std::iter::repeat(0).take(9));
         let m = Csr::try_from_parts(10, 10, row_ptr, cols, vec![1.0f64; 15]).unwrap();
 
-        let off = single_product(&Config::default(), &m, &m, &m).unwrap();
+        let off = single_product(exec(), &Config::default(), &m, &m, &m).unwrap();
         assert_eq!(off.max_row_entries, 6);
         assert_eq!(off.overbook_row_entries, 6, "overbooking defaults off");
 
         let p90 = Config::builder()
             .kernel_policy(KernelPolicy::new().overbook(Overbook::p90()))
             .build();
-        let core = single_product(&p90, &m, &m, &m).unwrap();
+        let core = single_product(exec(), &p90, &m, &m, &m).unwrap();
         assert_eq!(core.max_row_entries, 6, "hard bound unchanged");
         assert_eq!(core.overbook_row_entries, 1, "p90 of [1×9, 6] is 1");
 
@@ -997,7 +1088,7 @@ mod tests {
                     .overbook(Overbook::p90()),
             )
             .build();
-        assert_eq!(single_product(&dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
+        assert_eq!(single_product(exec(), &dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
     }
 
     #[test]
@@ -1011,7 +1102,7 @@ mod tests {
             vec![1.0f64; 6],
         )
         .unwrap();
-        let core = single_product(&cfg, &m, &m, &m).unwrap();
+        let core = single_product(exec(), &cfg, &m, &m, &m).unwrap();
         let node = &core.nodes[0];
         assert_eq!(node.bound, 6, "slot bound is nnz(M)");
         assert_eq!(node.slot_ranges.len(), core.tiles.len());

@@ -17,7 +17,7 @@
 //! integration tests: it must always be correct, and on the synthetic
 //! suite it should land within a small factor of the swept optimum.
 
-use crate::config::{Config, IterationSpace, KernelPolicy};
+use crate::config::{resolve_threads, Config, IterationSpace, KernelPolicy};
 use mspgemm_accum::{AccumulatorKind, MarkerWidth};
 use mspgemm_sched::{row_work, Schedule, TilingStrategy};
 use mspgemm_sparse::{Csr, Semiring};
@@ -40,11 +40,7 @@ pub fn predict_config<S: Semiring>(
     mask: &Csr<S::T>,
     n_threads: usize,
 ) -> Prediction {
-    let p = if n_threads > 0 {
-        n_threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    };
+    let p = resolve_threads(n_threads);
     let mut reasons = Vec::new();
 
     // --- work distribution (Eq. 2) ---

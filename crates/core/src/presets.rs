@@ -9,7 +9,7 @@
 //! policies with everything else held equal — which is exactly the
 //! methodological point of the paper.
 
-use crate::config::{Config, IterationSpace, KernelPolicy};
+use crate::config::{resolve_threads, Config, IterationSpace, KernelPolicy};
 use mspgemm_accum::{AccumulatorKind, MarkerWidth};
 use mspgemm_sched::{Schedule, TilingStrategy};
 use mspgemm_sparse::{Csr, Semiring};
@@ -80,11 +80,7 @@ pub fn preset_config<S: Semiring>(
     mask: &Csr<S::T>,
     n_threads: usize,
 ) -> Config {
-    let p = if n_threads > 0 {
-        n_threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    };
+    let p = resolve_threads(n_threads);
     match preset {
         Preset::GrBLike => Config {
             n_threads: p,

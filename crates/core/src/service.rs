@@ -611,7 +611,7 @@ fn dispatch_loop<S: Semiring>(
                 None => {
                     obs::incr(obs::Counter::SvcPlanCacheMisses);
                     let job = &entry.job;
-                    match single_product(&job.config, &job.a, &job.b, &job.mask) {
+                    match single_product(exec.shared(), &job.config, &job.a, &job.b, &job.mask) {
                         Ok(core) => (core, PlanScratch::default()),
                         Err(e) => {
                             obs::incr(obs::Counter::SvcCompleted);

@@ -214,3 +214,32 @@ fn plan_cache_separates_configs_that_share_a_fingerprint() {
         );
     });
 }
+
+#[test]
+fn eq2_estimate_runs_on_the_executor_pool_at_the_config_width() {
+    // Above the pooled-estimate cutoff (2^17 stored entries in A), a plan
+    // build runs Eq. 2 on the executor's own workers: 8 row blocks per
+    // worker under the default dynamic schedule, one per worker under
+    // static. At one thread it runs on the calling thread and spawns no
+    // worker at all.
+    let a = lcg_matrix(40_000, 40_000, 4, 31);
+    assert!(a.nnz() >= 1 << 17, "input must sit above the cutoff");
+    let two = Config::builder().n_threads(2).build();
+    with_armed_metrics(|| {
+        let blocks_for = |exec: &Executor, cfg: &Config| {
+            let before = obs::snapshot();
+            exec.plan::<PlusTimes>(&a, &a, &a, cfg).unwrap();
+            obs::snapshot().delta_since(&before).counter("sched.tiles_completed")
+        };
+        let wide = Executor::new();
+        assert_eq!(blocks_for(&wide, &two), 16, "8 blocks per worker");
+        assert_eq!(wide.spawned_workers(), 2, "the build grew the pool to the config's width");
+        let static_two = two.to_builder().schedule(Schedule::Static).build();
+        assert_eq!(blocks_for(&wide, &static_two), 2, "one block per worker");
+
+        let narrow = Executor::new();
+        let one = two.to_builder().n_threads(1).build();
+        assert_eq!(blocks_for(&narrow, &one), 0, "no pool run at one thread");
+        assert_eq!(narrow.spawned_workers(), 0, "Eq. 2 ran on the calling thread");
+    });
+}

@@ -12,7 +12,7 @@
 //! and as the baseline for the fused-vs-two-step ablation bench.
 
 use mspgemm_core::{spgemm, Config};
-use mspgemm_rt::{obs, par};
+use mspgemm_rt::obs;
 use mspgemm_sparse::ops::ewise_mult;
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 
@@ -42,10 +42,12 @@ pub fn masked_mxm<S: Semiring>(
     spgemm::<S>(a, b, mask, config).map(|(c, _)| c)
 }
 
-/// Row-wise Gustavson SpGEMM without a mask, parallel over rows.
+/// Row-wise Gustavson SpGEMM without a mask, serial on the calling
+/// thread and independent of any worker pool.
 ///
-/// Uses a per-thread dense accumulator plus a touched-column list; rows
-/// are sorted on gather so the output satisfies the CSR invariants.
+/// One dense accumulator plus a touched-column list serves every row;
+/// each row is sorted on gather and appended straight to the output
+/// arrays, so the result satisfies the CSR invariants.
 pub fn spgemm_unmasked<S: Semiring>(
     a: &Csr<S::T>,
     b: &Csr<S::T>,
@@ -59,89 +61,36 @@ pub fn spgemm_unmasked<S: Semiring>(
     }
     obs::incr(obs::Counter::GrbMxmUnmasked);
     let n = b.ncols();
-    // one row at a time, parallel over rows; each worker owns its scratch
-    let rows: Vec<(Vec<Idx>, Vec<S::T>)> = par::map_with(
-        a.nrows(),
-        || (vec![S::zero(); n], vec![false; n], Vec::<Idx>::new()),
-        |(vals, touched, order), i| {
-            let (acols, avals) = a.row(i);
-            for (&k, &av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = b.row(k as usize);
-                for (&j, &bv) in bcols.iter().zip(bvals) {
-                    let ju = j as usize;
-                    if touched[ju] {
-                        vals[ju] = S::fma(vals[ju], av, bv);
-                    } else {
-                        touched[ju] = true;
-                        vals[ju] = S::mul(av, bv);
-                        order.push(j);
-                    }
-                }
-            }
-            order.sort_unstable();
-            let out_cols: Vec<Idx> = order.clone();
-            let out_vals: Vec<S::T> = order.iter().map(|&j| vals[j as usize]).collect();
-            for &j in order.iter() {
-                touched[j as usize] = false;
-            }
-            order.clear();
-            (out_cols, out_vals)
-        },
-    );
-
+    let mut acc = vec![S::zero(); n];
+    let mut touched = vec![false; n];
     let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
     row_ptr.push(0usize);
-    let nnz: usize = rows.iter().map(|(c, _)| c.len()).sum();
-    let mut cols = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for (c, v) in rows {
-        cols.extend_from_slice(&c);
-        vals.extend_from_slice(&v);
+    let mut cols: Vec<Idx> = Vec::new();
+    let mut vals: Vec<S::T> = Vec::new();
+    for i in 0..a.nrows() {
+        let row_start = cols.len();
+        let (acols, avals) = a.row(i);
+        for (&k, &av) in acols.iter().zip(avals) {
+            let (bcols, bvals) = b.row(k as usize);
+            for (&j, &bv) in bcols.iter().zip(bvals) {
+                let ju = j as usize;
+                if touched[ju] {
+                    acc[ju] = S::fma(acc[ju], av, bv);
+                } else {
+                    touched[ju] = true;
+                    acc[ju] = S::mul(av, bv);
+                    cols.push(j);
+                }
+            }
+        }
+        cols[row_start..].sort_unstable();
+        for &j in &cols[row_start..] {
+            vals.push(acc[j as usize]);
+            touched[j as usize] = false;
+        }
         row_ptr.push(cols.len());
     }
     Ok(Csr::from_parts_unchecked(a.nrows(), b.ncols(), row_ptr, cols, vals))
-}
-
-/// Symbolic phase of an unmasked SpGEMM: the exact number of stored
-/// entries in each row of `A × B`, without computing any values.
-///
-/// This is the standard two-phase structure production SpGEMMs use (and
-/// what SuiteSparse calls the "symbolic analysis"): the numeric phase can
-/// then allocate the output exactly once. Parallel over rows.
-pub fn spgemm_symbolic<TA: Copy + Sync, TB: Copy + Sync>(
-    a: &Csr<TA>,
-    b: &Csr<TB>,
-) -> Result<Vec<usize>, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            expected: (a.ncols(), b.ncols()),
-            found: (b.nrows(), b.ncols()),
-            context: "spgemm_symbolic: inner dimension",
-        });
-    }
-    let n = b.ncols();
-    Ok(par::map_with(
-        a.nrows(),
-        || (vec![false; n], Vec::<Idx>::new()),
-        |(touched, order), i| {
-            let (acols, _) = a.row(i);
-            for &k in acols {
-                let (bcols, _) = b.row(k as usize);
-                for &j in bcols {
-                    if !touched[j as usize] {
-                        touched[j as usize] = true;
-                        order.push(j);
-                    }
-                }
-            }
-            let count = order.len();
-            for &j in order.iter() {
-                touched[j as usize] = false;
-            }
-            order.clear();
-            count
-        },
-    ))
 }
 
 /// Complemented-mask product (`GrB_DESC_C`): `C = ¬M ⊙ (A × B)` — keep
@@ -238,26 +187,6 @@ mod tests {
         let fused = masked_mxm::<PlusTimes>(&mask, &a, &a, &cfg).unwrap();
         let two = two_step_masked::<PlusTimes>(&mask, &a, &a).unwrap();
         assert_eq!(fused, two);
-    }
-
-    #[test]
-    fn symbolic_counts_match_numeric_structure() {
-        let a = lcg_matrix(30, 25, 4, 11);
-        let b = lcg_matrix(25, 40, 3, 12);
-        let counts = spgemm_symbolic(&a, &b).unwrap();
-        let c = spgemm_unmasked::<PlusTimes>(&a, &b).unwrap();
-        assert_eq!(counts.len(), 30);
-        for i in 0..30 {
-            assert_eq!(counts[i], c.row_nnz(i), "row {i}");
-        }
-        assert_eq!(counts.iter().sum::<usize>(), c.nnz());
-    }
-
-    #[test]
-    fn symbolic_rejects_shape_mismatch() {
-        let a = lcg_matrix(4, 5, 2, 1);
-        let b = lcg_matrix(6, 4, 2, 2);
-        assert!(spgemm_symbolic(&a, &b).is_err());
     }
 
     #[test]

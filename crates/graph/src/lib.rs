@@ -37,7 +37,7 @@ pub use descriptor::{mxm_desc, Descriptor};
 pub use mis::{maximal_independent_set, MisResult};
 pub use triangles::clustering_coefficients;
 pub use cc::{connected_components, CcResult};
-pub use grb::{masked_mxm, masked_mxm_complemented, mxm, spgemm_symbolic, spgemm_unmasked};
+pub use grb::{masked_mxm, masked_mxm_complemented, mxm, spgemm_unmasked};
 pub use ktruss::{ktruss, ktruss_unfused, KTrussResult};
 pub use pagerank::{pagerank, PageRankOptions, PageRankResult};
 pub use triangles::{

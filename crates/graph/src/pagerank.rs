@@ -1,8 +1,10 @@
 //! PageRank by power iteration — SpMV over the arithmetic semiring.
 //!
-//! Included as the canonical "iterated SpMV" consumer of the sparse
-//! substrate: it exercises [`mspgemm_sparse::ops::spmv`] the way triangle
-//! counting exercises masked-SpGEMM.
+//! Included as the canonical "iterated SpMV" graph algorithm. Each
+//! iteration pushes every vertex's rank share along its out-edges in one
+//! pass over the adjacency rows (`Aᵀ · x`, with the dangling mass spread
+//! uniformly), so it reads `A` directly rather than through
+//! [`mspgemm_sparse::ops::spmv`], which computes `A · x`.
 
 use mspgemm_sparse::{Csr, Idx};
 

@@ -11,7 +11,7 @@
 //! | [`TILE_KERNEL`] | the parallel tile body of the masked-SpGEMM driver |
 //! | [`ACCUM_RESET`] | the accumulators' per-row reset path |
 //! | [`FRAGMENT_STITCH`] | the driver's fragment-stitch loop |
-//! | [`WORK_ESTIMATE`] | the Eq. 2 work estimator prologue |
+//! | [`WORK_ESTIMATE`] | each Eq. 2 work estimate of the symbolic prologue |
 //! | [`OVERBOOK_SPILL`] | the driver's overbooked-accumulator spill path |
 //!
 //! # Spec grammar
@@ -63,8 +63,9 @@ pub const ACCUM_RESET: &str = "accum-reset";
 /// Site inside the driver's fragment-stitch loop; the call key is the
 /// fragment (tile) index.
 pub const FRAGMENT_STITCH: &str = "fragment-stitch";
-/// Site at the head of the Eq. 2 work estimator; the call key is the row
-/// count of the left operand.
+/// Site at the head of each Eq. 2 work estimate in the symbolic prologue,
+/// on the calling thread before any row block is dispatched; the call key
+/// is the row count of the left operand.
 pub const WORK_ESTIMATE: &str = "work-estimate";
 /// Site on the driver's overbooked-accumulator spill path, entered when a
 /// fat row overflows the quantile-sized scratch and is recomputed at the

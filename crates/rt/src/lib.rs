@@ -1,13 +1,10 @@
 //! `mspgemm-rt` — the zero-dependency runtime under the workspace.
 //!
-//! Three modules, each replacing an external crate so the tier-1 verify
+//! Its modules replace external crates, so the tier-1 verify
 //! (`cargo build --release && cargo test -q --offline`) runs on a machine
-//! with no crates-io access:
+//! with no crates-io access. It starts no threads: the workspace's
+//! parallel loops run on `mspgemm-sched`'s worker pool.
 //!
-//! * [`par`] — scoped-thread parallel-for (`map`, `map_with`,
-//!   `map_reduce`, `for_each`) replacing the four `rayon::prelude` call
-//!   sites in utility passes. The *measured* kernel loop keeps using
-//!   `mspgemm-sched`'s own static/dynamic/guided pool.
 //! * [`rng`] — SplitMix64 seeding plus a ChaCha8 core that is
 //!   stream-compatible with `rand_chacha::ChaCha8Rng` +
 //!   `rand 0.8` sampling, so `crates/gen` keeps producing bit-identical
@@ -26,7 +23,6 @@
 pub mod failpoint;
 pub mod json;
 pub mod obs;
-pub mod par;
 pub mod rng;
 pub mod testkit;
 

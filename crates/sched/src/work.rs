@@ -13,34 +13,51 @@
 //! every multiply (the paper's §V-A concludes this estimate "is indeed a
 //! good estimate of load").
 
-use mspgemm_rt::{failpoint, par};
 use mspgemm_sparse::Csr;
 
-/// Per-row work estimates `W[i]` (Eq. 2) for `C = M ⊙ (A × B)`.
+/// Eq. 2 for the rows `lo..lo + out.len()`: `out[r] = W[lo + r]`. The one
+/// per-row formula every estimate runs, whether over the whole matrix
+/// ([`row_work`]) or one row block at a time on a worker pool.
 ///
-/// Parallelised over rows with the in-tree scoped-thread runtime; the
-/// estimator itself is exactly the paper's, including counting the mask
+/// The estimator is exactly the paper's, including counting the mask
 /// load. All accumulation saturates: an adversarial distribution (e.g. a
 /// near-dense `B` row referenced by every `A` row on a huge matrix) clamps
 /// to `u64::MAX` instead of wrapping, which would silently corrupt the
 /// balanced tiler's split points (and panic in debug builds).
+pub fn row_work_into<TA, TB, TM>(
+    a: &Csr<TA>,
+    b: &Csr<TB>,
+    mask: &Csr<TM>,
+    lo: usize,
+    out: &mut [u64],
+) where
+    TA: Copy,
+    TB: Copy,
+    TM: Copy,
+{
+    for (w, i) in out.iter_mut().zip(lo..) {
+        let (acols, _) = a.row(i);
+        let mut acc = mask.row_nnz(i) as u64;
+        for &k in acols {
+            acc = acc.saturating_add(b.row_nnz(k as usize) as u64);
+        }
+        *w = acc;
+    }
+}
+
+/// Per-row work estimates `W[i]` (Eq. 2) for `C = M ⊙ (A × B)`, computed
+/// serially on the calling thread.
 pub fn row_work<TA, TB, TM>(a: &Csr<TA>, b: &Csr<TB>, mask: &Csr<TM>) -> Vec<u64>
 where
-    TA: Copy + Sync,
-    TB: Copy + Sync,
-    TM: Copy + Sync,
+    TA: Copy,
+    TB: Copy,
+    TM: Copy,
 {
     assert_eq!(a.ncols(), b.nrows(), "row_work: inner dimensions");
     assert_eq!(mask.nrows(), a.nrows(), "row_work: mask rows");
-    failpoint::maybe_fire(failpoint::WORK_ESTIMATE, a.nrows() as u64);
-    par::map(a.nrows(), |i| {
-        let (acols, _) = a.row(i);
-        let mut w = mask.row_nnz(i) as u64;
-        for &k in acols {
-            w = w.saturating_add(b.row_nnz(k as usize) as u64);
-        }
-        w
-    })
+    let mut work = vec![0u64; a.nrows()];
+    row_work_into(a, b, mask, 0, &mut work);
+    work
 }
 
 /// Total estimated work — `Σ_i W[i]`, saturating at `u64::MAX`.
@@ -91,6 +108,19 @@ mod tests {
         // W[2] = 1 + 0 = 1
         assert_eq!(w, vec![3, 2, 1]);
         assert_eq!(total_work(&w), 6);
+    }
+
+    #[test]
+    fn row_blocks_match_the_whole_matrix_call() {
+        let a = adj(&[(0, 1), (0, 2), (1, 0), (3, 1), (3, 3)], 4);
+        let b = adj(&[(0, 0), (1, 0), (1, 2), (3, 3)], 4);
+        let m = adj(&[(0, 0), (1, 1), (2, 2), (3, 0), (3, 3)], 4);
+        let whole = row_work(&a, &b, &m);
+        let mut blocks = vec![0u64; 4];
+        let (head, tail) = blocks.split_at_mut(1);
+        row_work_into(&a, &b, &m, 1, tail);
+        row_work_into(&a, &b, &m, 0, head);
+        assert_eq!(blocks, whole);
     }
 
     #[test]

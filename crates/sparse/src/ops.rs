@@ -8,7 +8,6 @@
 use crate::error::SparseError;
 use crate::semiring::Semiring;
 use crate::{Csr, Idx};
-use mspgemm_rt::par;
 
 /// Check that two matrices have identical dimensions, naming the caller.
 fn check_same_shape<T: Copy, U: Copy>(
@@ -126,9 +125,6 @@ pub fn ewise_without<T: Copy, U: Copy>(
 }
 
 /// Sparse matrix × dense vector over a semiring: `y[i] = ⊕_k A[i,k] ⊗ x[k]`.
-///
-/// Rows are processed in parallel (each output element is independent —
-/// the "embarrassingly parallel utility pass" case from DESIGN.md).
 pub fn spmv<S: Semiring>(a: &Csr<S::T>, x: &[S::T]) -> Result<Vec<S::T>, SparseError> {
     if a.ncols() != x.len() {
         return Err(SparseError::DimensionMismatch {
@@ -137,14 +133,16 @@ pub fn spmv<S: Semiring>(a: &Csr<S::T>, x: &[S::T]) -> Result<Vec<S::T>, SparseE
             context: "spmv",
         });
     }
-    Ok(par::map(a.nrows(), |i| {
-        let (cols, vals) = a.row(i);
-        let mut acc = S::zero();
-        for (&k, &v) in cols.iter().zip(vals) {
-            acc = S::fma(acc, v, x[k as usize]);
-        }
-        acc
-    }))
+    Ok((0..a.nrows())
+        .map(|i| {
+            let (cols, vals) = a.row(i);
+            let mut acc = S::zero();
+            for (&k, &v) in cols.iter().zip(vals) {
+                acc = S::fma(acc, v, x[k as usize]);
+            }
+            acc
+        })
+        .collect())
 }
 
 /// Masked sparse matrix × sparse vector (push-style), the row-wise analogue
@@ -194,16 +192,14 @@ pub fn masked_spmspv<S: Semiring>(
 /// Row-sum reduction over a semiring's additive monoid:
 /// `out[i] = ⊕_j A[i,j]`.
 pub fn reduce_rows<S: Semiring>(a: &Csr<S::T>) -> Vec<S::T> {
-    par::map(a.nrows(), |i| {
-        let (_, vals) = a.row(i);
-        vals.iter().fold(S::zero(), |acc, &v| S::add(acc, v))
-    })
+    (0..a.nrows())
+        .map(|i| a.row(i).1.iter().fold(S::zero(), |acc, &v| S::add(acc, v)))
+        .collect()
 }
 
 /// Full reduction over the additive monoid.
 pub fn reduce_all<S: Semiring>(a: &Csr<S::T>) -> S::T {
-    let vals = a.values();
-    par::map_reduce(vals.len(), |i| vals[i], S::zero, S::add)
+    a.values().iter().fold(S::zero(), |acc, &v| S::add(acc, v))
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! checked against the synthetic stand-ins.
 
 use crate::Csr;
-use mspgemm_rt::par;
 
 /// Summary statistics of a sparse matrix's structure.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,8 +39,8 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Compute statistics for `a`. `O(nnz)`, parallel over rows.
-    pub fn compute<T: Copy + Sync>(a: &Csr<T>) -> Self {
+    /// Compute statistics for `a` in one `O(nnz)` pass.
+    pub fn compute<T: Copy>(a: &Csr<T>) -> Self {
         let nrows = a.nrows();
         let nnz = a.nnz();
         let degrees: Vec<usize> = (0..nrows).map(|i| a.row_nnz(i)).collect();
@@ -62,24 +61,17 @@ impl MatrixStats {
         };
         let empty_rows = degrees.iter().filter(|&&d| d == 0).count();
 
-        let (band_sum, near) = par::map_reduce(
-            nrows,
-            |i| {
-                let (cols, _) = a.row(i);
-                let mut bsum = 0u64;
-                let mut near = 0u64;
-                for &j in cols {
-                    let d = (j as i64 - i as i64).unsigned_abs();
-                    bsum += d;
-                    if d <= 1024 {
-                        near += 1;
-                    }
+        let mut band_sum = 0u64;
+        let mut near = 0u64;
+        for i in 0..nrows {
+            for &j in a.row(i).0 {
+                let d = (j as i64 - i as i64).unsigned_abs();
+                band_sum += d;
+                if d <= 1024 {
+                    near += 1;
                 }
-                (bsum, near)
-            },
-            || (0, 0),
-            |x, y| (x.0 + y.0, x.1 + y.1),
-        );
+            }
+        }
 
         MatrixStats {
             nrows,

@@ -211,12 +211,12 @@ done
 echo "ok: sched and core engine/plan/config non-test code is unwrap/panic free"
 
 echo "== unsafe allowlist gate =="
-# `unsafe` is confined to three audited sites: the disjoint slot windows
-# (slots.rs), the persistent pool's scoped-lifetime erasure
-# (persistent.rs) and the parallel-for's uninitialised output (par.rs).
-# Non-test, non-comment code anywhere else in crates/*/src or src/ must
-# not use it, so a new site has to be added to this list on purpose.
-unsafe_allowed="crates/sched/src/slots.rs crates/sched/src/persistent.rs crates/rt/src/par.rs"
+# `unsafe` is confined to two audited sites: the disjoint slot windows
+# (slots.rs) and the persistent pool's scoped-lifetime erasure
+# (persistent.rs). Non-test, non-comment code anywhere else in
+# crates/*/src or src/ must not use it, so a new site has to be added to
+# this list on purpose.
+unsafe_allowed="crates/sched/src/slots.rs crates/sched/src/persistent.rs"
 hits=$(find crates/*/src src -name '*.rs' | sort | while read -r f; do
     case " $unsafe_allowed " in *" $f "*) continue ;; esac
     awk '/^#\[cfg\(test\)\]/ { exit }
@@ -229,6 +229,30 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "ok: unsafe appears only in $unsafe_allowed"
+
+echo "== thread-spawn allowlist gate =="
+# Every thread the library starts is a pool worker (persistent.rs: pool
+# growth and watchdog respawn), the service dispatcher (service.rs) or a
+# stress-harness client (stress.rs); parallel loops run on the pool, at
+# the config's thread count, where thread reports, the sched.* counters
+# and the watchdog see them. Non-test, non-comment library code (every
+# crates/*/src but the bench crate's, plus src/lib.rs) must not spawn
+# anywhere else, so a new site has to be added to this list on purpose.
+spawn_allowed="crates/sched/src/persistent.rs crates/core/src/service.rs crates/core/src/stress.rs"
+spawn_scanned=$( (find crates/*/src -name '*.rs' -not -path 'crates/bench/*'
+    echo src/lib.rs) | sort)
+hits=$(for f in $spawn_scanned; do
+    case " $spawn_allowed " in *" $f "*) continue ;; esac
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /thread::(spawn|scope|Builder)/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "FAIL: thread spawn outside the allowlisted files:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "ok: threads are spawned only in $spawn_allowed"
 
 echo "== fusion smoke (fused vs unfused k-truss + counters) =="
 # The ktruss subcommand runs the fused PlanGraph pipeline and the unfused
