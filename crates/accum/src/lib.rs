@@ -6,7 +6,8 @@
 //! B rows". Its two requirements are (1) fast random access to all possible
 //! output column indices and (2) fast state resetting between rows.
 //!
-//! Two families are provided, mirroring GrB and SuiteSparse:GraphBLAS:
+//! Two families are provided, mirroring GrB and SuiteSparse:GraphBLAS,
+//! plus GrB's original reset policy for the §III-C ablation:
 //!
 //! * [`DenseAccumulator`] — a value array of length `ncols` plus a marker
 //!   array. Resetting is *implicit*: a per-row epoch counter is bumped and
@@ -30,14 +31,12 @@ pub mod explicit;
 pub mod hash;
 pub mod marker;
 pub mod sink;
-pub mod sort;
 
 pub use dense::DenseAccumulator;
 pub use explicit::DenseExplicitReset;
 pub use hash::HashAccumulator;
 pub use marker::{Marker, MarkerWidth};
 pub use sink::{FusedOp, FusedSink, FusedStage, RowSink, SlotSink, VecSink};
-pub use sort::SortAccumulator;
 
 use mspgemm_sparse::{Idx, Semiring};
 
@@ -123,28 +122,11 @@ pub enum AccumulatorKind {
     Dense(MarkerWidth),
     /// Hash accumulator with the given marker width.
     Hash(MarkerWidth),
-    /// Log-structured sort-merge accumulator (no marker state). Not in
-    /// the paper's final sweep — kept from the wider Milaković design
-    /// space to show why dense/hash win (see the ablation benches).
-    Sort,
 }
 
 impl AccumulatorKind {
-    /// All (family × width) combinations: the Fig. 13 sweep grid plus the
-    /// sort-based outsider.
+    /// All (family × width) combinations: the Fig. 13 sweep grid.
     pub fn all() -> Vec<AccumulatorKind> {
-        use MarkerWidth::*;
-        let mut v = Vec::new();
-        for w in [W8, W16, W32, W64] {
-            v.push(AccumulatorKind::Dense(w));
-            v.push(AccumulatorKind::Hash(w));
-        }
-        v.push(AccumulatorKind::Sort);
-        v
-    }
-
-    /// The paper's Fig. 13 grid only (dense/hash × widths).
-    pub fn paper_grid() -> Vec<AccumulatorKind> {
         use MarkerWidth::*;
         let mut v = Vec::new();
         for w in [W8, W16, W32, W64] {
@@ -159,7 +141,6 @@ impl AccumulatorKind {
         match self {
             AccumulatorKind::Dense(w) => format!("dense{}", w.bits()),
             AccumulatorKind::Hash(w) => format!("hash{}", w.bits()),
-            AccumulatorKind::Sort => "sort".to_string(),
         }
     }
 }
@@ -171,12 +152,9 @@ mod tests {
     #[test]
     fn all_kinds_enumerates_grid() {
         let all = AccumulatorKind::all();
-        assert_eq!(all.len(), 9);
+        assert_eq!(all.len(), 8);
         assert!(all.contains(&AccumulatorKind::Dense(MarkerWidth::W32)));
         assert!(all.contains(&AccumulatorKind::Hash(MarkerWidth::W8)));
-        assert!(all.contains(&AccumulatorKind::Sort));
-        assert_eq!(AccumulatorKind::paper_grid().len(), 8);
-        assert!(!AccumulatorKind::paper_grid().contains(&AccumulatorKind::Sort));
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! Runs under the in-tree `mspgemm_rt::testkit` harness with the same case
 //! count the former proptest config used (48 per property).
 
-use mspgemm_accum::{
-    Accumulator, DenseAccumulator, DenseExplicitReset, HashAccumulator, SortAccumulator,
-};
+use mspgemm_accum::{Accumulator, DenseAccumulator, DenseExplicitReset, HashAccumulator};
 use mspgemm_rt::rng::Rng;
 use mspgemm_rt::testkit::{check, vec_of, Strategy, TestRng};
 use mspgemm_sparse::{Idx, PlusTimes};
@@ -199,43 +197,5 @@ fn hash_u8_matches_model_across_overflows() {
 fn explicit_reset_matches_model() {
     check("explicit_reset_matches_model", CASES, vec_of(OpStrategy, 1..60), |ops| {
         run_workout(DenseExplicitReset::<PlusTimes>::new(NCOLS), &ops, 4);
-    });
-}
-
-// The sort accumulator's `set_mask`-after-write has append semantics, not
-// downgrade semantics, so it is exercised with the kernel-shaped protocol
-// only (mask fully loaded before any update — what the kernels actually do).
-#[test]
-fn sort_matches_model_under_kernel_protocol() {
-    let s = (
-        vec_of(0..NCOLS as Idx, 0..24),
-        vec_of((0..NCOLS as Idx, 1..10i32, 1..10i32), 0..80),
-    );
-    check("sort_matches_model_under_kernel_protocol", CASES, s, |(mask_raw, updates)| {
-        // the former proptest strategy drew a btree_set; dedup + sort gives
-        // the same shape of mask
-        let mut mask_cols: Vec<Idx> = mask_raw.clone();
-        mask_cols.sort_unstable();
-        mask_cols.dedup();
-        let mut acc = SortAccumulator::<PlusTimes>::default();
-        let mut model = Model::default();
-        for _ in 0..3 {
-            acc.begin_row();
-            model.begin_row();
-            for &j in &mask_cols {
-                acc.set_mask(j);
-                model.set_mask(j);
-            }
-            for &(j, a, b) in &updates {
-                let got = acc.accumulate_masked(j, a as f64, b as f64);
-                let want = model.acc_masked(j, a as f64, b as f64);
-                assert_eq!(got, want);
-            }
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            acc.gather(&mask_cols, &mut cols, &mut vals);
-            let got: Vec<(Idx, f64)> = cols.into_iter().zip(vals).collect();
-            assert_eq!(got, model.gather(&mask_cols));
-        }
     });
 }

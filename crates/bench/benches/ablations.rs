@@ -5,7 +5,9 @@
 //! 2. **marker-based vs explicit accumulator reset** — the paper's §III-C
 //!    modification of GrB (implicit epoch bump vs explicit slot clearing);
 //! 3. **co-iteration factor κ at the extremes** — what pure push (κ=0)
-//!    and pure pull (κ=∞) cost relative to the hybrid.
+//!    and pure pull (κ=∞) cost relative to the hybrid;
+//! 4. **dot vs saxpy** — the output-driven dot-product formulation
+//!    against row-wise saxpy, with a mask as dense as `A` and a thin one.
 
 use mspgemm_bench::micro::{BenchmarkId, Micro};
 use mspgemm_bench::{micro_group, micro_main};
@@ -101,56 +103,6 @@ fn bench_kappa_extremes(c: &mut Micro) {
     group.finish();
 }
 
-fn bench_sort_accumulator_outsider(c: &mut Micro) {
-    // why the paper's sweep is dense/hash only: the sort accumulator on a
-    // short-row graph (its best case) vs the same graph on hash
-    let a = graph("GAP-road");
-    let mut group = c.benchmark_group("sort_accumulator");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900));
-    for acc in [
-        mspgemm_accum::AccumulatorKind::Hash(mspgemm_accum::MarkerWidth::W32),
-        mspgemm_accum::AccumulatorKind::Sort,
-    ] {
-        let cfg = Config::builder()
-            .kernel_policy(mspgemm_core::KernelPolicy::new().accumulator(acc))
-            .n_tiles(256)
-            .build();
-        group.bench_function(acc.label(), |b| {
-            b.iter(|| spgemm::<PlusPair>(&a, &a, &a, &cfg).unwrap());
-        });
-    }
-    group.finish();
-}
-
-fn bench_reordering(c: &mut Micro) {
-    // the paper's §V-A: "we did not perform any pre-processing of the
-    // data like partitioning the graphs, or reorganizing the data. For
-    // future work..." — quantify what that future work is worth on a
-    // low-locality graph (RCM) vs a hub-concentrating order (degree)
-    use mspgemm_sparse::permute::{degree_descending_order, permute_symmetric, rcm_order};
-    let a = graph("com-LiveJournal");
-    let orders: Vec<(&str, Csr<u64>)> = vec![
-        ("natural", a.clone()),
-        ("rcm", permute_symmetric(&a, &rcm_order(&a))),
-        ("degree_desc", permute_symmetric(&a, &degree_descending_order(&a))),
-    ];
-    let mut group = c.benchmark_group("reordering");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900));
-    let cfg = Config::builder().n_tiles(256).build();
-    for (label, g) in &orders {
-        group.bench_function(*label, |b| {
-            b.iter(|| spgemm::<PlusPair>(g, g, g, &cfg).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_dot_vs_saxpy(c: &mut Micro) {
     // the higher-level algorithm axis (Milaković et al., paper §VI-B):
     // output-driven dot products vs row-wise saxpy. With M = A (triangle
@@ -183,8 +135,6 @@ micro_group!(
     bench_fused_vs_two_step,
     bench_reset_policy,
     bench_kappa_extremes,
-    bench_sort_accumulator_outsider,
-    bench_reordering,
     bench_dot_vs_saxpy
 );
 micro_main!(benches);

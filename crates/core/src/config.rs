@@ -55,9 +55,9 @@ impl IterationSpace {
 /// `RunStats::overbook_spills`).
 ///
 /// Only the hash accumulator family is overbookable — dense accumulators
-/// are sized by `ncols`, not by row bounds, and the sort accumulator has
-/// no overflow latch. Elsewhere the policy is accepted and ignored. Every
-/// caller honours it alike — one-shot [`crate::spgemm`], a reused
+/// are sized by `ncols`, not by row bounds, and have no overflow latch,
+/// so for them the policy is accepted and ignored. Every caller honours
+/// it alike — one-shot [`crate::spgemm`], a reused
 /// [`crate::Plan`], a fused [`crate::PlanGraph`] (whose quantile is taken
 /// over every node's rows) and the service batch all run the same tile
 /// engine.
@@ -267,7 +267,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Static / dynamic / guided tile scheduling.
+    /// Static or dynamic tile scheduling.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.cfg.schedule = schedule;
         self
@@ -375,10 +375,10 @@ mod tests {
             .n_threads(3)
             .n_tiles(64)
             .tiling(TilingStrategy::Uniform)
-            .schedule(Schedule::Guided { chunk: 2 })
+            .schedule(Schedule::Static)
             .kernel_policy(
                 KernelPolicy::new()
-                    .accumulator(AccumulatorKind::Sort)
+                    .accumulator(AccumulatorKind::Dense(MarkerWidth::W16))
                     .iteration(IterationSpace::CoIterate)
                     .overbook(Overbook::p90()),
             )
@@ -386,8 +386,8 @@ mod tests {
         assert_eq!(cfg.n_threads, 3);
         assert_eq!(cfg.n_tiles, 64);
         assert_eq!(cfg.tiling, TilingStrategy::Uniform);
-        assert_eq!(cfg.schedule, Schedule::Guided { chunk: 2 });
-        assert_eq!(cfg.kernel.accumulator, AccumulatorKind::Sort);
+        assert_eq!(cfg.schedule, Schedule::Static);
+        assert_eq!(cfg.kernel.accumulator, AccumulatorKind::Dense(MarkerWidth::W16));
         assert_eq!(cfg.kernel.iteration, IterationSpace::CoIterate);
         assert_eq!(cfg.kernel.overbook, Overbook::Quantile { q: 0.90 });
     }

@@ -61,7 +61,7 @@ use crate::kernels::{
 use crate::plan::{AccCell, AccSlot, PlanScratch, SlotBufs};
 use mspgemm_accum::{
     Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, FusedStage,
-    HashAccumulator, MarkerWidth, RowSink, SlotSink, SortAccumulator,
+    HashAccumulator, MarkerWidth, RowSink, SlotSink,
 };
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
@@ -458,7 +458,6 @@ fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
         AccumulatorKind::Hash(MarkerWidth::W64) => v.with(move |cap| {
             HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
         }),
-        AccumulatorKind::Sort => v.with(SortAccumulator::<S>::new),
     }
 }
 
@@ -1398,7 +1397,6 @@ fn note_overbook_savings<S: Semiring>(core: &GraphCore<S::T>) {
 mod tests {
     use super::*;
     use crate::config::{KernelPolicy, Overbook};
-    use mspgemm_sched::TilingStrategy;
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
     fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64> {
@@ -1415,49 +1413,6 @@ mod tests {
             }
         }
         coo.to_csr_with(|a, _| a)
-    }
-
-    fn all_configs() -> Vec<Config> {
-        let mut v = Vec::new();
-        for tiling in TilingStrategy::all() {
-            for schedule in Schedule::all() {
-                for accumulator in AccumulatorKind::all() {
-                    for iteration in [
-                        IterationSpace::Vanilla,
-                        IterationSpace::MaskAccumulate,
-                        IterationSpace::CoIterate,
-                        IterationSpace::Hybrid { kappa: 1.0 },
-                    ] {
-                        v.push(
-                            Config::builder()
-                                .n_threads(2)
-                                .n_tiles(7)
-                                .tiling(tiling)
-                                .schedule(schedule)
-                                .kernel_policy(
-                                    KernelPolicy::new()
-                                        .accumulator(accumulator)
-                                        .iteration(iteration),
-                                )
-                                .build(),
-                        );
-                    }
-                }
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn every_configuration_matches_the_oracle() {
-        let a = lcg_matrix(50, 50, 5, 1);
-        let b = lcg_matrix(50, 50, 4, 2);
-        let mask = lcg_matrix(50, 50, 6, 3);
-        let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &mask);
-        for cfg in all_configs() {
-            let (got, _) = spgemm::<PlusTimes>(&a, &b, &mask, &cfg).unwrap();
-            assert_eq!(got, want, "config {}", cfg.label());
-        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! | Dimension (paper §III) | Knob | Options |
 //! |---|---|---|
 //! | Tiling | [`ConfigBuilder::tiling`], [`ConfigBuilder::n_tiles`] | uniform / FLOP-balanced × any tile count |
-//! | Scheduling | [`ConfigBuilder::schedule`] | static / dynamic(chunk) / guided(chunk) |
+//! | Scheduling | [`ConfigBuilder::schedule`] | static / dynamic(chunk) |
 //! | Iteration space | [`KernelPolicy::iteration`] via [`ConfigBuilder::kernel_policy`] | vanilla (Fig. 3), mask-accumulate (Fig. 5), co-iteration (Fig. 7), hybrid-κ (Fig. 9) |
-//! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash / sort × marker width 8/16/32/64 |
+//! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash × marker width 8/16/32/64 |
 //! | Scratch sizing | [`KernelPolicy::overbook`] | hard bound / quantile overbooking with spill recovery |
 //!
 //! Three policy presets reproduce the systems the paper compares

@@ -37,11 +37,6 @@ pub enum Preset {
     /// intermediate tile count, dynamic scheduling, hybrid κ = 1, 32-bit
     /// markers (the §V recommendations).
     Tuned,
-    /// [`Tuned`](Self::Tuned) with the guided (decaying-chunk) claim mode:
-    /// early grabs take large chunks, the tail shrinks to single tiles.
-    /// An extension beyond the paper's static/dynamic sweep — kept out of
-    /// [`all`](Self::all) so Fig. 1 stays shaped like the paper's legend.
-    TunedGuided,
 }
 
 impl Preset {
@@ -50,19 +45,12 @@ impl Preset {
         [Preset::SuiteSparseLike, Preset::GrBLike, Preset::Tuned]
     }
 
-    /// Fig. 1's legend plus the guided-scheduling extension, for harnesses
-    /// that sweep the full claim-mode space.
-    pub fn extended() -> [Preset; 4] {
-        [Preset::SuiteSparseLike, Preset::GrBLike, Preset::Tuned, Preset::TunedGuided]
-    }
-
     /// Display name used by the Fig. 1 harness.
     pub fn label(&self) -> &'static str {
         match self {
             Preset::SuiteSparseLike => "SuiteSparse:GraphBLAS (policy)",
             Preset::GrBLike => "GrB (policy)",
             Preset::Tuned => "Ours (tuned)",
-            Preset::TunedGuided => "Ours (tuned, guided)",
         }
     }
 }
@@ -108,10 +96,6 @@ pub fn preset_config<S: Semiring>(
             kernel: KernelPolicy::new()
                 .accumulator(AccumulatorKind::Hash(MarkerWidth::W32))
                 .iteration(IterationSpace::Hybrid { kappa: 1.0 }),
-        },
-        Preset::TunedGuided => Config {
-            schedule: Schedule::Guided { chunk: 1 },
-            ..preset_config::<S>(Preset::Tuned, a, b, mask, n_threads)
         },
     }
 }
@@ -214,19 +198,7 @@ mod tests {
     #[test]
     fn presets_enumerate_and_label() {
         assert_eq!(Preset::all().len(), 3, "Fig. 1's legend stays three-way");
-        assert_eq!(Preset::extended().len(), 4);
-        assert!(Preset::extended().starts_with(&Preset::all()));
         assert!(Preset::GrBLike.label().contains("GrB"));
         assert!(Preset::Tuned.label().contains("tuned"));
-        assert!(Preset::TunedGuided.label().contains("guided"));
-    }
-
-    #[test]
-    fn tuned_guided_differs_from_tuned_only_in_schedule() {
-        let a = banded(64, 2);
-        let tuned = preset_config::<PlusTimes>(Preset::Tuned, &a, &a, &a, 3);
-        let guided = preset_config::<PlusTimes>(Preset::TunedGuided, &a, &a, &a, 3);
-        assert_eq!(guided.schedule, Schedule::Guided { chunk: 1 });
-        assert_eq!(Config { schedule: tuned.schedule, ..guided }, tuned);
     }
 }

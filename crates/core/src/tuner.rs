@@ -180,8 +180,6 @@ pub fn tune<S: Semiring>(
         let accumulator = match s2_best.kernel.accumulator {
             AccumulatorKind::Dense(_) => AccumulatorKind::Dense(w),
             AccumulatorKind::Hash(_) => AccumulatorKind::Hash(w),
-            // the sort accumulator has no marker state to tune
-            AccumulatorKind::Sort => AccumulatorKind::Sort,
         };
         let config = s2_best
             .to_builder()

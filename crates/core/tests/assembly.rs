@@ -65,7 +65,7 @@ fn assembly_matches_oracle_across_full_config_grid() {
     let b = lcg_matrix(64, 64, 4, 2);
     let m = lcg_matrix(64, 64, 6, 3);
     for tiling in TilingStrategy::all() {
-        for schedule in Schedule::all_extended() {
+        for schedule in Schedule::all() {
             for iteration in [
                 IterationSpace::Vanilla,
                 IterationSpace::MaskAccumulate,

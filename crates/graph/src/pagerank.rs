@@ -1,10 +1,9 @@
-//! PageRank by power iteration — SpMV over the arithmetic semiring.
+//! PageRank by power iteration over the arithmetic semiring.
 //!
-//! Included as the canonical "iterated SpMV" graph algorithm. Each
+//! Included as the canonical iterated matrix-vector graph algorithm. Each
 //! iteration pushes every vertex's rank share along its out-edges in one
 //! pass over the adjacency rows (`Aᵀ · x`, with the dangling mass spread
-//! uniformly), so it reads `A` directly rather than through
-//! [`mspgemm_sparse::ops::spmv`], which computes `A · x`.
+//! uniformly), reading `A` directly.
 
 use mspgemm_sparse::{Csr, Idx};
 

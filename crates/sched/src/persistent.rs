@@ -529,11 +529,11 @@ impl WorkerPool {
 
     /// Execute one or more independent tile runs on one worker team — the
     /// pool's single claim loop. Workers claim *positions* of one claim
-    /// order under `schedule` (static blocks, dynamic chunks or guided
-    /// grabs, exactly as for a lone run): a single run's order is its own
-    /// tile sequence, so the schedule applies to it verbatim; several runs
-    /// are interleaved first, so a batch of small products costs one pool
-    /// synchronisation instead of one per product.
+    /// order under `schedule` (static blocks or dynamic chunks, exactly as
+    /// for a lone run): a single run's order is its own tile sequence, so
+    /// the schedule applies to it verbatim; several runs are interleaved
+    /// first, so a batch of small products costs one pool synchronisation
+    /// instead of one per product.
     ///
     /// The interleave is weighted round-robin: each fairness round, run
     /// `r` contributes up to `runs[r].weight` of its remaining tiles (a
@@ -593,7 +593,7 @@ impl WorkerPool {
         let metrics_on = obs::armed();
         let trace_on = obs::trace_armed();
         // static's single offline block per worker has no queue operation
-        // to measure; dynamic/guided meter every claim, including the final
+        // to measure; dynamic meters every claim, including the final
         // failed one that drains a worker
         let meter_claims = metrics_on && !matches!(schedule, Schedule::Static);
         let wd_on = self.inner.watchdog.enabled();
@@ -1247,8 +1247,6 @@ mod tests {
             Schedule::Static,
             Schedule::Dynamic { chunk: 1 },
             Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided { chunk: 1 },
-            Schedule::Guided { chunk: 4 },
         ];
         let cases = [(p, 1usize), (p, p - 1), (p, p), (p, 64 * p), (4 * p, p / 2), (3, 97)];
         for schedule in variants {
@@ -1285,30 +1283,28 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_and_guided_shift_tiles_away_from_a_slow_worker() {
-        // tile 0 is far slower than the rest: the queue disciplines must
+    fn dynamic_shifts_tiles_away_from_a_slow_worker() {
+        // tile 0 is far slower than the rest: the queue discipline must
         // let the other worker absorb the remaining tiles
         let pool = WorkerPool::new();
-        for schedule in [Schedule::Dynamic { chunk: 1 }, Schedule::Guided { chunk: 1 }] {
-            let reports = pool
-                .run_tiles(2, 64, schedule, |_, _, tile| {
-                    spin(if tile == 0 { 6_000_000 } else { 5_000 });
-                })
-                .unwrap();
-            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 64);
-            let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
-            assert!(
-                max_tiles > 32,
-                "{schedule:?}: the unblocked worker should take most tiles: {:?}",
-                reports.iter().map(|r| r.tiles_run).collect::<Vec<_>>()
-            );
-        }
+        let reports = pool
+            .run_tiles(2, 64, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
+                spin(if tile == 0 { 6_000_000 } else { 5_000 });
+            })
+            .unwrap();
+        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 64);
+        let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
+        assert!(
+            max_tiles > 32,
+            "the unblocked worker should take most tiles: {:?}",
+            reports.iter().map(|r| r.tiles_run).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn panicking_tile_is_isolated_under_every_schedule() {
         let pool = WorkerPool::new();
-        for schedule in Schedule::all_extended() {
+        for schedule in Schedule::all() {
             let counts: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
             let err = pool
                 .run_tiles(4, 40, schedule, |_, _, tile| {
@@ -1383,7 +1379,7 @@ mod tests {
                 MultiRun { n_tiles, weight: 2, cancel: None, body: body.as_ref() }
             })
             .collect();
-        for schedule in Schedule::all_extended() {
+        for schedule in Schedule::all() {
             for c in counts.iter().flatten() {
                 c.store(0, Ordering::Relaxed);
             }

@@ -1,5 +1,5 @@
-//! Tile scheduling primitives — OpenMP `schedule(static|dynamic|guided)`
-//! claim disciplines plus panic-isolated tile execution records.
+//! Tile scheduling primitives — OpenMP `schedule(static|dynamic)` claim
+//! disciplines plus panic-isolated tile execution records.
 //!
 //! The paper's experiments sweep the OpenMP scheduling policy with "each
 //! tile assigned to one thread" (§IV-C). We reproduce the policies
@@ -74,14 +74,6 @@ pub enum Schedule {
         /// Tiles claimed per queue operation.
         chunk: usize,
     },
-    /// OpenMP `guided` semantics — an extension beyond the paper's
-    /// static/dynamic sweep: each grab takes `max(chunk,
-    /// remaining / 2p)` tiles, so early grabs are large (low queue
-    /// traffic) and late grabs shrink (good tail balance).
-    Guided {
-        /// Minimum tiles claimed per queue operation.
-        chunk: usize,
-    },
 }
 
 impl Schedule {
@@ -90,19 +82,11 @@ impl Schedule {
         [Schedule::Dynamic { chunk: 1 }, Schedule::Static]
     }
 
-    /// The paper's sweep plus the guided extension — what harnesses that
-    /// exercise the full claim-mode space iterate over. Kept separate from
-    /// [`all`](Self::all) so the figure sweeps stay shaped like the paper.
-    pub fn all_extended() -> [Schedule; 3] {
-        [Schedule::Dynamic { chunk: 1 }, Schedule::Static, Schedule::Guided { chunk: 1 }]
-    }
-
     /// Label matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
             Schedule::Static => "Static",
             Schedule::Dynamic { .. } => "Dynamic",
-            Schedule::Guided { .. } => "Guided",
         }
     }
 }
@@ -186,13 +170,12 @@ fn install_quiet_hook() {
 
 /// Claim the next contiguous tile range for worker `t` under `schedule`,
 /// or `None` once the worker's share of the queue is drained. This is the
-/// one implementation of the three claim disciplines, used by the claim
+/// one implementation of the two claim disciplines, used by the claim
 /// loop of [`crate::WorkerPool::run_tiles_multi`]:
 ///
 /// * static — the worker's single offline block (`*static_done` marks it
 ///   claimed; same arithmetic as uniform tiling);
-/// * dynamic — `fetch_add(chunk)` on the shared queue;
-/// * guided — CAS loop grabbing `max(chunk, remaining / 2p)` tiles.
+/// * dynamic — `fetch_add(chunk)` on the shared queue.
 pub(crate) fn next_range(
     schedule: Schedule,
     t: usize,
@@ -217,26 +200,6 @@ pub(crate) fn next_range(
             let chunk = chunk.max(1);
             let lo = queue.fetch_add(chunk, Ordering::Relaxed);
             (lo < n_tiles).then(|| (lo, (lo + chunk).min(n_tiles)))
-        }
-        Schedule::Guided { chunk } => {
-            let chunk = chunk.max(1);
-            loop {
-                let cur = queue.load(Ordering::Relaxed);
-                if cur >= n_tiles {
-                    return None;
-                }
-                let remaining = n_tiles - cur;
-                let grab = (remaining / (2 * n_threads)).max(chunk);
-                match queue.compare_exchange_weak(
-                    cur,
-                    cur + grab,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some((cur, (cur + grab).min(n_tiles))),
-                    Err(_) => continue,
-                }
-            }
         }
     }
 }
@@ -309,9 +272,6 @@ mod tests {
     fn schedule_labels() {
         assert_eq!(Schedule::Static.label(), "Static");
         assert_eq!(Schedule::Dynamic { chunk: 1 }.label(), "Dynamic");
-        assert_eq!(Schedule::Guided { chunk: 1 }.label(), "Guided");
         assert_eq!(Schedule::all().len(), 2, "the paper's sweep stays two-policy");
-        assert_eq!(Schedule::all_extended().len(), 3);
-        assert!(Schedule::all_extended().starts_with(&Schedule::all()));
     }
 }

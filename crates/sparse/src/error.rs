@@ -14,10 +14,8 @@ pub enum SparseError {
         found: (usize, usize),
         context: &'static str,
     },
-    /// Two operands passed to an element-wise or matrix-vector operation
-    /// have different dimensions (e.g. `ewise_mult` of an m×n with an
-    /// m'×n', or `spmv` of an m×n matrix with a vector of length != n).
-    /// Vector operands encode their length as `(len, 1)`.
+    /// Two operands passed to an element-wise operation have different
+    /// dimensions (e.g. `ewise_mult` of an m×n with an m'×n').
     DimensionMismatch {
         expected: (usize, usize),
         found: (usize, usize),

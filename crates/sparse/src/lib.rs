@@ -13,9 +13,10 @@
 //! * [`Semiring`] — the algebraic structure GraphBLAS parameterises every
 //!   multiply with ("GraphBLAS permits the use of any semiring", §II-A).
 //!
-//! plus Matrix Market I/O ([`io`]), element-wise and matrix-vector kernels
-//! ([`ops`]) and structural statistics ([`stats`]) used by the experiment
-//! harness to characterise inputs the way Table I of the paper does.
+//! plus Matrix Market I/O ([`io`]), element-wise kernels ([`ops`]),
+//! symmetric permutation ([`permute`]) and structural statistics
+//! ([`stats`]) used by the experiment harness to characterise inputs the
+//! way Table I of the paper does.
 //!
 //! # Index type
 //!

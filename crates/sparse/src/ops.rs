@@ -1,9 +1,8 @@
-//! Element-wise and matrix-vector building blocks.
+//! Element-wise building blocks.
 //!
 //! These are the GraphBLAS primitives the algorithm layer (`mspgemm-graph`)
 //! composes with masked-SpGEMM: `eWiseAdd`, `eWiseMult` (set union /
-//! intersection of patterns), sparse matrix × dense vector (SpMV) and the
-//! masked SpMV used by direction-optimising BFS.
+//! intersection of patterns) and the complemented-mask subtraction.
 
 use crate::error::SparseError;
 use crate::semiring::Semiring;
@@ -124,89 +123,10 @@ pub fn ewise_without<T: Copy, U: Copy>(
     Ok(Csr::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, values))
 }
 
-/// Sparse matrix × dense vector over a semiring: `y[i] = ⊕_k A[i,k] ⊗ x[k]`.
-pub fn spmv<S: Semiring>(a: &Csr<S::T>, x: &[S::T]) -> Result<Vec<S::T>, SparseError> {
-    if a.ncols() != x.len() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.nrows(), a.ncols()),
-            found: (x.len(), 1),
-            context: "spmv",
-        });
-    }
-    Ok((0..a.nrows())
-        .map(|i| {
-            let (cols, vals) = a.row(i);
-            let mut acc = S::zero();
-            for (&k, &v) in cols.iter().zip(vals) {
-                acc = S::fma(acc, v, x[k as usize]);
-            }
-            acc
-        })
-        .collect())
-}
-
-/// Masked sparse matrix × sparse vector (push-style), the row-wise analogue
-/// of the masked-SpGEMM kernel for a single dense-stored-but-sparse vector.
-///
-/// Computes `y = mᵀ ⊗ x`: `y[j] = ⊕_k m[k,j] ⊗ x[k]`, scattering each
-/// input entry along its matrix row. `x` is sorted `(index, value)` pairs;
-/// `mask[j] == false` suppresses output `j` (complement masking is the
-/// caller's job). BFS push passes the adjacency matrix itself to expand a
-/// frontier to its out-neighbours under the `!visited` mask.
-pub fn masked_spmspv<S: Semiring>(
-    m: &Csr<S::T>,
-    x: &[(Idx, S::T)],
-    mask: &[bool],
-) -> Result<Vec<(Idx, S::T)>, SparseError> {
-    let at = m;
-    if at.ncols() != mask.len() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (at.ncols(), 1),
-            found: (mask.len(), 1),
-            context: "masked_spmspv mask",
-        });
-    }
-    // accumulate into a dense buffer of candidates (the "dense accumulator"
-    // strategy — fine at vector scale); outputs are column indices of `m`
-    let mut acc: Vec<S::T> = vec![S::zero(); at.ncols()];
-    let mut touched: Vec<bool> = vec![false; at.ncols()];
-    let mut out_idx: Vec<Idx> = Vec::new();
-    for &(k, xv) in x {
-        let (rows, vals) = at.row(k as usize);
-        for (&i, &av) in rows.iter().zip(vals) {
-            let iu = i as usize;
-            if !mask[iu] {
-                continue;
-            }
-            if !touched[iu] {
-                touched[iu] = true;
-                out_idx.push(i);
-            }
-            acc[iu] = S::fma(acc[iu], av, xv);
-        }
-    }
-    out_idx.sort_unstable();
-    Ok(out_idx.into_iter().map(|i| (i, acc[i as usize])).collect())
-}
-
-/// Row-sum reduction over a semiring's additive monoid:
-/// `out[i] = ⊕_j A[i,j]`.
-pub fn reduce_rows<S: Semiring>(a: &Csr<S::T>) -> Vec<S::T> {
-    (0..a.nrows())
-        .map(|i| a.row(i).1.iter().fold(S::zero(), |acc, &v| S::add(acc, v)))
-        .collect()
-}
-
-/// Full reduction over the additive monoid.
-pub fn reduce_all<S: Semiring>(a: &Csr<S::T>) -> S::T {
-    a.values().iter().fold(S::zero(), |acc, &v| S::add(acc, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{BoolOrAnd, PlusTimes};
-    use crate::Dense;
+    use crate::semiring::PlusTimes;
 
     fn a3() -> Csr<f64> {
         Csr::try_from_parts(
@@ -270,46 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_dense() {
-        let a = a3();
-        let x = vec![1.0, 2.0, 3.0];
-        let y = spmv::<PlusTimes>(&a, &x).unwrap();
-        let d = Dense::from_csr(&a, 0.0);
-        for i in 0..3 {
-            let expect: f64 = (0..3).map(|j| d.get(i, j) * x[j]).sum();
-            assert!((y[i] - expect).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn spmv_boolean_reachability() {
-        let a = a3().spones(true);
-        let x = vec![true, false, false];
-        let y = spmv::<BoolOrAnd>(&a, &x).unwrap();
-        // y[i] = OR_k A[i,k] & x[k] = A[:,0] as rows holding col 0
-        assert_eq!(y, vec![true, false, true]);
-    }
-
-    #[test]
-    fn masked_spmspv_respects_mask() {
-        let a = a3().spones(true);
-        let at = a.transpose();
-        // frontier = {0}; allowed = all but row 0
-        let x = vec![(0u32, true)];
-        let mask = vec![false, true, true];
-        let next = masked_spmspv::<BoolOrAnd>(&at, &x, &mask).unwrap();
-        // A^T row 0 = columns of A holding 0 = rows {0,2}; row 0 masked out
-        assert_eq!(next, vec![(2, true)]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = a3();
-        assert_eq!(reduce_rows::<PlusTimes>(&a), vec![3.0, 3.0, 9.0]);
-        assert_eq!(reduce_all::<PlusTimes>(&a), 15.0);
-    }
-
-    #[test]
     fn mismatched_shapes_return_structured_errors() {
         let a = a3();
         let wide = Csr::<f64>::zeros(3, 4);
@@ -324,10 +204,6 @@ mod tests {
                 "{e}"
             );
         }
-        let e = spmv::<PlusTimes>(&a, &[1.0, 2.0]).unwrap_err();
-        assert!(matches!(e, SparseError::DimensionMismatch { found: (2, 1), .. }), "{e}");
-        let e = masked_spmspv::<PlusTimes>(&a, &[], &[true, true]).unwrap_err();
-        assert!(matches!(e, SparseError::DimensionMismatch { context: "masked_spmspv mask", .. }), "{e}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Symmetric permutations and bandwidth-reducing orderings.
+//! Symmetric permutation `PAPᵀ` — vertex relabelling.
 //!
-//! The paper deliberately runs with the matrices as distributed ("we did
-//! not perform any pre-processing of the data like partitioning the
-//! graphs, or reorganizing the data", §V-A) and leaves reordering to
-//! future work. This module provides that future work: symmetric
-//! permutation `PAPᵀ`, degree sorting, and reverse Cuthill–McKee — so the
-//! reordering ablation bench can quantify how much the vertex order the
-//! collection happens to ship actually matters.
+//! The paper runs the matrices in the vertex order the collection ships
+//! ("we did not perform any pre-processing of the data like partitioning
+//! the graphs, or reorganizing the data", §V-A), and so does every
+//! experiment here. Relabelling remains useful to inputs and tests: a
+//! generator can shuffle away the locality its construction leaves
+//! behind, and a masked product must commute with any relabelling.
 
 use crate::{Coo, Csr, Idx};
 
@@ -41,77 +40,9 @@ pub fn permute_symmetric<T: Copy>(a: &Csr<T>, perm: &[Idx]) -> Csr<T> {
     coo.to_csr_with(|x, _| x)
 }
 
-/// Ordering by descending degree: hubs first. This is the ordering that
-/// concentrates the heavy rows at the top — the worst case for uniform
-/// tiling with static scheduling, used by the reordering ablation.
-pub fn degree_descending_order<T: Copy>(a: &Csr<T>) -> Vec<Idx> {
-    let mut vertices: Vec<usize> = (0..a.nrows()).collect();
-    vertices.sort_by_key(|&v| std::cmp::Reverse(a.row_nnz(v)));
-    let mut perm = vec![0 as Idx; a.nrows()];
-    for (new, &old) in vertices.iter().enumerate() {
-        perm[old] = new as Idx;
-    }
-    perm
-}
-
-/// Reverse Cuthill–McKee: a classic bandwidth-reducing ordering. BFS from
-/// a low-degree peripheral vertex, visiting neighbours in degree order,
-/// then reverse. Disconnected components are processed in sequence.
-pub fn rcm_order<T: Copy>(a: &Csr<T>) -> Vec<Idx> {
-    assert_eq!(a.nrows(), a.ncols(), "RCM needs a square matrix");
-    let n = a.nrows();
-    let mut visited = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-
-    // process components from their minimum-degree unvisited vertex
-    let mut by_degree: Vec<usize> = (0..n).collect();
-    by_degree.sort_by_key(|&v| a.row_nnz(v));
-
-    let mut neighbour_buf: Vec<usize> = Vec::new();
-    for &start in &by_degree {
-        if visited[start] {
-            continue;
-        }
-        visited[start] = true;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            neighbour_buf.clear();
-            let (cols, _) = a.row(u);
-            for &w in cols {
-                let w = w as usize;
-                if !visited[w] {
-                    visited[w] = true;
-                    neighbour_buf.push(w);
-                }
-            }
-            neighbour_buf.sort_by_key(|&w| a.row_nnz(w));
-            for &w in &neighbour_buf {
-                queue.push_back(w);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n);
-    // reverse, then convert visit order to permutation
-    let mut perm = vec![0 as Idx; n];
-    for (pos, &old) in order.iter().rev().enumerate() {
-        perm[old] = pos as Idx;
-    }
-    perm
-}
-
-/// Random permutation from a caller-provided shuffle of `0..n`. Provided
-/// for symmetry with the other orderings; the generators crate's RNG does
-/// the shuffling so this crate stays rand-free.
-pub fn identity_order(n: usize) -> Vec<Idx> {
-    (0..n as Idx).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::MatrixStats;
 
     fn path(n: usize) -> Csr<f64> {
         let mut coo = Coo::new(n, n);
@@ -122,28 +53,31 @@ mod tests {
     }
 
     fn scrambled_path(n: usize) -> Csr<f64> {
-        // path graph with vertices renumbered by a fixed stride — large
-        // bandwidth, RCM should recover the path ordering
-        let stride = 97; // coprime with n
-        let relabel = |v: usize| (v * stride) % n;
+        // path graph with vertices renumbered by a fixed stride
+        let perm = stride_relabel(n);
         let mut coo = Coo::new(n, n);
         for i in 0..n - 1 {
-            coo.push_symmetric(relabel(i), relabel(i + 1), 1.0);
+            coo.push_symmetric(perm[i] as usize, perm[i + 1] as usize, 1.0);
         }
         coo.to_csr_sum()
+    }
+
+    /// `v ↦ 97·v mod n`, a permutation whenever 97 does not divide `n`.
+    fn stride_relabel(n: usize) -> Vec<Idx> {
+        (0..n).map(|v| ((v * 97) % n) as Idx).collect()
     }
 
     #[test]
     fn identity_permutation_is_noop() {
         let a = path(10);
-        let p = identity_order(10);
+        let p: Vec<Idx> = (0..10).collect();
         assert_eq!(permute_symmetric(&a, &p), a);
     }
 
     #[test]
     fn permutation_preserves_structure_invariants() {
         let a = scrambled_path(100);
-        let perm = rcm_order(&a);
+        let perm = stride_relabel(100);
         let b = permute_symmetric(&a, &perm);
         assert_eq!(b.nnz(), a.nnz());
         assert!(b.is_structurally_symmetric());
@@ -156,35 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn rcm_reduces_bandwidth_dramatically() {
-        let a = scrambled_path(500);
-        let before = MatrixStats::compute(&a).mean_bandwidth;
-        let b = permute_symmetric(&a, &rcm_order(&a));
-        let after = MatrixStats::compute(&b).mean_bandwidth;
-        assert!(
-            after * 10.0 < before,
-            "RCM should collapse a scrambled path's bandwidth: {before:.0} -> {after:.0}"
-        );
-        assert!(after <= 2.0, "a path graph RCM-orders to bandwidth ~1, got {after}");
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        // star graph: hub is vertex 7
-        let mut coo = Coo::new(20, 20);
-        for v in 0..20 {
-            if v != 7 {
-                coo.push_symmetric(7, v, 1.0);
-            }
-        }
-        let a = coo.to_csr_sum();
-        let perm = degree_descending_order(&a);
-        assert_eq!(perm[7], 0, "hub must be first");
-        let b = permute_symmetric(&a, &perm);
-        assert_eq!(b.row_nnz(0), 19);
-    }
-
-    #[test]
     fn invalid_permutations_panic() {
         let a = path(4);
         let bad = vec![0 as Idx, 1, 1, 3]; // duplicate
@@ -193,17 +98,5 @@ mod tests {
         let short = vec![0 as Idx, 1];
         let r = std::panic::catch_unwind(|| permute_symmetric(&a, &short));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn rcm_handles_disconnected_graphs() {
-        let mut coo = Coo::new(8, 8);
-        coo.push_symmetric(0, 1, 1.0);
-        coo.push_symmetric(5, 6, 1.0);
-        let a = coo.to_csr_sum();
-        let perm = rcm_order(&a);
-        // valid permutation covering isolated vertices too
-        let b = permute_symmetric(&a, &perm);
-        assert_eq!(b.nnz(), a.nnz());
     }
 }

@@ -55,7 +55,6 @@ fn main() {
                 Preset::SuiteSparseLike => "ss:gb",
                 Preset::GrBLike => "grb",
                 Preset::Tuned => "tuned",
-                Preset::TunedGuided => "guided",
                 _ => "?",
             }
         );

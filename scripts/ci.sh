@@ -62,6 +62,13 @@ echo "== fault-injection pass (pinned seed) =="
 # tile kernel fails with 5% probability under the pinned seed.
 MSPGEMM_FAILPOINTS='tile-kernel=panic@p:0.05,seed:42' \
     cargo test -q -p mspgemm-core --offline fault_
+# The lattice oracle with tile 3 of every product panicking: each 7-tile
+# run takes the degraded retry, which is then checked against the
+# independent reference in every cell. A pinned key, not the seeded 5 %
+# above: at seed 42 none of the keys 0-6 fires. The suite itself fails
+# if the armed run retried no tile.
+MSPGEMM_FAILPOINTS='tile-kernel=panic@key:3' \
+    cargo test -q --offline --test lattice
 
 echo "== concurrency smoke (adversarial stress, failpoints armed) =="
 # The unarmed concurrency suite runs in the workspace test pass above;

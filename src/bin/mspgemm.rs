@@ -243,14 +243,13 @@ fn usage() -> ! {
          tiling & scheduling — §V-A (run/tc/session):\n\
            --tiles <n>         tile count (default 2048)\n\
            --tiling <balanced|uniform>             FLOP-balanced vs equal rows\n\
-           --schedule <static|dynamic|guided>\n\
-           --chunk <n>         claim granularity for dynamic/guided (default 1;\n\
-                               guided decays from n toward 1 as the queue drains)\n\
+           --schedule <static|dynamic>\n\
+           --chunk <n>         claim granularity for dynamic (default 1)\n\
          \n\
          kernel policy — §V-B/§V-C (run/tc/session):\n\
            --iter <vanilla|mask|coiter|hybrid>     iteration space (default hybrid)\n\
            --kappa <f>         hybrid co-iteration switch factor (default 1.0)\n\
-           --acc <dense|hash><8|16|32|64> | sort   accumulator family + marker\n\
+           --acc <dense|hash><8|16|32|64>          accumulator family + marker\n\
                                width (default hash32)\n\
            --overbook <off|p90|p99|qNN>            size hash accumulators at a\n\
                                quantile of the per-row bounds instead of the max;\n\
@@ -420,7 +419,6 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
         b = b.schedule(match s.as_str() {
             "static" => Schedule::Static,
             "dynamic" => Schedule::Dynamic { chunk },
-            "guided" => Schedule::Guided { chunk },
             other => {
                 eprintln!("bad --schedule {other:?}");
                 usage();
@@ -442,7 +440,6 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
             "hash16" => AccumulatorKind::Hash(MarkerWidth::W16),
             "hash32" => AccumulatorKind::Hash(MarkerWidth::W32),
             "hash64" => AccumulatorKind::Hash(MarkerWidth::W64),
-            "sort" => AccumulatorKind::Sort,
             other => {
                 eprintln!("bad --acc {other:?}");
                 usage();

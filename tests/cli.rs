@@ -1,7 +1,7 @@
 //! The `mspgemm` binary's argument handling: flags no subcommand reads and
 //! values that do not parse are usage errors (exit 2), so a misspelled or
-//! retired flag can never silently run the default configuration, and a
-//! malformed number never panics.
+//! retired flag or value can never silently run the default configuration,
+//! and a malformed number never panics.
 
 use std::process::Command;
 
@@ -27,8 +27,12 @@ fn retired_simd_and_bands_flags_are_usage_errors() {
 }
 
 #[test]
-fn malformed_numbers_are_usage_errors() {
-    for (flag, value) in [("--tiles", "abc"), ("--kappa", "x")] {
+fn bad_values_are_usage_errors() {
+    // malformed numbers, and the retired guided schedule and sort
+    // accumulator
+    for (flag, value) in
+        [("--tiles", "abc"), ("--kappa", "x"), ("--schedule", "guided"), ("--acc", "sort")]
+    {
         let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", flag, value]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");

@@ -83,24 +83,17 @@ fn all_tiling_schedules_match_oracle() {
 }
 
 #[test]
-fn guided_schedule_matches_oracle() {
-    let spec = suite_specs().into_iter().find(|s| s.name == "hollywood-2009").unwrap();
-    let a = suite_graph(&spec, SCALE).spones(1u64);
-    let want = oracle(&a);
-    for chunk in [1, 8] {
-        let cfg = Config::builder().schedule(Schedule::Guided { chunk }).n_threads(2).n_tiles(64).build();
-        assert_eq!(spgemm::<PlusPair>(&a, &a, &a, &cfg).unwrap().0, want);
-    }
-}
-
-#[test]
 fn masked_product_commutes_with_symmetric_permutation() {
     // P(M ⊙ (A×A))Pᵀ == (PMPᵀ) ⊙ (PAPᵀ × PAPᵀ): relabelling vertices
     // relabels the result — validates permute + driver together
-    use masked_spgemm_repro::sparse::permute::{permute_symmetric, rcm_order};
+    use masked_spgemm_repro::sparse::permute::permute_symmetric;
     let spec = suite_specs().into_iter().find(|s| s.name == "europe_osm").unwrap();
     let a = suite_graph(&spec, SCALE).spones(1u64);
-    let perm = rcm_order(&a);
+    // a fixed stride relabel, a permutation because the stride is prime
+    // and does not divide the vertex count
+    let n = a.nrows();
+    assert_ne!(n % 97, 0);
+    let perm: Vec<u32> = (0..n).map(|v| ((v * 97) % n) as u32).collect();
     let pa = permute_symmetric(&a, &perm);
     let cfg = Config::builder().n_threads(2).build();
     let c = spgemm::<PlusPair>(&a, &a, &a, &cfg).unwrap().0;

@@ -89,12 +89,13 @@ fn uniform_rows_never_spill() {
 }
 
 #[test]
-fn dense_and_sort_accumulators_ignore_overbooking() {
+fn dense_accumulators_ignore_overbooking() {
     // only the hash accumulator can detect and recover from overflow;
-    // the plan must keep the hard bound for the other families
+    // the plan must keep the hard bound for the dense family
     let mut rng = ChaCha8Rng::seed_from_u64(0xdead_beef);
     let a = adversarial_graph(&mut rng);
-    for accumulator in [AccumulatorKind::Dense(MarkerWidth::W32), AccumulatorKind::Sort] {
+    for width in [MarkerWidth::W8, MarkerWidth::W16, MarkerWidth::W32, MarkerWidth::W64] {
+        let accumulator = AccumulatorKind::Dense(width);
         let policy = KernelPolicy::new().accumulator(accumulator).overbook(Overbook::p90());
         let (want, _) =
             spgemm::<PlusPair>(&a, &a, &a, &cfg(KernelPolicy::new().accumulator(accumulator)))
