@@ -5,9 +5,7 @@
 //! 2. **marker-based vs explicit accumulator reset** — the paper's §III-C
 //!    modification of GrB (implicit epoch bump vs explicit slot clearing);
 //! 3. **co-iteration factor κ at the extremes** — what pure push (κ=0)
-//!    and pure pull (κ=∞) cost relative to the hybrid;
-//! 4. **dot vs saxpy** — the output-driven dot-product formulation
-//!    against row-wise saxpy, with a mask as dense as `A` and a thin one.
+//!    and pure pull (κ=∞) cost relative to the hybrid.
 
 use mspgemm_bench::micro::{BenchmarkId, Micro};
 use mspgemm_bench::{micro_group, micro_main};
@@ -103,38 +101,5 @@ fn bench_kappa_extremes(c: &mut Micro) {
     group.finish();
 }
 
-fn bench_dot_vs_saxpy(c: &mut Micro) {
-    // the higher-level algorithm axis (Milaković et al., paper §VI-B):
-    // output-driven dot products vs row-wise saxpy. With M = A (triangle
-    // counting) the mask is as dense as A and saxpy should win — the
-    // sparse-mask case flips it, which we emulate by thinning the mask.
-    use mspgemm_core::masked_spgemm_dot;
-    use mspgemm_sparse::Csc;
-    let a = graph("com-LiveJournal");
-    let b_csc = Csc::from_csr(&a);
-    let thin_mask = a.select(|i, j, _| (i * 31 + j as usize) % 50 == 0); // ~2% of A
-    let mut group = c.benchmark_group("dot_vs_saxpy");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900));
-    let cfg = Config::builder().n_tiles(256).build();
-    for (label, mask) in [("mask_eq_a", &a), ("mask_2pct", &thin_mask)] {
-        group.bench_function(format!("saxpy/{label}"), |bch| {
-            bch.iter(|| spgemm::<PlusPair>(&a, &a, mask, &cfg).unwrap());
-        });
-        group.bench_function(format!("dot/{label}"), |bch| {
-            bch.iter(|| masked_spgemm_dot::<PlusPair>(&a, &b_csc, mask, &cfg).unwrap());
-        });
-    }
-    group.finish();
-}
-
-micro_group!(
-    benches,
-    bench_fused_vs_two_step,
-    bench_reset_policy,
-    bench_kappa_extremes,
-    bench_dot_vs_saxpy
-);
+micro_group!(benches, bench_fused_vs_two_step, bench_reset_policy, bench_kappa_extremes);
 micro_main!(benches);

@@ -334,15 +334,11 @@ mod tests {
 
     #[test]
     fn csv_twin_is_valid_bench_json() {
-        let name = "test_twin_tmp.csv";
-        let path = write_csv(
-            name,
+        let text = bench_json(
+            "test_twin_tmp",
             "graph,tiles,ms",
             &["er \"dense\",64,1.25".to_string(), "road,128,0.5".to_string()],
-        )
-        .unwrap();
-        let twin = path.with_file_name("BENCH_test_twin_tmp.json");
-        let text = std::fs::read_to_string(&twin).unwrap();
+        );
         let doc = mspgemm_rt::json::parse(&text).expect("twin must be valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("mspgemm.bench/1"));
         assert_eq!(doc.get("name").unwrap().as_str(), Some("test_twin_tmp"));
@@ -355,8 +351,6 @@ mod tests {
         assert_eq!(first[1].as_num(), Some(64.0), "numeric cells stay numbers");
         assert_eq!(first[2].as_num(), Some(1.25));
         assert!(doc.get("env").unwrap().get("budget_ms").unwrap().as_num().is_some());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&twin);
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub fn spgemm<S: Semiring>(
 }
 
 /// Map a pool-infrastructure failure onto the public error surface.
-pub(crate) fn pool_error(e: PoolError) -> SparseError {
+fn pool_error(e: PoolError) -> SparseError {
     match e {
         PoolError::Poisoned { detail } => SparseError::ExecutorPoisoned { detail },
         PoolError::Spawn { detail } => {

@@ -64,7 +64,6 @@
 //! ```
 
 pub mod config;
-pub mod dot;
 pub mod driver;
 pub mod executor;
 pub mod graph;
@@ -77,7 +76,6 @@ pub mod stress;
 pub mod tuner;
 
 pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook};
-pub use dot::{masked_spgemm_csc, masked_spgemm_dot};
 pub use driver::{spgemm, RunStats};
 pub use executor::{Executor, Session};
 pub use graph::{ExtId, GraphBuilder, NodeId, Operand, PlanGraph};

@@ -37,14 +37,25 @@ pub struct KTrussResult {
     pub rounds: usize,
 }
 
+/// The support `k − 2` every edge of the k-truss needs; `k < 2` is an
+/// [`SparseError::InvalidConfig`].
+fn min_support(k: usize) -> Result<u64, SparseError> {
+    match k.checked_sub(2) {
+        Some(s) => Ok(s as u64),
+        None => Err(SparseError::InvalidConfig {
+            detail: format!("k-truss is defined for k >= 2, got k = {k}"),
+        }),
+    }
+}
+
 /// Compute the k-truss of a symmetric loop-free adjacency matrix using a
 /// fused support→select→spones graph per peeling round.
 ///
-/// `k >= 2`; the 2-truss is the graph itself minus nothing (every edge
-/// trivially has ≥ 0 triangles), so peeling starts mattering at `k = 3`.
+/// `k >= 2`, else [`SparseError::InvalidConfig`]; the 2-truss is the graph
+/// itself minus nothing (every edge trivially has ≥ 0 triangles), so
+/// peeling starts mattering at `k = 3`.
 pub fn ktruss<T: Copy>(a: &Csr<T>, k: usize, config: &Config) -> Result<KTrussResult, SparseError> {
-    assert!(k >= 2, "k-truss is defined for k >= 2");
-    let min_support = (k - 2) as u64;
+    let min_support = min_support(k)?;
     let mut current = a.spones(1u64);
     // 2-truss: every edge survives vacuously — answer before any product.
     if min_support == 0 {
@@ -89,8 +100,7 @@ pub fn ktruss_unfused<T: Copy>(
     k: usize,
     config: &Config,
 ) -> Result<KTrussResult, SparseError> {
-    assert!(k >= 2, "k-truss is defined for k >= 2");
-    let min_support = (k - 2) as u64;
+    let min_support = min_support(k)?;
     let mut current = a.spones(1u64);
     if min_support == 0 {
         return Ok(KTrussResult { truss: current, rounds: 1 });
@@ -236,9 +246,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k >= 2")]
-    fn k_below_two_panics() {
+    fn k_below_two_is_an_invalid_config() {
         let a = undirected(&[(0, 1)], 2);
-        let _ = ktruss(&a, 1, &cfg());
+        for k in [0, 1] {
+            for r in [ktruss(&a, k, &cfg()), ktruss_unfused(&a, k, &cfg())] {
+                match r {
+                    Err(SparseError::InvalidConfig { detail }) => {
+                        assert!(detail.contains(&format!("k = {k}")), "{detail}")
+                    }
+                    other => panic!("k = {k}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
     }
 }

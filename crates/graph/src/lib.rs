@@ -20,12 +20,9 @@
 
 pub mod bc;
 pub mod bfs;
-pub mod cc;
 pub mod descriptor;
 pub mod grb;
 pub mod ktruss;
-pub mod mis;
-pub mod pagerank;
 pub mod triangles;
 
 pub use bc::{
@@ -34,12 +31,9 @@ pub use bc::{
 };
 pub use bfs::{bfs_levels, bfs_levels_multi, BfsResult};
 pub use descriptor::{mxm_desc, Descriptor};
-pub use mis::{maximal_independent_set, MisResult};
 pub use triangles::clustering_coefficients;
-pub use cc::{connected_components, CcResult};
 pub use grb::{masked_mxm, masked_mxm_complemented, mxm, spgemm_unmasked};
 pub use ktruss::{ktruss, ktruss_unfused, KTrussResult};
-pub use pagerank::{pagerank, PageRankOptions, PageRankResult};
 pub use triangles::{
     count_triangles, count_triangles_ll, count_triangles_with_stats, triangle_support,
 };

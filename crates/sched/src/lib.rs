@@ -33,14 +33,12 @@ pub mod tile;
 pub mod work;
 
 pub use cancel::CancelToken;
-pub use persistent::{
-    MultiOutcome, MultiRun, PoolError, PoolRunError, WatchdogConfig, WorkerPool, WorkerScratch,
-};
+pub use persistent::{MultiOutcome, MultiRun, PoolError, WatchdogConfig, WorkerPool, WorkerScratch};
 pub use submit::{
     ticket, CancelOutcome, Entry, PushRefused, QueueTag, RefusalReason, SubmitQueue, Ticket,
     TicketLost, TicketWriter,
 };
-pub use pool::{catch_tile_panic, ExecError, Schedule, ThreadReport, TileFailure};
+pub use pool::{catch_tile_panic, Schedule, ThreadReport, TileFailure};
 pub use slots::DisjointSlots;
 pub use tile::{balanced_tiles, uniform_tiles, Tile, TilingStrategy};
 pub use work::{row_work, total_work};

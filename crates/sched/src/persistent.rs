@@ -62,13 +62,11 @@ use crate::cancel::CancelToken;
 
 use mspgemm_rt::obs;
 
-use crate::pool::{
-    catch_tile_panic, next_range, ExecError, ObsScratch, Schedule, ThreadReport, TileFailure,
-};
+use crate::pool::{catch_tile_panic, next_range, ObsScratch, Schedule, ThreadReport, TileFailure};
 
 /// Pool-infrastructure failure: the run never reached (or never finished)
-/// tile execution. Tile-level failures are *not* reported here — they
-/// surface as [`PoolRunError::Tiles`] with the usual [`ExecError`].
+/// tile execution. Tile-level failures are *not* reported here — they are
+/// listed per run in [`MultiOutcome::failures`].
 #[derive(Clone, Debug)]
 pub enum PoolError {
     /// A panic escaped tile isolation inside a worker. The pool refuses
@@ -98,28 +96,6 @@ impl std::fmt::Display for PoolError {
 }
 
 impl std::error::Error for PoolError {}
-
-/// Outcome of [`WorkerPool::run_tiles`] when something went wrong: either
-/// the pool itself failed (poisoned / could not spawn) or the run completed
-/// with per-tile failures ([`ExecError`]).
-#[derive(Debug)]
-pub enum PoolRunError {
-    /// Pool-infrastructure failure; no per-tile accounting is available.
-    Pool(PoolError),
-    /// The queue drained but one or more tiles unwound.
-    Tiles(ExecError),
-}
-
-impl std::fmt::Display for PoolRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolRunError::Pool(e) => e.fmt(f),
-            PoolRunError::Tiles(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PoolRunError {}
 
 /// Liveness policy for the pool's stall watchdog.
 #[derive(Clone, Copy, Debug)]
@@ -503,28 +479,22 @@ impl WorkerPool {
     /// loop, fault isolation, claim metering and tracing.
     ///
     /// `body(worker, scratch, tile)` runs once per tile; an unwinding tile
-    /// is recorded as a [`TileFailure`] while siblings keep draining. Tile
-    /// failures surface as [`PoolRunError::Tiles`] (sorted by tile); a
-    /// panic escaping the infrastructure itself poisons the pool and
-    /// surfaces as [`PoolRunError::Pool`].
+    /// is recorded as a [`TileFailure`] in `failures[0]` (sorted by tile)
+    /// while siblings keep draining. As for a batch, only a panic escaping
+    /// the infrastructure itself is an `Err`: it poisons the pool and
+    /// surfaces as [`PoolError::Poisoned`].
     pub fn run_tiles<F>(
         &self,
         n_threads: usize,
         n_tiles: usize,
         schedule: Schedule,
         body: F,
-    ) -> Result<Vec<ThreadReport>, PoolRunError>
+    ) -> Result<MultiOutcome, PoolError>
     where
         F: Fn(usize, &WorkerScratch, usize) + Sync,
     {
         let run = MultiRun { n_tiles, weight: 1, cancel: None, body: &body };
-        let out = self.run_tiles_multi(n_threads, schedule, &[run]).map_err(PoolRunError::Pool)?;
-        let failures = out.failures.into_iter().next().unwrap_or_default();
-        if failures.is_empty() {
-            Ok(out.reports)
-        } else {
-            Err(PoolRunError::Tiles(ExecError { failures, reports: out.reports }))
-        }
+        self.run_tiles_multi(n_threads, schedule, &[run])
     }
 
     /// Execute one or more independent tile runs on one worker team — the
@@ -891,30 +861,25 @@ mod tests {
     #[test]
     fn tile_panic_is_isolated_and_does_not_poison_the_pool() {
         let pool = WorkerPool::new();
-        let err = pool
+        let out = pool
             .run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
                 if tile == 13 {
                     panic!("kernel died on tile {tile}");
                 }
             })
-            .expect_err("tile 13 must be reported");
-        match err {
-            PoolRunError::Tiles(e) => {
-                assert_eq!(e.failures.len(), 1);
-                assert_eq!(e.failures[0].tile, 13);
-                assert!(e.failures[0].payload.contains("kernel died on tile 13"));
-                assert_eq!(
-                    e.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
-                    39,
-                    "survivors drain the queue"
-                );
-            }
-            PoolRunError::Pool(e) => panic!("tile failure must not be a pool failure: {e}"),
-        }
+            .expect("tile failure must not be a pool failure");
+        let failures = &out.failures[0];
+        assert_eq!(failures.len(), 1, "tile 13 must be reported");
+        assert_eq!(failures[0].tile, 13);
+        assert!(failures[0].payload.contains("kernel died on tile 13"));
+        assert_eq!(
+            out.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
+            39,
+            "survivors drain the queue"
+        );
         // the pool is still healthy: a follow-up run succeeds
-        let reports =
-            pool.run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 40);
+        let out = pool.run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 40);
     }
 
     #[test]
@@ -931,10 +896,10 @@ mod tests {
         // all future runs are refused
         let err = pool.run(2, &|_, _| {}).expect_err("poison is permanent");
         assert!(matches!(err, PoolError::Poisoned { .. }));
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, _| {})
-            .expect_err("run_tiles is refused too");
-        assert!(matches!(err, PoolRunError::Pool(PoolError::Poisoned { .. })));
+        let Err(err) = pool.run_tiles(2, 8, Schedule::Static, |_, _, _| {}) else {
+            panic!("run_tiles is refused too");
+        };
+        assert!(matches!(err, PoolError::Poisoned { .. }));
     }
 
     #[test]
@@ -942,21 +907,19 @@ mod tests {
         let pool = WorkerPool::new();
         pool.run_tiles(2, 8, Schedule::Static, |_, _, _| {}).unwrap();
         pool.debug_poison("injected for test");
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, _| {})
-            .expect_err("poisoned pool refuses");
-        assert!(
-            matches!(err, PoolRunError::Pool(PoolError::Poisoned { ref detail }) if detail.contains("injected"))
-        );
+        let Err(err) = pool.run_tiles(2, 8, Schedule::Static, |_, _, _| {}) else {
+            panic!("poisoned pool refuses");
+        };
+        assert!(matches!(err, PoolError::Poisoned { ref detail } if detail.contains("injected")));
     }
 
     #[test]
     fn zero_tiles_is_a_noop() {
         let pool = WorkerPool::new();
-        let reports = pool
-            .run_tiles(4, 0, Schedule::Static, |_, _, _: usize| panic!("no tiles"))
-            .unwrap();
-        assert_eq!(reports.len(), 4);
+        let out =
+            pool.run_tiles(4, 0, Schedule::Static, |_, _, _: usize| panic!("no tiles")).unwrap();
+        assert!(out.failures[0].is_empty());
+        assert_eq!(out.reports.len(), 4);
         assert_eq!(pool.spawned_workers(), 0, "no work, no threads");
     }
 
@@ -1071,13 +1034,13 @@ mod tests {
     #[test]
     fn reports_account_for_busy_time() {
         let pool = WorkerPool::new();
-        let reports = pool
+        let out = pool
             .run_tiles(2, 8, Schedule::Dynamic { chunk: 1 }, |_, _, _| {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             })
             .unwrap();
-        assert!(reports.iter().any(|r| r.busy.as_micros() > 0));
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 8);
+        assert!(out.reports.iter().any(|r| r.busy.as_micros() > 0));
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 8);
     }
 
     #[test]
@@ -1086,40 +1049,29 @@ mod tests {
             stall_budget: Duration::from_millis(30),
             max_respawns: 4,
         });
-        let err = pool
+        let out = pool
             .run_tiles(2, 8, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
                 if tile == 0 {
                     // a bounded stall, well past the budget
                     std::thread::sleep(Duration::from_millis(200));
                 }
             })
-            .expect_err("the abandoned tile must be reported");
-        match err {
-            PoolRunError::Tiles(e) => {
-                assert_eq!(e.failures.len(), 1);
-                assert_eq!(e.failures[0].tile, 0);
-                assert!(
-                    e.failures[0].payload.contains("abandoned by watchdog"),
-                    "{}",
-                    e.failures[0].payload
-                );
-                assert_eq!(
-                    e.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
-                    7,
-                    "every other tile drains (replacement restores width)"
-                );
-            }
-            PoolRunError::Pool(e) => {
-                panic!("a bounded stall must not poison the pool: {e}")
-            }
-        }
+            .expect("a bounded stall must not poison the pool");
+        let failures = &out.failures[0];
+        assert_eq!(failures.len(), 1, "the abandoned tile must be reported");
+        assert_eq!(failures[0].tile, 0);
+        assert!(failures[0].payload.contains("abandoned by watchdog"), "{}", failures[0].payload);
+        assert_eq!(
+            out.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
+            7,
+            "every other tile drains (replacement restores width)"
+        );
         assert_eq!(pool.respawned_workers(), 1, "one replacement thread");
         assert_eq!(pool.spawned_workers(), 2, "pool width unchanged by the respawn");
         // the pool still serves: exactly one thread per index participates
         // (the superseded zombie exited), so a follow-up run is exact
-        let reports =
-            pool.run_tiles(2, 16, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 16);
+        let out = pool.run_tiles(2, 16, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 16);
         assert_eq!(pool.respawned_workers(), 1, "healthy runs trigger no respawns");
     }
 
@@ -1129,25 +1081,21 @@ mod tests {
             stall_budget: Duration::from_millis(20),
             max_respawns: 0,
         });
-        let err = pool
-            .run_tiles(2, 4, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                if tile == 0 {
-                    std::thread::sleep(Duration::from_millis(120));
-                }
-            })
-            .expect_err("exhausted budget must fail the run");
+        let Err(err) = pool.run_tiles(2, 4, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
+            if tile == 0 {
+                std::thread::sleep(Duration::from_millis(120));
+            }
+        }) else {
+            panic!("exhausted budget must fail the run");
+        };
         assert!(
-            matches!(
-                err,
-                PoolRunError::Pool(PoolError::Poisoned { ref detail })
-                    if detail.contains("respawn budget")
-            ),
+            matches!(err, PoolError::Poisoned { ref detail } if detail.contains("respawn budget")),
             "{err}"
         );
-        let err = pool
-            .run_tiles(2, 4, Schedule::Static, |_, _, _| {})
-            .expect_err("poison is permanent");
-        assert!(matches!(err, PoolRunError::Pool(PoolError::Poisoned { .. })));
+        let Err(err) = pool.run_tiles(2, 4, Schedule::Static, |_, _, _| {}) else {
+            panic!("poison is permanent");
+        };
+        assert!(matches!(err, PoolError::Poisoned { .. }));
     }
 
     #[test]
@@ -1156,14 +1104,14 @@ mod tests {
             stall_budget: Duration::ZERO,
             max_respawns: 4,
         });
-        let reports = pool
+        let out = pool
             .run_tiles(2, 4, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
                 if tile == 0 {
                     std::thread::sleep(Duration::from_millis(40));
                 }
             })
             .unwrap();
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
         assert_eq!(pool.respawned_workers(), 0);
     }
 
@@ -1192,8 +1140,8 @@ mod tests {
         assert_eq!(out.completed[1], 6, "sibling B is untouched");
         assert_eq!(out.skipped[1], 0);
         // the pool stays healthy for follow-up work
-        let reports = pool.run_tiles(1, 4, Schedule::Static, |_, _, _| {}).unwrap();
-        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
+        let out = pool.run_tiles(1, 4, Schedule::Static, |_, _, _| {}).unwrap();
+        assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
     }
 
     #[test]
@@ -1252,11 +1200,12 @@ mod tests {
         for schedule in variants {
             for (n_threads, n_tiles) in cases {
                 let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-                let reports = pool
+                let out = pool
                     .run_tiles(n_threads, n_tiles, schedule, |_, _, tile| {
                         counts[tile].fetch_add(1, Ordering::Relaxed);
                     })
                     .unwrap();
+                let reports = &out.reports;
                 let ctx = format!("{schedule:?} p={n_threads} n={n_tiles}");
                 assert_eq!(reports.len(), n_threads, "{ctx}");
                 for (i, c) in counts.iter().enumerate() {
@@ -1291,7 +1240,8 @@ mod tests {
             .run_tiles(2, 64, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
                 spin(if tile == 0 { 6_000_000 } else { 5_000 });
             })
-            .unwrap();
+            .unwrap()
+            .reports;
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 64);
         let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
         assert!(
@@ -1306,53 +1256,36 @@ mod tests {
         let pool = WorkerPool::new();
         for schedule in Schedule::all() {
             let counts: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
-            let err = pool
+            let out = pool
                 .run_tiles(4, 40, schedule, |_, _, tile| {
                     if tile == 13 {
                         panic!("kernel died on tile {tile}");
                     }
                     counts[tile].fetch_add(1, Ordering::Relaxed);
                 })
-                .expect_err("tile 13 must be reported");
-            let PoolRunError::Tiles(e) = err else { panic!("tile failure is not a pool failure") };
-            assert_eq!(e.failures.len(), 1, "{schedule:?}");
-            assert_eq!(e.failures[0].tile, 13);
+                .expect("tile failure is not a pool failure");
+            let failures = &out.failures[0];
+            assert_eq!(failures.len(), 1, "{schedule:?}");
+            assert_eq!(failures[0].tile, 13);
             for (i, c) in counts.iter().enumerate() {
                 assert_eq!(c.load(Ordering::Relaxed), u64::from(i != 13), "tile {i} {schedule:?}");
             }
-            assert_eq!(e.reports.iter().map(|r| r.tiles_failed).sum::<usize>(), 1);
+            assert_eq!(out.reports.iter().map(|r| r.tiles_failed).sum::<usize>(), 1);
         }
     }
 
     #[test]
     fn multiple_failures_are_sorted_by_tile() {
         let pool = WorkerPool::new();
-        let err = pool
+        let out = pool
             .run_tiles(3, 30, Schedule::Dynamic { chunk: 2 }, |_, _, tile| {
                 if tile % 7 == 0 {
                     panic!("bad tile");
                 }
             })
-            .expect_err("tiles 0,7,14,21,28 fail");
-        let PoolRunError::Tiles(e) = err else { panic!("tile failure is not a pool failure") };
-        let failed: Vec<usize> = e.failures.iter().map(|f| f.tile).collect();
+            .expect("tile failure is not a pool failure");
+        let failed: Vec<usize> = out.failures[0].iter().map(|f| f.tile).collect();
         assert_eq!(failed, vec![0, 7, 14, 21, 28]);
-    }
-
-    #[test]
-    fn exec_error_display_names_tiles() {
-        let pool = WorkerPool::new();
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, tile| {
-                if tile >= 2 {
-                    panic!("boom {tile}");
-                }
-            })
-            .expect_err("six tiles fail");
-        let msg = err.to_string();
-        assert!(msg.contains("6 tile(s) failed"), "{msg}");
-        assert!(msg.contains("tile 2"), "{msg}");
-        assert!(msg.contains("and 2 more"), "{msg}");
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! Each tile body runs under [`catch_tile_panic`]: a misbehaving kernel
 //! can neither take down the process nor strand sibling threads.
 //! Survivors keep draining the queue; the failed tiles are collected into
-//! structured [`TileFailure`] records and surfaced through [`ExecError`],
-//! so the caller knows exactly which tiles need recovery (the masked-SpGEMM
-//! driver retries them serially with a conservative configuration).
+//! structured [`TileFailure`] records, listed per run in
+//! [`crate::MultiOutcome::failures`], so the caller knows exactly which
+//! tiles need recovery (the masked-SpGEMM driver retries them serially
+//! with a conservative configuration).
 
 use std::any::Any;
 use std::cell::Cell;
@@ -97,8 +98,8 @@ impl Schedule {
 pub struct ThreadReport {
     /// Tiles this thread executed to completion.
     pub tiles_run: usize,
-    /// Tiles this thread started that unwound (recorded in the
-    /// [`ExecError`] failure list).
+    /// Tiles this thread started that unwound (recorded in the run's
+    /// [`crate::MultiOutcome::failures`] list).
     pub tiles_failed: usize,
     /// Wall time the thread spent inside tile bodies.
     pub busy: Duration,
@@ -115,36 +116,6 @@ pub struct TileFailure {
     /// Wall time spent inside the tile body before it unwound.
     pub elapsed: Duration,
 }
-
-/// Structured outcome of a run in which one or more tiles failed.
-///
-/// Every surviving tile still ran to completion (the queue is fully
-/// drained); `failures` lists the casualties in ascending tile order, and
-/// `reports` carries the per-thread accounting exactly as in the success
-/// path so callers can still compute load-balance statistics.
-#[derive(Clone, Debug)]
-pub struct ExecError {
-    /// The failed tiles, sorted by tile index (deterministic regardless of
-    /// thread interleaving).
-    pub failures: Vec<TileFailure>,
-    /// Per-thread reports for the whole run, including failed attempts.
-    pub reports: Vec<ThreadReport>,
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} tile(s) failed:", self.failures.len())?;
-        for failure in self.failures.iter().take(4) {
-            write!(f, " tile {} ({});", failure.tile, failure.payload)?;
-        }
-        if self.failures.len() > 4 {
-            write!(f, " … and {} more", self.failures.len() - 4)?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ExecError {}
 
 thread_local! {
     /// Set while this thread is inside a caught tile body, so the global

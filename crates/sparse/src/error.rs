@@ -25,7 +25,7 @@ pub enum SparseError {
     ColumnOutOfBounds { row: usize, col: usize, ncols: usize },
     /// A row index is out of bounds for the matrix's row count.
     RowOutOfBounds { row: usize, nrows: usize },
-    /// A CSR/CSC row-pointer array is malformed (wrong length, not
+    /// A CSR row-pointer array is malformed (wrong length, not
     /// monotonically non-decreasing, or final entry != nnz).
     MalformedPointers { detail: String },
     /// Column indices within a row are not strictly increasing. Several

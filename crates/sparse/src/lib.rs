@@ -6,8 +6,6 @@
 //! * [`Csr`] — compressed sparse row storage, the format all masked-SpGEMM
 //!   operands use in the paper (§II-A: "all operands are stored in the CSR
 //!   format").
-//! * [`Csc`] — compressed sparse column storage (the paper notes the
-//!   column-wise saxpy over CSC is symmetric to the row-wise case).
 //! * [`Coo`] — a triplet builder used by generators and I/O.
 //! * [`Dense`] — a small dense matrix used as the reference oracle in tests.
 //! * [`Semiring`] — the algebraic structure GraphBLAS parameterises every
@@ -26,7 +24,6 @@
 //! pointers are `usize` since `nnz` can exceed `u32::MAX` in principle.
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -38,7 +35,6 @@ pub mod stats;
 pub mod vector;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use error::SparseError;

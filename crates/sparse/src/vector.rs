@@ -3,9 +3,9 @@
 //! BFS and betweenness centrality (the paper's §I motivating algorithms)
 //! are masked *matrix-vector* recurrences; this module gives them a real
 //! vector type instead of ad-hoc `(index, value)` slices: sorted
-//! coordinate storage, element-wise union/intersection, masked assignment
-//! and reduction, plus the masked `vxm` (vector × matrix) product that is
-//! the 1-D restriction of the paper's masked-SpGEMM.
+//! coordinate storage and structural selection, plus the masked `vxm`
+//! (vector × matrix) product that is the 1-D restriction of the paper's
+//! masked-SpGEMM.
 
 use crate::semiring::Semiring;
 use crate::{Csr, Idx};
@@ -107,59 +107,6 @@ impl<T: Copy> SparseVec<T> {
     }
 }
 
-/// Element-wise union: `⊕` where both stored, the present value otherwise.
-pub fn vec_ewise_add<S: Semiring>(a: &SparseVec<S::T>, b: &SparseVec<S::T>) -> SparseVec<S::T> {
-    assert_eq!(a.dim, b.dim, "dimension mismatch");
-    let mut idx = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut val = Vec::with_capacity(a.nnz() + b.nnz());
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < a.idx.len() || q < b.idx.len() {
-        let take_a = q == b.idx.len() || (p < a.idx.len() && a.idx[p] <= b.idx[q]);
-        let take_b = p == a.idx.len() || (q < b.idx.len() && b.idx[q] <= a.idx[p]);
-        if take_a && take_b {
-            idx.push(a.idx[p]);
-            val.push(S::add(a.val[p], b.val[q]));
-            p += 1;
-            q += 1;
-        } else if take_a {
-            idx.push(a.idx[p]);
-            val.push(a.val[p]);
-            p += 1;
-        } else {
-            idx.push(b.idx[q]);
-            val.push(b.val[q]);
-            q += 1;
-        }
-    }
-    SparseVec { dim: a.dim, idx, val }
-}
-
-/// Element-wise intersection: `⊗` where both stored.
-pub fn vec_ewise_mult<S: Semiring>(a: &SparseVec<S::T>, b: &SparseVec<S::T>) -> SparseVec<S::T> {
-    assert_eq!(a.dim, b.dim, "dimension mismatch");
-    let mut idx = Vec::new();
-    let mut val = Vec::new();
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < a.idx.len() && q < b.idx.len() {
-        match a.idx[p].cmp(&b.idx[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                idx.push(a.idx[p]);
-                val.push(S::mul(a.val[p], b.val[q]));
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    SparseVec { dim: a.dim, idx, val }
-}
-
-/// Reduce all stored values with the additive monoid.
-pub fn vec_reduce<S: Semiring>(a: &SparseVec<S::T>) -> S::T {
-    a.val.iter().fold(S::zero(), |acc, &v| S::add(acc, v))
-}
-
 /// Masked vector × matrix product — the 1-D masked-SpGEMM:
 /// `y = x ⊗ A` with `y[j] = ⊕_k x[k] ⊗ A[k,j]`, restricted to indices
 /// where `mask_allow` holds (structural complement masks pass
@@ -217,20 +164,6 @@ mod tests {
         assert_eq!(v.to_dense(0.0), vec![0.0, 0.0, 7.0, 0.0]);
         assert!(!v.is_empty());
         assert_eq!(SparseVec::<f64>::new(4).to_dense(0.0), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn ewise_ops() {
-        let a = SparseVec::from_entries(6, vec![(0, 1.0), (2, 2.0), (4, 3.0)]);
-        let b = SparseVec::from_entries(6, vec![(2, 10.0), (3, 20.0)]);
-        let u = vec_ewise_add::<PlusTimes>(&a, &b);
-        assert_eq!(u.nnz(), 4);
-        assert_eq!(u.get(2), Some(12.0));
-        assert_eq!(u.get(3), Some(20.0));
-        let m = vec_ewise_mult::<PlusTimes>(&a, &b);
-        assert_eq!(m.nnz(), 1);
-        assert_eq!(m.get(2), Some(20.0));
-        assert_eq!(vec_reduce::<PlusTimes>(&a), 6.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Facade crate for the *"To tile or not to tile"* (IPDPSW 2024)
 //! reproduction: one `use` pulls in the whole stack.
 //!
-//! * [`sparse`] — CSR/CSC/COO matrices, semirings, Matrix Market I/O;
+//! * [`sparse`] — CSR/COO matrices, semirings, Matrix Market I/O;
 //! * [`gen`] — deterministic synthetic stand-ins for the Table I graphs;
 //! * [`accum`] — dense/hash sparse accumulators with tunable markers;
 //! * [`sched`] — Eq. 2 work estimation, tiling, static/dynamic scheduling;
@@ -29,23 +29,19 @@ pub use mspgemm_sparse as sparse;
 pub mod prelude {
     pub use mspgemm_accum::{AccumulatorKind, MarkerWidth};
     pub use mspgemm_core::{
-        masked_spgemm_csc, masked_spgemm_dot, predict_config, preset_config, run_stress,
-        spgemm, tune, CancelStatus, CancelToken, Config, ConfigBuilder, Executor,
-        GraphBuilder, IterationSpace, JobTicket, KernelPolicy, Operand, Overbook, Plan,
-        PlanGraph, Preset, RetryPolicy, RunStats, Service, ServiceOptions, ServiceReply,
-        Session, StressCase, StressReport, StressSpec, SubmitOptions, TunerOptions,
-        WatchdogConfig,
+        predict_config, preset_config, run_stress, spgemm, tune, CancelStatus, CancelToken,
+        Config, ConfigBuilder, Executor, GraphBuilder, IterationSpace, JobTicket, KernelPolicy,
+        Operand, Overbook, Plan, PlanGraph, Preset, RetryPolicy, RunStats, Service,
+        ServiceOptions, ServiceReply, Session, StressCase, StressReport, StressSpec,
+        SubmitOptions, TunerOptions, WatchdogConfig,
     };
     pub use mspgemm_gen::{er, rmat, road, suite_graph, suite_specs, web, GraphKind};
     pub use mspgemm_graph::{
         bc_forward_fused, bc_forward_unfused, betweenness_centrality,
         betweenness_centrality_batched, bfs_levels, bfs_levels_multi, clustering_coefficients,
-        connected_components, count_triangles, count_triangles_ll, count_triangles_with_stats,
-        ktruss, ktruss_unfused, masked_mxm, masked_mxm_complemented, maximal_independent_set,
-        mxm, mxm_desc, pagerank, triangles, Descriptor, PageRankOptions,
+        count_triangles, count_triangles_ll, count_triangles_with_stats, ktruss, ktruss_unfused,
+        masked_mxm, masked_mxm_complemented, mxm, mxm_desc, triangles, Descriptor,
     };
     pub use mspgemm_sched::{Schedule, TilingStrategy};
-    pub use mspgemm_sparse::{
-        BoolOrAnd, Coo, Csc, Csr, Dense, MinPlus, PlusPair, PlusTimes, Semiring,
-    };
+    pub use mspgemm_sparse::{BoolOrAnd, Coo, Csr, Dense, MinPlus, PlusPair, PlusTimes, Semiring};
 }

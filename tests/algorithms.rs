@@ -153,70 +153,6 @@ fn batched_bfs_matches_single_source_on_suite() {
 }
 
 #[test]
-fn mis_is_valid_on_every_class() {
-    for spec in suite_specs() {
-        let a = suite_graph(&spec, SCALE);
-        let r = maximal_independent_set(&a, 7);
-        // independence
-        for (i, j, _) in a.iter() {
-            assert!(
-                !(r.in_set[i] && r.in_set[j as usize]),
-                "{}: edge ({i},{j}) inside MIS",
-                spec.name
-            );
-        }
-        // maximality
-        for v in 0..a.nrows() {
-            if !r.in_set[v] {
-                let (cols, _) = a.row(v);
-                assert!(
-                    cols.iter().any(|&u| r.in_set[u as usize]),
-                    "{}: vertex {v} could be added",
-                    spec.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn connected_components_on_suite_classes() {
-    // road stand-ins may fragment (kept edges); social R-MAT has one giant
-    // component plus isolates — both must agree with a BFS sweep
-    for name in ["GAP-road", "com-LiveJournal"] {
-        let a = suite_graph(
-            &suite_specs().into_iter().find(|s| s.name == name).unwrap(),
-            SCALE,
-        );
-        let cc = connected_components(&a);
-        let mut seen = vec![false; a.nrows()];
-        let mut count = 0;
-        for s in 0..a.nrows() {
-            if !seen[s] {
-                count += 1;
-                for (v, &l) in bfs_levels(&a, s).unwrap().levels.iter().enumerate() {
-                    if l != mspgemm_graph::bfs::UNREACHED {
-                        seen[v] = true;
-                    }
-                }
-            }
-        }
-        assert_eq!(cc.n_components, count, "{name}");
-    }
-}
-
-#[test]
-fn pagerank_mass_conserved_on_suite() {
-    let a = suite_graph(
-        &suite_specs().into_iter().find(|s| s.name == "as-Skitter").unwrap(),
-        SCALE,
-    );
-    let r = mspgemm_graph::pagerank(&a, &PageRankOptions::default());
-    let sum: f64 = r.scores.iter().sum();
-    assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
-}
-
-#[test]
 fn triangle_support_sums_to_six_t() {
     let a = suite_graph(
         &suite_specs().into_iter().find(|s| s.name == "circuit5M").unwrap(),
