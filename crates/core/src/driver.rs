@@ -66,12 +66,12 @@ use mspgemm_accum::{
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
     catch_tile_panic, CancelToken, DisjointSlots, MultiRun, PoolError, Schedule, ThreadReport,
-    Tile, TileFailure, WorkerScratch,
+    Tile, TileFailure,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Measurements from one driver invocation.
@@ -320,7 +320,7 @@ pub(crate) fn run_jobs<S: Semiring>(
 }
 
 /// A job's type-erased tile body, as handed to the pool.
-type TileFn<'x> = Box<dyn Fn(usize, &WorkerScratch, usize) + Sync + 'x>;
+type TileFn<'x> = Box<dyn Fn(usize, usize) + Sync + 'x>;
 
 /// One job's shared tile-run state: every node's claimable slot windows,
 /// the per-tile completion latches, and the duplicate/spill tallies the
@@ -399,7 +399,7 @@ impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
         A: Accumulator<S> + Send + 'static,
         F: Fn(usize) -> A + Sync + 'static,
     {
-        Box::new(move |t, ws, tile| run_tile::<S, A, F>(&self, &make, t, ws, tile))
+        Box::new(move |t, tile| run_tile::<S, A, F>(&self, &make, t, tile))
     }
 }
 
@@ -462,22 +462,16 @@ fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
 }
 
 /// Lease one worker's accumulator cell for a tile. A poisoned cell (a
-/// tile panicked mid-update) is cleared and rebuilt from clean. A cell
-/// still held by another thread yields `None`: the watchdog's replacement
-/// for a stalled worker takes over the stalled worker's index while the
-/// stalled thread still holds the cell, and the tile then runs on a
-/// throwaway accumulator instead of waiting for it.
-fn lease(cell: &AccCell) -> Option<MutexGuard<'_, AccSlot>> {
-    match cell.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => {
-            cell.clear_poison();
-            let mut guard = poisoned.into_inner();
-            *guard = None;
-            Some(guard)
-        }
-        Err(TryLockError::WouldBlock) => None,
-    }
+/// tile panicked mid-update) is cleared and rebuilt from clean. The lock
+/// never waits: a worker index is one thread, and `run_lock` serialises
+/// runs.
+fn lease(cell: &AccCell) -> MutexGuard<'_, AccSlot> {
+    cell.lock().unwrap_or_else(|poisoned| {
+        cell.clear_poison();
+        let mut guard = poisoned.into_inner();
+        *guard = None;
+        guard
+    })
 }
 
 /// The cell's value as a `T`, rebuilt (stale value dropped first, so peak
@@ -513,7 +507,6 @@ fn run_tile<S, A, F>(
     body: &TileBody<'_, S>,
     make: &F,
     t: usize,
-    ws: &WorkerScratch,
     tile_idx: usize,
 ) where
     S: Semiring,
@@ -524,16 +517,11 @@ fn run_tile<S, A, F>(
     let n_tiles = core.tiles.len();
     let n_nodes = core.nodes.len();
     let tile = core.tiles[tile_idx];
-    let mut guard = lease(&cells[t % cells.len()]);
-    let mut spare = None;
-    let slot = match guard.as_deref_mut() {
-        Some(slot) => slot,
-        None => &mut spare,
-    };
+    let mut slot = lease(&cells[t % cells.len()]);
     // the cell holds the worker table plus the spill scratch, so both stay
     // warm across tiles and — under a reused plan — across runs
     let build = || (make(core.overbook_row_entries), OverbookSpill::<S, A>::new());
-    let Some(pair) = cached(slot, core.id, build) else {
+    let Some(pair) = cached(&mut slot, core.id, build) else {
         // unreachable: `cached` just installed the pair. Bailing leaves
         // the tile uncompleted, which settle repairs by the serial retry.
         return;
@@ -550,11 +538,6 @@ fn run_tile<S, A, F>(
     for (ni, node) in core.nodes.iter().enumerate() {
         // decorrelate per-node failures under fault injection
         failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + tile_idx) as u64);
-        if ws.current_tile_abandoned() {
-            // the watchdog already handed this tile to the degraded serial
-            // path; leave it uncompleted and let settle own it
-            return;
-        }
         let (Some(cols), Some(vals), Some(nnz)) = (
             ledger.cols[ni].take(tile_idx),
             ledger.vals[ni].take(tile_idx),
@@ -590,9 +573,7 @@ fn run_tile<S, A, F>(
     }
     obs::add(obs::Counter::FusionSinkFusedElems, fused);
     obs::add(obs::Counter::FusionTilesChained, (n_nodes - 1) as u64);
-    if !ws.current_tile_abandoned() {
-        let _ = ledger.completed[tile_idx].set(());
-    }
+    let _ = ledger.completed[tile_idx].set(());
 }
 
 /// A node's `A` operand for one tile: an external input, or the rows of
@@ -1067,12 +1048,11 @@ struct RetryStats {
 ///    the cancellation (attributed to the deadline when that is what
 ///    fired) instead of serially finishing a product nobody wants; a job
 ///    whose every tile finished before the cancel was observed settles;
-/// 3. every missing tile (panicked, abandoned by the watchdog) is
-///    recomputed serially — the whole chain, conservative configuration —
-///    into exactly the slots it owned;
-/// 4. the `fragment-stitch` failpoint fires per tile;
-/// 5. each output node's slot buffers are adopted (zero slack) or
-///    compacted, and the scratch keeps what it can reuse.
+/// 3. every tile a panic lost is recomputed serially — the whole chain,
+///    conservative configuration — into exactly the slots it owned;
+/// 4. each output node's slot buffers are adopted (zero slack) or
+///    compacted, firing the `fragment-stitch` failpoint per tile copied,
+///    and the scratch keeps what it can reuse.
 fn settle<S: Semiring>(
     exec: &ExecutorShared,
     job: &mut Job<'_, S>,
@@ -1125,16 +1105,6 @@ fn settle<S: Semiring>(
     }
     if let Some(s) = retry_start {
         retry.elapsed = s.elapsed();
-    }
-
-    // keep the `fragment-stitch` fault-injection surface: the per-tile site
-    // fires here, where the historical stitch used to run
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..core.tiles.len() {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
     }
 
     let mut outputs = Vec::new();
@@ -1240,6 +1210,7 @@ fn assemble<S: Semiring>(
     let parallel =
         n_threads > 1 && tiles.len() > 1 && output_nnz * entry_bytes >= compact_par_min();
     let copy = |idx: usize, cols: &mut [Idx], vals: &mut [S::T]| {
+        failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
         let (nlo, nhi) = node.nonempty_ranges[idx];
         let bytes = copy_tile_rows::<S>(
             tiles[idx],
@@ -1269,7 +1240,7 @@ fn assemble<S: Semiring>(
                 n_threads,
                 tiles.len(),
                 Schedule::Dynamic { chunk: 1 },
-                |_, _, idx| {
+                |_, idx| {
                     if let (Some(c), Some(v)) = (dc.take(idx), dv.take(idx)) {
                         copy(idx, c, v);
                         let _ = copied[idx].set(());
@@ -1587,43 +1558,5 @@ mod tests {
                 assert!(stats.overbook_spills >= 1, "expected a spill ({})", it.label());
             }
         }
-    }
-
-    #[test]
-    fn a_held_accumulator_cell_costs_a_throwaway_table_not_a_wait() {
-        // A stalled worker keeps its accumulator cell locked while the
-        // watchdog's replacement runs tiles under the same worker index.
-        // Model that by holding worker 0's cell for a whole run: the tiles
-        // worker 0 claims (static blocks guarantee it claims some) must
-        // run on throwaway tables, and the product must not change.
-        let a = lcg_matrix(80, 80, 5, 61);
-        let cfg = Config::builder().n_threads(2).n_tiles(16).schedule(Schedule::Static).build();
-        let exec = Executor::new();
-        let core = crate::graph::single_product(exec.shared(), &cfg, &a, &a, &a).unwrap();
-        let inputs = [&a, &a, &a];
-        let mut scratch = PlanScratch::default();
-        let run = |scratch: &mut PlanScratch<f64>| {
-            let job = Job {
-                core: &core,
-                inputs: &inputs,
-                scratch,
-                cancel: None,
-                weight: 1,
-                setup: Duration::ZERO,
-                fused_ops: 0,
-            };
-            only_output(run_job::<PlusTimes>(exec.shared(), job)).unwrap()
-        };
-        let (want, _) = run(&mut scratch);
-        assert_eq!(want, Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &a));
-        let cell = std::sync::Arc::clone(&scratch.accums[0]);
-        let held = cell.lock().unwrap();
-        assert!(held.is_some(), "the first run left worker 0 a warm accumulator");
-        let (got, stats) = run(&mut scratch);
-        assert_eq!(got, want, "throwaway tables must not change the product");
-        assert_eq!(stats.retried_tiles, 0);
-        assert_eq!(stats.thread_reports[0].tiles_run, 8, "worker 0 ran its block");
-        drop(held);
-        assert!(cell.lock().unwrap().is_some(), "the held cell keeps its table");
     }
 }

@@ -32,7 +32,7 @@ use crate::driver::{only_output, run_job, Job, RunStats};
 use crate::graph::single_product;
 use crate::plan::{AccCell, Plan, PlanScratch};
 use mspgemm_rt::obs;
-use mspgemm_sched::{WatchdogConfig, WorkerPool};
+use mspgemm_sched::WorkerPool;
 use mspgemm_sparse::{Csr, Semiring, SparseError};
 
 /// State shared between an [`Executor`] and every [`Plan`] built on it.
@@ -83,20 +83,13 @@ impl Default for Executor {
 
 impl Executor {
     /// Create an executor with its own (initially empty) worker pool.
-    /// Threads are spawned lazily on the first run. The pool's stall
-    /// watchdog uses [`WatchdogConfig::from_env`]
-    /// (`MSPGEMM_WATCHDOG_MS`).
+    /// Threads are spawned lazily on the first run. Every tile runs to
+    /// completion: a slow tile delays its run, and cancellation and
+    /// deadlines act only at tile boundaries.
     pub fn new() -> Self {
-        Self::with_watchdog(WatchdogConfig::from_env())
-    }
-
-    /// Create an executor whose pool runs an explicit liveness policy
-    /// instead of the environment default — a zero stall budget disables
-    /// the watchdog, a short one makes stall detection fast for tests.
-    pub fn with_watchdog(watchdog: WatchdogConfig) -> Self {
         Executor {
             shared: Arc::new(ExecutorShared {
-                pool: WorkerPool::with_watchdog(watchdog),
+                pool: WorkerPool::new(),
                 run_lock: Mutex::new(()),
                 oneshot_cells: Mutex::new(Vec::new()),
             }),
@@ -174,15 +167,6 @@ impl Executor {
     /// metrics are armed).
     pub fn spawned_workers(&self) -> usize {
         self.shared.pool.spawned_workers()
-    }
-
-    /// Workers the pool's watchdog respawned after abandoning a stalled
-    /// tile (see [`WatchdogConfig`]). Zero on a healthy pool. Respawns
-    /// *replace* a worker, so [`spawned_workers`](Self::spawned_workers)
-    /// stays flat — this count is the only trace (also visible as the
-    /// `pool.workers_respawned` counter when metrics are armed).
-    pub fn respawned_workers(&self) -> u64 {
-        self.shared.pool.respawned_workers()
     }
 
     /// Poison the executor as if a panic had escaped tile isolation.

@@ -586,7 +586,7 @@ fn estimate_on_pool<T: Copy + Sync>(
     let done: Vec<OnceLock<()>> = (0..n_blocks).map(|_| OnceLock::new()).collect();
     let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
     // a lost block or a pool failure leaves `done` incomplete
-    let _ = exec.pool.run_tiles(n_threads, n_blocks, schedule, |_, _, idx| {
+    let _ = exec.pool.run_tiles(n_threads, n_blocks, schedule, |_, idx| {
         if let Some(out) = slots.take(idx) {
             row_work_into(a, b, mask, ranges[idx].0, out);
             let _ = done[idx].set(());

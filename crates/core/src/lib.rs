@@ -82,7 +82,7 @@ pub use graph::{ExtId, GraphBuilder, NodeId, Operand, PlanGraph};
 pub use model::predict_config;
 pub use plan::Plan;
 pub use presets::{preset_config, Preset};
-pub use mspgemm_sched::{CancelToken, WatchdogConfig};
+pub use mspgemm_sched::CancelToken;
 pub use service::{
     CancelStatus, JobTicket, RetryPolicy, Service, ServiceOptions, ServiceReply, SubmitOptions,
 };

@@ -151,7 +151,7 @@ pub(crate) fn fingerprint<T: Copy>(
 
 /// One worker's accumulator cell: a type-erased accumulator (plus its
 /// spill scratch), keyed by the identity of the frozen core it was built
-/// for. The driver leases it with `try_lock` per tile and checks key and
+/// for. The driver leases it with `lock` per tile and checks key and
 /// type on every lease, so a cell built for another core, or holding a
 /// stale type (the `METER` flag flipped by arming metrics), is rebuilt
 /// from clean — on the worker thread, after dropping the old value — as

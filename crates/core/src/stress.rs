@@ -116,11 +116,6 @@ pub struct StressReport {
     pub queue_depth_end: usize,
     /// Workers the executor had spawned when the run ended.
     pub spawned_workers: usize,
-    /// Workers the watchdog respawned over the run (nonzero only under an
-    /// armed `stall` failpoint). Respawns replace workers, so
-    /// [`spawned_workers`](Self::spawned_workers) stays flat regardless —
-    /// this count is the only trace of self-healing.
-    pub respawned_workers: u64,
 }
 
 /// Drive a [`Service`] with `spec.tenants` concurrent threads submitting
@@ -290,7 +285,6 @@ pub fn run_stress<S: Semiring>(
         mismatches: mismatches.into_inner(),
         queue_depth_end: service.depth(),
         spawned_workers: exec.spawned_workers(),
-        respawned_workers: exec.respawned_workers(),
     };
     drop(service); // joins the dispatcher; every ticket is settled
     Ok(report)

@@ -143,7 +143,12 @@ fn fault_delay_action_injects_latency_only() {
 fn fault_fragment_stitch_failure_is_internal() {
     let a = lcg_matrix(32, 32, 4, 8);
     let cfg = test_config();
-    let err = with_failpoints("fragment-stitch=panic@p:1.0", || {
+    let err = with_failpoints("", || {
+        // the site fires as compaction copies each tile: an output that
+        // filled the mask bound would adopt its slot buffers uncopied
+        let (c, _) = spgemm::<PlusTimes>(&a, &a, &a, &cfg).unwrap();
+        assert!(c.nnz() < a.nnz(), "the output must leave slack: {} of {}", c.nnz(), a.nnz());
+        failpoint::arm("fragment-stitch=panic@p:1.0").unwrap();
         spgemm::<PlusTimes>(&a, &a, &a, &cfg).expect_err("stitch dies")
     });
     match err {

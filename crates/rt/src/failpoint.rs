@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`TILE_KERNEL`] | the parallel tile body of the masked-SpGEMM driver |
 //! | [`ACCUM_RESET`] | the accumulators' per-row reset path |
-//! | [`FRAGMENT_STITCH`] | the driver's fragment-stitch loop |
+//! | [`FRAGMENT_STITCH`] | the driver's per-tile output compaction |
 //! | [`WORK_ESTIMATE`] | each Eq. 2 work estimate of the symbolic prologue |
 //! | [`OVERBOOK_SPILL`] | the driver's overbooked-accumulator spill path |
 //!
@@ -21,18 +21,15 @@
 //!
 //! spec   := entry (';' entry)*
 //! entry  := site '=' action ['@' param (',' param)*]
-//! action := 'panic' | 'delay' | 'stall' | 'off'
+//! action := 'panic' | 'delay' | 'off'
 //! param  := 'p:' f64 in [0,1]   (fire probability, default 1.0)
 //!         | 'seed:' u64         (Bernoulli stream seed, default 0)
-//!         | 'ms:' u64           (delay/stall duration; default 1 for
-//!                                delay, 200 for stall)
+//!         | 'ms:' u64           (delay duration, default 1)
 //!         | 'key:' u64          (fire only for this call key, default any)
 //! ```
 //!
-//! `delay` injects small latency (scheduling jitter); `stall` injects a
-//! *bounded hang* — a sleep long enough to trip a liveness monitor such as
-//! the worker-pool watchdog, chunked so the thread stays descheduled for
-//! the whole window. Both are keyed by the same deterministic Bernoulli
+//! `delay` injects latency, from scheduling jitter to a tile that runs far
+//! past its siblings. It is keyed by the same deterministic Bernoulli
 //! stream as `panic`.
 //!
 //! # Determinism
@@ -60,8 +57,10 @@ pub const TILE_KERNEL: &str = "tile-kernel";
 /// Site inside the accumulators' per-row reset path; the call key is the
 /// accumulator's current epoch.
 pub const ACCUM_RESET: &str = "accum-reset";
-/// Site inside the driver's fragment-stitch loop; the call key is the
-/// fragment (tile) index.
+/// Site inside the driver's output compaction, fired as each tile's rows
+/// are copied out of their slack-padded slots; the call key is the tile
+/// index. A run whose output fills the mask bound adopts its slot buffers
+/// without copying, so the site does not fire there.
 pub const FRAGMENT_STITCH: &str = "fragment-stitch";
 /// Site at the head of each Eq. 2 work estimate in the symbolic prologue,
 /// on the calling thread before any row block is dispatched; the call key
@@ -82,10 +81,6 @@ pub enum Action {
     Panic,
     /// Sleep for `ms` milliseconds (latency injection).
     Delay,
-    /// Hang for `ms` milliseconds (bounded-stall injection): the sleep is
-    /// chunked so the thread stays stuck for the whole window, long
-    /// enough to trip a liveness watchdog. Defaults to 200 ms.
-    Stall,
     /// Disarm the site (used by [`arm`] to clear a previous entry).
     Off,
 }
@@ -219,20 +214,6 @@ impl Registry {
         match spec.action {
             Action::Off => {}
             Action::Delay => std::thread::sleep(std::time::Duration::from_millis(spec.ms)),
-            Action::Stall => {
-                // chunked so the thread is continuously descheduled for
-                // the whole window — a bounded hang, not one long syscall
-                let until = std::time::Instant::now()
-                    + std::time::Duration::from_millis(spec.ms);
-                loop {
-                    let now = std::time::Instant::now();
-                    if now >= until {
-                        break;
-                    }
-                    let left = until - now;
-                    std::thread::sleep(left.min(std::time::Duration::from_millis(10)));
-                }
-            }
             Action::Panic => panic!(
                 "failpoint '{site}' fired (key {key}, seed {seed}, p {p})",
                 seed = spec.seed,
@@ -265,11 +246,10 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, Option<SiteSpec>)>, String>
         let action = match action_str {
             "panic" => Action::Panic,
             "delay" => Action::Delay,
-            "stall" => Action::Stall,
             "off" => Action::Off,
             other => {
                 return Err(format!(
-                    "unknown action {other:?} for site {site:?} (expected panic|delay|stall|off)"
+                    "unknown action {other:?} for site {site:?} (expected panic|delay|off)"
                 ))
             }
         };
@@ -278,11 +258,6 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, Option<SiteSpec>)>, String>
             continue;
         }
         let mut cfg = SiteSpec { action, ..SiteSpec::default() };
-        if action == Action::Stall {
-            // a stall must outlast a watchdog budget to mean anything;
-            // `ms:` below still overrides
-            cfg.ms = 200;
-        }
         if let Some(params) = params {
             for param in params.split(',') {
                 let param = param.trim();
@@ -358,57 +333,40 @@ mod tests {
     }
 
     #[test]
-    fn parses_stall_with_duration_default_and_override() {
-        let entries = parse_spec("tile-kernel=stall").unwrap();
-        let cfg = entries[0].1.as_ref().unwrap();
-        assert_eq!(cfg.action, Action::Stall);
-        assert_eq!(cfg.ms, 200, "stall defaults to 200 ms, not delay's 1 ms");
-        assert!((cfg.p - 1.0).abs() < 1e-12);
-
-        let entries = parse_spec("tile-kernel=stall@ms:35,p:0.5,seed:9,key:3").unwrap();
-        let cfg = entries[0].1.as_ref().unwrap();
-        assert_eq!(cfg.action, Action::Stall);
-        assert_eq!(cfg.ms, 35);
-        assert!((cfg.p - 0.5).abs() < 1e-12);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.key, Some(3));
-    }
-
-    #[test]
-    fn stall_blocks_for_the_configured_window_and_respects_keys() {
-        arm("rt-test-stall=stall@ms:30,key:11").unwrap();
+    fn delay_blocks_for_the_configured_window_and_respects_keys() {
+        arm("rt-test-delay=delay@ms:30,key:11").unwrap();
         // wrong key: returns immediately
         let start = std::time::Instant::now();
-        maybe_fire("rt-test-stall", 10);
+        maybe_fire("rt-test-delay", 10);
         assert!(start.elapsed() < std::time::Duration::from_millis(20));
         // pinned key: blocks for the whole window
         let start = std::time::Instant::now();
-        maybe_fire("rt-test-stall", 11);
+        maybe_fire("rt-test-delay", 11);
         assert!(
             start.elapsed() >= std::time::Duration::from_millis(30),
-            "stall must hold the thread for the full window, held {:?}",
+            "delay must hold the thread for the full window, held {:?}",
             start.elapsed()
         );
-        arm("rt-test-stall=off").unwrap();
+        arm("rt-test-delay=off").unwrap();
     }
 
     #[test]
-    fn stall_uses_the_same_deterministic_bernoulli_stream_as_panic() {
-        // p-gated stall fires for exactly the keys `decide` selects —
-        // the property the watchdog CI smoke relies on for replayability
+    fn delay_uses_the_same_deterministic_bernoulli_stream_as_panic() {
+        // p-gated delay fires for exactly the keys `decide` selects, so a
+        // seeded latency injection replays exactly
         let fired: Vec<u64> = (0..64).filter(|&k| decide(7, k, 0.25)).collect();
-        arm("rt-test-stall-p=stall@ms:15,p:0.25,seed:7").unwrap();
+        arm("rt-test-delay-p=delay@ms:15,p:0.25,seed:7").unwrap();
         for k in 0..64u64 {
             let start = std::time::Instant::now();
-            maybe_fire("rt-test-stall-p", k);
-            let stalled = start.elapsed() >= std::time::Duration::from_millis(15);
+            maybe_fire("rt-test-delay-p", k);
+            let delayed = start.elapsed() >= std::time::Duration::from_millis(15);
             assert_eq!(
-                stalled,
+                delayed,
                 fired.contains(&k),
-                "key {k}: stall firing must be the pure decide(seed, key, p) function"
+                "key {k}: delay firing must be the pure decide(seed, key, p) function"
             );
         }
-        arm("rt-test-stall-p=off").unwrap();
+        arm("rt-test-delay-p=off").unwrap();
     }
 
     #[test]

@@ -87,8 +87,6 @@ catalogue! { Counter, COUNTERS_ALL, N_COUNTERS;
     SchedQueueClaims => "sched.queue_claims",
     SchedWorkersSpawned => "sched.workers_spawned",
     SchedTilesCancelled => "sched.tiles_cancelled",
-    WatchdogStallsDetected => "watchdog.stalls_detected",
-    PoolWorkersRespawned => "pool.workers_respawned",
     AccumDenseFullResets => "accum.dense.full_resets",
     AccumHashFullResets => "accum.hash.full_resets",
     AccumHashProbes => "accum.hash.probes",

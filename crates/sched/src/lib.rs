@@ -33,7 +33,7 @@ pub mod tile;
 pub mod work;
 
 pub use cancel::CancelToken;
-pub use persistent::{MultiOutcome, MultiRun, PoolError, WatchdogConfig, WorkerPool, WorkerScratch};
+pub use persistent::{MultiOutcome, MultiRun, PoolError, WorkerPool};
 pub use submit::{
     ticket, CancelOutcome, Entry, PushRefused, QueueTag, RefusalReason, SubmitQueue, Ticket,
     TicketLost, TicketWriter,

@@ -3,9 +3,8 @@
 //! BFS and betweenness centrality (the paper's §I motivating algorithms)
 //! are masked *matrix-vector* recurrences; this module gives them a real
 //! vector type instead of ad-hoc `(index, value)` slices: sorted
-//! coordinate storage and structural selection, plus the masked `vxm`
-//! (vector × matrix) product that is the 1-D restriction of the paper's
-//! masked-SpGEMM.
+//! coordinate storage, plus the masked `vxm` (vector × matrix) product
+//! that is the 1-D restriction of the paper's masked-SpGEMM.
 
 use crate::semiring::Semiring;
 use crate::{Csr, Idx};
@@ -20,28 +19,6 @@ pub struct SparseVec<T> {
 }
 
 impl<T: Copy> SparseVec<T> {
-    /// An empty vector of dimension `dim`.
-    pub fn new(dim: usize) -> Self {
-        SparseVec { dim, idx: Vec::new(), val: Vec::new() }
-    }
-
-    /// Build from entries in any order; duplicates keep the last value.
-    pub fn from_entries(dim: usize, mut entries: Vec<(Idx, T)>) -> Self {
-        entries.sort_by_key(|&(i, _)| i);
-        let mut idx = Vec::with_capacity(entries.len());
-        let mut val = Vec::with_capacity(entries.len());
-        for (i, v) in entries {
-            assert!((i as usize) < dim, "index {i} out of dimension {dim}");
-            if idx.last() == Some(&i) {
-                *val.last_mut().unwrap() = v;
-            } else {
-                idx.push(i);
-                val.push(v);
-            }
-        }
-        SparseVec { dim, idx, val }
-    }
-
     /// A single-entry vector (e.g. a BFS source frontier).
     pub fn unit(dim: usize, i: usize, v: T) -> Self {
         assert!(i < dim);
@@ -63,47 +40,9 @@ impl<T: Copy> SparseVec<T> {
         self.idx.is_empty()
     }
 
-    /// Stored indices (sorted).
-    pub fn indices(&self) -> &[Idx] {
-        &self.idx
-    }
-
-    /// Stored values, parallel to [`SparseVec::indices`].
-    pub fn values(&self) -> &[T] {
-        &self.val
-    }
-
     /// Iterate stored `(index, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Idx, T)> + '_ {
         self.idx.iter().copied().zip(self.val.iter().copied())
-    }
-
-    /// Look up index `i`.
-    pub fn get(&self, i: usize) -> Option<T> {
-        self.idx.binary_search(&(i as Idx)).ok().map(|p| self.val[p])
-    }
-
-    /// Densify with `zero` at absent positions.
-    pub fn to_dense(&self, zero: T) -> Vec<T> {
-        let mut out = vec![zero; self.dim];
-        for (i, v) in self.iter() {
-            out[i as usize] = v;
-        }
-        out
-    }
-
-    /// Keep only entries whose index passes `keep` (structural select; the
-    /// complement-mask filter of BFS is `keep = !visited`).
-    pub fn select(&self, mut keep: impl FnMut(Idx) -> bool) -> SparseVec<T> {
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
-        for (i, v) in self.iter() {
-            if keep(i) {
-                idx.push(i);
-                val.push(v);
-            }
-        }
-        SparseVec { dim: self.dim, idx, val }
     }
 }
 
@@ -148,29 +87,9 @@ mod tests {
     use crate::semiring::{BoolOrAnd, PlusTimes};
     use crate::Coo;
 
-    #[test]
-    fn construction_sorts_and_dedups() {
-        let v = SparseVec::from_entries(10, vec![(5, 1.0), (2, 2.0), (5, 3.0)]);
-        assert_eq!(v.nnz(), 2);
-        assert_eq!(v.get(5), Some(3.0)); // last wins
-        assert_eq!(v.get(2), Some(2.0));
-        assert_eq!(v.get(0), None);
-        assert_eq!(v.indices(), &[2, 5]);
-    }
-
-    #[test]
-    fn unit_and_dense_roundtrip() {
-        let v = SparseVec::unit(4, 2, 7.0);
-        assert_eq!(v.to_dense(0.0), vec![0.0, 0.0, 7.0, 0.0]);
-        assert!(!v.is_empty());
-        assert_eq!(SparseVec::<f64>::new(4).to_dense(0.0), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn select_filters_structurally() {
-        let a = SparseVec::from_entries(6, vec![(0, 1.0), (2, 2.0), (4, 3.0)]);
-        let s = a.select(|i| i >= 2);
-        assert_eq!(s.indices(), &[2, 4]);
+    /// The stored indices of `v`, in order.
+    fn indices<T: Copy>(v: &SparseVec<T>) -> Vec<Idx> {
+        v.iter().map(|(i, _)| i).collect()
     }
 
     #[test]
@@ -184,10 +103,10 @@ mod tests {
         let frontier = SparseVec::unit(4, 1, true);
         // mask forbids going back to 0
         let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |j| j != 0);
-        assert_eq!(next.indices(), &[2]);
+        assert_eq!(indices(&next), [2]);
         // no mask: both neighbours
         let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |_| true);
-        assert_eq!(next.indices(), &[0, 2]);
+        assert_eq!(indices(&next), [0, 2]);
     }
 
     #[test]
@@ -202,7 +121,8 @@ mod tests {
         let x = SparseVec::unit(4, 0, 1.0);
         let step1 = masked_vxm::<PlusTimes>(&x, &a, |_| true);
         let step2 = masked_vxm::<PlusTimes>(&step1, &a, |_| true);
-        assert_eq!(step2.get(3), Some(2.0), "two shortest paths to 3");
+        let at3 = step2.iter().find(|&(i, _)| i == 3).map(|(_, v)| v);
+        assert_eq!(at3, Some(2.0), "two shortest paths to 3");
     }
 
     #[test]
@@ -213,7 +133,7 @@ mod tests {
         coo.push(0, 2, 1.0);
         coo.push(1, 2, 1.0);
         let a = coo.to_csr_sum();
-        let x = SparseVec::from_entries(3, vec![(0, 1.0), (1, 1.0)]);
+        let x = SparseVec { dim: 3, idx: vec![0, 1], val: vec![1.0, 1.0] };
         let y = masked_vxm::<PlusTimes>(&x, &a, |j| j != 2);
         assert!(y.is_empty());
     }

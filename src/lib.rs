@@ -33,7 +33,7 @@ pub mod prelude {
         Config, ConfigBuilder, Executor, GraphBuilder, IterationSpace, JobTicket, KernelPolicy,
         Operand, Overbook, Plan, PlanGraph, Preset, RetryPolicy, RunStats, Service,
         ServiceOptions, ServiceReply, Session, StressCase, StressReport, StressSpec,
-        SubmitOptions, TunerOptions, WatchdogConfig,
+        SubmitOptions, TunerOptions,
     };
     pub use mspgemm_gen::{er, rmat, road, suite_graph, suite_specs, web, GraphKind};
     pub use mspgemm_graph::{
