@@ -48,8 +48,8 @@ pub struct HashAccumulator<S: Semiring, M: Marker, const METER: bool = false> {
     /// — the `max_row_entries` the constructor was sized with. Inserting
     /// past it would break the ≤ 50 % load factor that guarantees probe
     /// termination, so the insert paths drop the update and latch
-    /// [`Accumulator::take_overflow`] instead; the driver's spill path
-    /// recomputes the row at the full bound.
+    /// [`Accumulator::take_overflow`] instead; the driver then recomputes
+    /// the row's tile through its degraded retry.
     limit: usize,
     /// Distinct keys claimed since [`Accumulator::begin_row`].
     inserted: usize,
@@ -80,32 +80,12 @@ impl<S: Semiring, M: Marker, const METER: bool> HashAccumulator<S, M, METER> {
     /// latches [`Accumulator::take_overflow`] instead of degrading the
     /// load factor.
     ///
-    /// For mask-preload kernels pass `max_i nnz(M[i,:])` (or the plan's
-    /// overbooked quantile bound); for the vanilla kernel pass an upper
-    /// bound on distinct intermediate columns
-    /// (`min(ncols, max_i Σ_{A[i,k]≠0} nnz(B[k,:]))`).
+    /// For mask-preload kernels pass the hard bound `max_i nnz(M[i,:])`;
+    /// for the vanilla kernel pass an upper bound on distinct intermediate
+    /// columns (`min(ncols, max_i Σ_{A[i,k]≠0} nnz(B[k,:]))`).
     pub fn with_row_capacity(max_row_entries: usize) -> Self {
-        Self::with_row_capacity_slack(max_row_entries, 2)
-    }
-
-    /// Like [`Self::with_row_capacity`] but with an explicit slack factor:
-    /// the table holds `slack ×` the entry limit (rounded up to a power of
-    /// two) while still latching overflow past `max_row_entries`.
-    ///
-    /// This exists for *overbooked* tables. A table sized at the plan's
-    /// max bound runs at a vanishing load factor on typical rows, so the
-    /// probe's freshness branch is essentially never taken and predicts
-    /// perfectly. A quantile-sized table at the default 50 % load turns
-    /// that branch into a per-probe coin flip, and on miss-heavy masked
-    /// workloads the misprediction tax can triple the probe cost — wiping
-    /// out the cache-residency win overbooking exists for. Extra slack
-    /// (the driver's `hash_slack`, up to 32×) keeps the overbooked table's
-    /// load factor in the same near-empty regime while remaining orders of
-    /// magnitude smaller than the max-bound table. The spill threshold is
-    /// unaffected: it is the entry `limit`, not the table capacity.
-    pub fn with_row_capacity_slack(max_row_entries: usize, slack: usize) -> Self {
         let limit = max_row_entries.max(1);
-        let cap = (limit * slack.max(2)).next_power_of_two();
+        let cap = (limit * 2).next_power_of_two();
         HashAccumulator {
             keys: vec![0; cap],
             vals: vec![S::zero(); cap],
@@ -165,10 +145,9 @@ impl<S: Semiring, M: Marker, const METER: bool> HashAccumulator<S, M, METER> {
             // keys load sits behind the `fresh` branch), which is what
             // keeps big near-empty tables cheap to probe. Folding the two
             // checks branchlessly forces the keys load on every probe and
-            // doubles the cache traffic. The predictability of `fresh` is
-            // instead handled where it is lost — overbooked tables are
-            // allocated with extra slack (see `with_row_capacity_slack`)
-            // so their load factor stays in the same regime.
+            // doubles the cache traffic. A table sized at the hard bound
+            // runs at a low load factor on typical rows, so `fresh` is
+            // rarely taken and predicts well.
             let mark = self.marks[s];
             let fresh = mark == fresh_mask || mark == fresh_written;
             if fresh {

@@ -95,9 +95,9 @@ pub trait Accumulator<S: Semiring>: Send {
     /// Take-and-clear the overflow latch: `true` iff the current row tried
     /// to claim more distinct columns than the accumulator was sized for,
     /// in which case the row's state is incomplete and must be recomputed
-    /// with a full-bound accumulator (the driver's overbook spill path).
-    /// Accumulators sized at a hard bound can never overflow and keep the
-    /// default `false`.
+    /// (the driver hands its tile to the degraded retry). A table sized at
+    /// the hard bound never overflows; accumulators without a capacity
+    /// bound keep the default `false`.
     fn take_overflow(&mut self) -> bool {
         false
     }

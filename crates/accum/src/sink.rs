@@ -58,7 +58,7 @@ pub struct SlotSink<'a, T> {
 }
 
 /// Structured overflow report: the panic payload carries everything needed
-/// to debug an overbook spill from the message alone.
+/// to debug a slot overflow from the message alone.
 #[cold]
 #[inline(never)]
 fn slot_overflow(row: usize, estimated: usize, actual_at_least: usize) -> ! {

@@ -45,74 +45,16 @@ impl IterationSpace {
     }
 }
 
-/// Accumulator scratch sizing policy (the Tailors-style overbooking axis).
-///
-/// The paper sizes hash accumulators at the hard per-row bound
-/// `max_i nnz(M[i,:])`, which wastes scratch and cache residency on the
-/// overwhelmingly common thin rows. Overbooking sizes them at a quantile of
-/// the per-row bounds instead; the rare fat row that overflows is detected
-/// and recomputed serially at the full bound (bit-identical, counted in
-/// `RunStats::overbook_spills`).
-///
-/// Only the hash accumulator family is overbookable — dense accumulators
-/// are sized by `ncols`, not by row bounds, and have no overflow latch,
-/// so for them the policy is accepted and ignored. Every caller honours
-/// it alike — one-shot [`crate::spgemm`], a reused
-/// [`crate::Plan`], a fused [`crate::PlanGraph`] (whose quantile is taken
-/// over every node's rows) and the service batch all run the same tile
-/// engine.
-///
-/// Marked `#[non_exhaustive]`: downstream `match`es need a wildcard arm.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum Overbook {
-    /// Size at the hard bound; overflow is impossible. The paper's choice.
-    Off,
-    /// Size at the `q`-quantile (nearest-rank, `0 < q ≤ 1`) of the
-    /// per-row bounds, clamped to the hard bound.
-    Quantile {
-        /// The quantile, e.g. `0.99` for p99.
-        q: f64,
-    },
-}
-
-impl Default for Overbook {
-    fn default() -> Self {
-        Overbook::Off
-    }
-}
-
-impl Overbook {
-    /// The p90 operating point (aggressive: ~10 % of rows spill-eligible).
-    pub fn p90() -> Self {
-        Overbook::Quantile { q: 0.90 }
-    }
-
-    /// The p99 operating point (conservative; the recommended default when
-    /// overbooking at all).
-    pub fn p99() -> Self {
-        Overbook::Quantile { q: 0.99 }
-    }
-
-    /// Label used in benchmark reports (`off`, `ob(p99)`, …).
-    pub fn label(&self) -> String {
-        match self {
-            Overbook::Off => "off".into(),
-            Overbook::Quantile { q } => format!("ob(p{:.0})", q * 100.0),
-        }
-    }
-}
-
 /// The per-row kernel policy: every knob that decides how one output row
-/// is computed, in one value — accumulator family/width, iteration space
-/// and scratch overbooking.
+/// is computed, in one value — accumulator family/width and iteration
+/// space.
 ///
 /// Built fluently from the recommended defaults:
 ///
 /// ```
-/// use mspgemm_core::{KernelPolicy, Overbook};
-/// let k = KernelPolicy::new().hybrid(0.5).overbook(Overbook::p99());
-/// assert!(matches!(k.overbook, Overbook::Quantile { .. }));
+/// use mspgemm_core::{IterationSpace, KernelPolicy};
+/// let k = KernelPolicy::new().hybrid(0.5);
+/// assert!(matches!(k.iteration, IterationSpace::Hybrid { kappa } if kappa == 0.5));
 /// ```
 ///
 /// Marked `#[non_exhaustive]`: construct via [`KernelPolicy::new`] (or
@@ -125,18 +67,15 @@ pub struct KernelPolicy {
     pub accumulator: AccumulatorKind,
     /// Iteration space (§III-B, Fig. 14).
     pub iteration: IterationSpace,
-    /// Accumulator scratch sizing (off = the paper's hard bound).
-    pub overbook: Overbook,
 }
 
 impl Default for KernelPolicy {
     /// The paper's recommended kernel point: hash accumulator with 32-bit
-    /// markers (§V-C), hybrid iteration at κ = 1 (§V-B), no overbooking.
+    /// markers (§V-C), hybrid iteration at κ = 1 (§V-B).
     fn default() -> Self {
         KernelPolicy {
             accumulator: AccumulatorKind::Hash(MarkerWidth::W32),
             iteration: IterationSpace::Hybrid { kappa: 1.0 },
-            overbook: Overbook::Off,
         }
     }
 }
@@ -166,20 +105,9 @@ impl KernelPolicy {
         self
     }
 
-    /// Set the scratch overbooking policy.
-    pub fn overbook(mut self, overbook: Overbook) -> Self {
-        self.overbook = overbook;
-        self
-    }
-
-    /// Label used in reports: `hash32/hybrid(k=1)`, with `/ob(..)` appended
-    /// only when overbooking is on — historical labels stay stable.
+    /// Label used in reports: `hash32/hybrid(k=1)`.
     pub fn label(&self) -> String {
-        let mut l = format!("{}/{}", self.accumulator.label(), self.iteration.label());
-        if !matches!(self.overbook, Overbook::Off) {
-            l = format!("{l}/{}", self.overbook.label());
-        }
-        l
+        format!("{}/{}", self.accumulator.label(), self.iteration.label())
     }
 }
 
@@ -200,8 +128,8 @@ pub struct Config {
     pub tiling: TilingStrategy,
     /// Static vs dynamic tile scheduling.
     pub schedule: Schedule,
-    /// Per-row kernel policy: accumulator family/width, iteration space,
-    /// scratch overbooking (§III-B/C, Fig. 13/14).
+    /// Per-row kernel policy: accumulator family/width and iteration space
+    /// (§III-B/C, Fig. 13/14).
     pub kernel: KernelPolicy,
 }
 
@@ -273,8 +201,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Set the whole per-row kernel policy — accumulator, iteration space,
-    /// overbooking — in one value.
+    /// Set the whole per-row kernel policy — accumulator and iteration
+    /// space — in one value.
     pub fn kernel_policy(mut self, kernel: KernelPolicy) -> Self {
         self.cfg.kernel = kernel;
         self
@@ -327,8 +255,6 @@ impl Config {
     }
 
     /// Compact label for reports: `balanced/dynamic/2048/hash32/hybrid(k=1)`.
-    /// The kernel policy's overbook axis is appended only when it deviates
-    /// from the default, so historical labels stay stable.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}",
@@ -352,7 +278,6 @@ mod tests {
         assert_eq!(c.n_tiles, 2048);
         assert!(matches!(c.kernel.iteration, IterationSpace::Hybrid { kappa } if kappa == 1.0));
         assert_eq!(c.kernel.accumulator, AccumulatorKind::Hash(MarkerWidth::W32));
-        assert_eq!(c.kernel.overbook, Overbook::Off, "overbooking is opt-in");
     }
 
     #[test]
@@ -379,8 +304,7 @@ mod tests {
             .kernel_policy(
                 KernelPolicy::new()
                     .accumulator(AccumulatorKind::Dense(MarkerWidth::W16))
-                    .iteration(IterationSpace::CoIterate)
-                    .overbook(Overbook::p90()),
+                    .iteration(IterationSpace::CoIterate),
             )
             .build();
         assert_eq!(cfg.n_threads, 3);
@@ -389,7 +313,6 @@ mod tests {
         assert_eq!(cfg.schedule, Schedule::Static);
         assert_eq!(cfg.kernel.accumulator, AccumulatorKind::Dense(MarkerWidth::W16));
         assert_eq!(cfg.kernel.iteration, IterationSpace::CoIterate);
-        assert_eq!(cfg.kernel.overbook, Overbook::Quantile { q: 0.90 });
     }
 
     #[test]
@@ -410,12 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_policy_label_appends_only_non_defaults() {
+    fn kernel_policy_label_names_accumulator_and_iteration() {
         assert_eq!(KernelPolicy::new().label(), "hash32/hybrid(k=1)");
-        let k = KernelPolicy::new().overbook(Overbook::p99());
-        assert_eq!(k.label(), "hash32/hybrid(k=1)/ob(p99)");
-        assert_eq!(Overbook::p90().label(), "ob(p90)");
-        assert_eq!(Overbook::Off.label(), "off");
     }
 
     #[test]

@@ -43,7 +43,10 @@
 //! of the chain in order — before giving up. All kernels accumulate each
 //! output row's products in the same `k` order, so a successful retry is
 //! bit-identical to what the original configuration would have produced.
-//! Only if the degraded retry *also* fails does the call surface
+//! A worker table that overflows (it cannot at the plan's hard bound, but
+//! the hash accumulator still latches it) leaves its tile uncompleted, and
+//! the same retry recomputes it. Only if the degraded retry *also* fails
+//! does the call surface
 //! [`SparseError::TileFailed`], naming the tile and its row range; internal
 //! invariant breaks surface as [`SparseError::Internal`]. A panic that
 //! escapes tile isolation inside the pool infrastructure poisons the
@@ -70,7 +73,6 @@ use mspgemm_sched::{
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -111,11 +113,6 @@ pub struct RunStats {
     /// [`SparseError::TileFailed`], so on the `Ok` path this always equals
     /// [`retried_tiles`](Self::retried_tiles)).
     pub failed_tiles: usize,
-    /// Rows whose overbooked accumulator overflowed and were recomputed
-    /// at the hard mask bound (the [`crate::Overbook`] spill path; the
-    /// recompute is bit-identical, so this is a performance signal, not a
-    /// correctness one). Always zero when overbooking is off.
-    pub overbook_spills: u64,
     /// Counter/histogram deltas attributable to this run, present iff
     /// metrics were armed (`MSPGEMM_METRICS` or [`obs::arm_metrics`]) and
     /// the run was not multiplexed with other jobs.
@@ -235,7 +232,6 @@ pub(crate) fn run_jobs<S: Semiring>(
     for job in jobs.iter_mut() {
         obs::incr(obs::Counter::DriverRuns);
         obs::add(obs::Counter::FusionOpsFused, job.fused_ops);
-        note_overbook_savings::<S>(job.core);
         job.scratch.fit(job.core, S::zero(), n_threads);
     }
 
@@ -307,7 +303,6 @@ pub(crate) fn run_jobs<S: Semiring>(
                 n_threads,
                 retried_tiles: retry.recovered,
                 failed_tiles: retry.failed,
-                overbook_spills: retry.spills,
                 metrics: None,
             };
             Ok((outputs, stats))
@@ -323,24 +318,20 @@ pub(crate) fn run_jobs<S: Semiring>(
 type TileFn<'x> = Box<dyn Fn(usize, usize) + Sync + 'x>;
 
 /// One job's shared tile-run state: every node's claimable slot windows,
-/// the per-tile completion latches, and the duplicate/spill tallies the
-/// settle routine reads back.
+/// the per-tile completion latches, and the duplicate tally the settle
+/// routine reads back.
 struct Ledger<'b, T> {
     cols: Vec<DisjointSlots<'b, Idx>>,
     vals: Vec<DisjointSlots<'b, T>>,
     nnz: Vec<DisjointSlots<'b, u32>>,
     completed: Vec<OnceLock<()>>,
     duplicate: Mutex<Option<usize>>,
-    /// Overbook spill recomputes performed by this job's tiles (workers
-    /// interleave jobs, so the count must be per job, not per worker).
-    spills: AtomicU64,
 }
 
 /// What a job's tiles left behind for settle.
 struct Tally {
     completed: Vec<OnceLock<()>>,
     duplicate: Option<usize>,
-    spills: u64,
 }
 
 impl<'b, T> Ledger<'b, T> {
@@ -359,7 +350,6 @@ impl<'b, T> Ledger<'b, T> {
             nnz,
             completed: (0..core.tiles.len()).map(|_| OnceLock::new()).collect(),
             duplicate: Mutex::new(None),
-            spills: AtomicU64::new(0),
         })
     }
 
@@ -367,7 +357,6 @@ impl<'b, T> Ledger<'b, T> {
         Tally {
             completed: self.completed,
             duplicate: self.duplicate.into_inner().unwrap_or_else(|e| e.into_inner()),
-            spills: self.spills.into_inner(),
         }
     }
 }
@@ -382,13 +371,13 @@ struct TileBody<'x, S: Semiring> {
 }
 
 /// The receiver of [`dispatch_accumulator`]'s choice: gets the concrete
-/// accumulator type through `make(row_capacity)`.
+/// accumulator type through `make()`.
 trait WithAccumulator<S: Semiring> {
     type Out;
     fn with<A, F>(self, make: F) -> Self::Out
     where
         A: Accumulator<S> + Send + 'static,
-        F: Fn(usize) -> A + Sync + 'static;
+        F: Fn() -> A + Sync + 'static;
 }
 
 impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
@@ -397,7 +386,7 @@ impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
     fn with<A, F>(self, make: F) -> TileFn<'x>
     where
         A: Accumulator<S> + Send + 'static,
-        F: Fn(usize) -> A + Sync + 'static,
+        F: Fn() -> A + Sync + 'static,
     {
         Box::new(move |t, tile| run_tile::<S, A, F>(&self, &make, t, tile))
     }
@@ -411,10 +400,8 @@ impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
 /// element. (The plan-owned accumulator cells are type-checked on every
 /// tile, so flipping the flag between runs transparently rebuilds them.)
 ///
-/// `make` takes the row capacity to build at, so the tile body sizes
-/// worker accumulators at the plan's *overbooked* bound and vanilla spill
-/// tables at the hard bound from one closure (dense ignores it — its table
-/// is the full column range either way).
+/// Hash tables are built at the plan's hard bound `max_row_entries`
+/// (§III-C); dense tables span the full column range.
 fn dispatch_accumulator<S: Semiring, V: WithAccumulator<S>>(
     core: &GraphCore<S::T>,
     metered: bool,
@@ -432,32 +419,32 @@ fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
     v: V,
 ) -> V::Out {
     let ncols = core.max_ncols;
-    let full = core.max_row_entries;
+    let cap = core.max_row_entries;
     match core.config.kernel.accumulator {
         AccumulatorKind::Dense(MarkerWidth::W8) => {
-            v.with(move |_| DenseAccumulator::<S, u8, METER>::new(ncols))
+            v.with(move || DenseAccumulator::<S, u8, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W16) => {
-            v.with(move |_| DenseAccumulator::<S, u16, METER>::new(ncols))
+            v.with(move || DenseAccumulator::<S, u16, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W32) => {
-            v.with(move |_| DenseAccumulator::<S, u32, METER>::new(ncols))
+            v.with(move || DenseAccumulator::<S, u32, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W64) => {
-            v.with(move |_| DenseAccumulator::<S, u64, METER>::new(ncols))
+            v.with(move || DenseAccumulator::<S, u64, METER>::new(ncols))
         }
-        AccumulatorKind::Hash(MarkerWidth::W8) => v.with(move |cap| {
-            HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-        }),
-        AccumulatorKind::Hash(MarkerWidth::W16) => v.with(move |cap| {
-            HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-        }),
-        AccumulatorKind::Hash(MarkerWidth::W32) => v.with(move |cap| {
-            HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-        }),
-        AccumulatorKind::Hash(MarkerWidth::W64) => v.with(move |cap| {
-            HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-        }),
+        AccumulatorKind::Hash(MarkerWidth::W8) => {
+            v.with(move || HashAccumulator::<S, u8, METER>::with_row_capacity(cap))
+        }
+        AccumulatorKind::Hash(MarkerWidth::W16) => {
+            v.with(move || HashAccumulator::<S, u16, METER>::with_row_capacity(cap))
+        }
+        AccumulatorKind::Hash(MarkerWidth::W32) => {
+            v.with(move || HashAccumulator::<S, u32, METER>::with_row_capacity(cap))
+        }
+        AccumulatorKind::Hash(MarkerWidth::W64) => {
+            v.with(move || HashAccumulator::<S, u64, METER>::with_row_capacity(cap))
+        }
     }
 }
 
@@ -490,19 +477,11 @@ fn cached<T: Any + Send>(
     slot.as_mut()?.1.downcast_mut::<T>()
 }
 
-/// The kernel knobs a node's rows run under: the plan's in the parallel
-/// phase, the conservative ones in the degraded retry.
-#[derive(Clone, Copy)]
-struct Knobs {
-    iteration: IterationSpace,
-    /// Rows wider than this may overflow the worker table and spill.
-    overbook: usize,
-}
-
 /// The one tile body: run every node of the chain on tile `tile_idx`,
 /// claiming each node's slot windows, with the worker's plan-owned
-/// accumulator serving the whole chain (all kernels fold each row's
-/// products in the same `k` order whatever the table's capacity).
+/// accumulator serving the whole chain. A node that overflows the worker
+/// table ends the tile without its completion mark, so settle recomputes
+/// it through the degraded retry.
 fn run_tile<S, A, F>(
     body: &TileBody<'_, S>,
     make: &F,
@@ -511,30 +490,25 @@ fn run_tile<S, A, F>(
 ) where
     S: Semiring,
     A: Accumulator<S> + Send + 'static,
-    F: Fn(usize) -> A,
+    F: Fn() -> A,
 {
     let TileBody { core, inputs, cells, ledger } = *body;
     let n_tiles = core.tiles.len();
     let n_nodes = core.nodes.len();
     let tile = core.tiles[tile_idx];
     let mut slot = lease(&cells[t % cells.len()]);
-    // the cell holds the worker table plus the spill scratch, so both stay
-    // warm across tiles and — under a reused plan — across runs
-    let build = || (make(core.overbook_row_entries), OverbookSpill::<S, A>::new());
-    let Some(pair) = cached(&mut slot, core.id, build) else {
-        // unreachable: `cached` just installed the pair. Bailing leaves
+    // the cell keeps the worker table warm across tiles and — under a
+    // reused plan — across runs
+    let Some(acc) = cached(&mut slot, core.id, make) else {
+        // unreachable: `cached` just installed the table. Bailing leaves
         // the tile uncompleted, which settle repairs by the serial retry.
         return;
     };
-    let (acc, spill) = (&mut pair.0, &mut pair.1);
-    let knobs = Knobs {
-        iteration: core.config.kernel.iteration,
-        overbook: core.overbook_row_entries,
-    };
+    let iteration = core.config.kernel.iteration;
     // earlier nodes' windows, read by chained successors (a lone product
     // never pushes, so it never allocates)
     let mut done: Vec<Rows<'_, S::T>> = Vec::new();
-    let (mut spills, mut fused) = (0u64, 0u64);
+    let mut fused = 0u64;
     for (ni, node) in core.nodes.iter().enumerate() {
         // decorrelate per-node failures under fault injection
         failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + tile_idx) as u64);
@@ -548,28 +522,24 @@ fn run_tile<S, A, F>(
             return;
         };
         let Some(a) = operand(core, node, tile_idx, tile, inputs, &done) else { return };
-        let (s, f) = node_tile::<S, A, _>(
+        let Some(f) = node_tile::<S, A>(
             node,
             tile_idx,
             tile,
             inputs,
-            knobs,
+            iteration,
             a,
             acc,
-            spill,
-            &|| make(core.max_row_entries),
             &mut *cols,
             &mut *vals,
             &mut *nnz,
-        );
-        spills += s;
+        ) else {
+            return;
+        };
         fused += f;
         if ni + 1 < n_nodes {
             done.push((cols, vals, nnz));
         }
-    }
-    if spills > 0 {
-        ledger.spills.fetch_add(spills, Ordering::Relaxed);
     }
     obs::add(obs::Counter::FusionSinkFusedElems, fused);
     obs::add(obs::Counter::FusionTilesChained, (n_nodes - 1) as u64);
@@ -650,27 +620,24 @@ impl<T: Copy> RowRead<T> for SlotView<'_, T> {
 }
 
 /// Compute one node's rows of one tile into its slot windows, with the
-/// node's fused post-ops applied in the gather. Returns `(spilled rows,
-/// fused elements)`.
+/// node's fused post-ops applied in the gather. Returns the fused element
+/// count, or `None` if a row overflowed `acc` (see [`node_rows`]).
 #[allow(clippy::too_many_arguments)]
-fn node_tile<S, A, G>(
+fn node_tile<S, A>(
     node: &NodePlan<S::T>,
     tile_idx: usize,
     tile: Tile,
     inputs: &[&Csr<S::T>],
-    knobs: Knobs,
+    iteration: IterationSpace,
     a: Operand<'_, S::T>,
     acc: &mut A,
-    spill: &mut OverbookSpill<S, A>,
-    make_full: &G,
     cols: &mut [Idx],
     vals: &mut [S::T],
     nnz: &mut [u32],
-) -> (u64, u64)
+) -> Option<u64>
 where
     S: Semiring,
     A: Accumulator<S>,
-    G: Fn() -> A,
 {
     let (nlo, nhi) = node.nonempty_ranges[tile_idx];
     let mut w = Window {
@@ -701,16 +668,16 @@ where
     let st = &mut stages;
     match (a, st.is_empty()) {
         (Operand::Ext(m), true) => {
-            node_rows::<S, A, _, G, false>(&mut w, knobs, m, b, mask, st, acc, spill, make_full)
+            node_rows::<S, A, _, false>(&mut w, iteration, m, b, mask, st, acc)
         }
         (Operand::Ext(m), false) => {
-            node_rows::<S, A, _, G, true>(&mut w, knobs, m, b, mask, st, acc, spill, make_full)
+            node_rows::<S, A, _, true>(&mut w, iteration, m, b, mask, st, acc)
         }
         (Operand::Chained(v), true) => {
-            node_rows::<S, A, _, G, false>(&mut w, knobs, &v, b, mask, st, acc, spill, make_full)
+            node_rows::<S, A, _, false>(&mut w, iteration, &v, b, mask, st, acc)
         }
         (Operand::Chained(v), false) => {
-            node_rows::<S, A, _, G, true>(&mut w, knobs, &v, b, mask, st, acc, spill, make_full)
+            node_rows::<S, A, _, true>(&mut w, iteration, &v, b, mask, st, acc)
         }
     }
 }
@@ -738,172 +705,61 @@ struct Window<'w, T> {
 /// fingerprint pins the mask's row pointers, so a row empty now was empty
 /// (and zero) on every earlier run.
 ///
-/// This is also where overbooking pays its bill: `acc` may have been
-/// sized at the plan's quantile bound (`knobs.overbook`) rather than the
-/// hard maximum. A row that outgrows it latches the accumulator's
-/// overflow flag; the row is then recomputed into the same slot window —
-/// through [`OverbookSpill`]'s mask-indexed dense scratch for the
-/// mask-bound iteration spaces, or through a lazily built full-bound
-/// table (`make_full`) for vanilla — on a fresh sink, so fused post-ops
-/// restart too. Every kernel folds a row's products in the same `k`
-/// order, so the spill recompute is bit-identical to what an
-/// un-overbooked run writes.
-#[allow(clippy::too_many_arguments)]
-fn node_rows<S, A, R, G, const FUSED: bool>(
+/// Each row is written straight into its [`SlotSink`] for a node without
+/// post-ops (so a plain product keeps the exact kernel instantiation it
+/// always had), through a [`FusedSink`] over it when `FUSED`.
+///
+/// `acc` is sized at the plan's hard bound, so no row can overflow it.
+/// The accumulator's overflow latch is still read once per row as a
+/// safety net: a row that overflowed dropped updates, so the loop stops
+/// and returns `None`, and the caller leaves the tile to settle's degraded
+/// retry, whose dense table has no capacity bound.
+fn node_rows<S, A, R, const FUSED: bool>(
     w: &mut Window<'_, S::T>,
-    knobs: Knobs,
+    iteration: IterationSpace,
     a: &R,
     b: &Csr<S::T>,
     mask: &Csr<S::T>,
     stages: &mut [FusedStage<'_, S::T>],
     acc: &mut A,
-    spill: &mut OverbookSpill<S, A>,
-    make_full: &G,
-) -> (u64, u64)
+) -> Option<u64>
 where
     S: Semiring,
     A: Accumulator<S>,
     R: RowRead<S::T> + ?Sized,
-    G: Fn() -> A,
 {
-    let Knobs { iteration, overbook } = knobs;
     let mut hstats = HybridStats::armed();
-    let (mut tile_nnz, mut spills, mut fused) = (0u64, 0u64, 0u64);
-    // The mask-preloading kernels are guaranteed to overflow a table
-    // narrower than the row's mask, so skip the doomed attempt outright.
-    // (A hybrid row that wide *might* squeak through co-iteration, but it
-    // is exactly the fat tail overbooking bets against — spilling it
-    // directly caps the cost at one recompute.)
-    let preloads =
-        matches!(iteration, IterationSpace::MaskAccumulate | IterationSpace::Hybrid { .. });
+    let (mut tile_nnz, mut fused) = (0u64, 0u64);
+    let mut complete = true;
     for &(i, src) in w.nonempty {
         let i = i as usize;
         let (mask_cols, _) = mask.row(i);
-        let width = mask_cols.len();
         let base = src - w.slot_lo;
-        let cols = &mut w.cols[base..base + width];
-        let vals = &mut w.vals[base..base + width];
-        let mut spilled = preloads && width > overbook;
-        let mut n = 0usize;
-        if !spilled {
-            let acc = &mut *acc;
-            let mut row = Kernel { iteration, a, b, mask_cols, acc, hstats: &mut hstats };
-            n = emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row);
-            // the latch *is* the overflow detector: a row that outgrew the
-            // overbooked table dropped entries above — redo it below
-            spilled = acc.take_overflow();
+        let width = mask_cols.len();
+        let mut slot =
+            SlotSink::for_row(&mut w.cols[base..base + width], &mut w.vals[base..base + width], i);
+        if FUSED {
+            let mut sink = FusedSink::new(&mut *stages, &mut slot);
+            sink.begin_row(i);
+            run_row::<S, A, R, _>(i, iteration, a, b, mask_cols, acc, &mut hstats, &mut sink);
+            fused += sink.fused_elements();
+        } else {
+            run_row::<S, A, R, _>(i, iteration, a, b, mask_cols, acc, &mut hstats, &mut slot);
         }
-        if spilled {
-            failpoint::maybe_fire(failpoint::OVERBOOK_SPILL, i as u64);
-            n = if matches!(iteration, IterationSpace::Vanilla) {
-                // vanilla folds unmasked intermediates: only a table at
-                // the hard (operation-count) bound can hold the row
-                let full = spill.full.get_or_insert_with(make_full);
-                let hstats = &mut hstats;
-                let mut row = Kernel { iteration, a, b, mask_cols, acc: full, hstats };
-                emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
-            } else {
-                // mask-bound spaces: recompute through the mask-indexed
-                // dense scratch — no hard-bound table, no O(w) preload
-                let mut row = SpillRow { spill: &mut *spill, a, b, mask_cols };
-                emit::<_, _, FUSED>(stages, &mut fused, cols, vals, i, &mut row)
-            };
-            spills += 1;
-            obs::incr(obs::Counter::AccumOverbookSpills);
+        if acc.take_overflow() {
+            complete = false;
+            break;
         }
+        let n = slot.written();
         w.nnz[i - w.tile_lo] = n as u32;
         tile_nnz += n as u64;
     }
     // fold this tile's instance-local tallies into the global registry —
     // once per tile, outside the row loop, a no-op unless armed
-    if let Some(full) = spill.full.as_mut() {
-        full.flush_metrics();
-    }
     acc.flush_metrics();
     hstats.flush();
     obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-    (spills, fused)
-}
-
-/// One way of producing output row `i` into a sink.
-trait EmitRow<T> {
-    fn emit<W: RowSink<T> + ?Sized>(&mut self, i: usize, out: &mut W);
-}
-
-/// The configured kernel over an accumulator.
-struct Kernel<'k, S: Semiring, A, R: ?Sized> {
-    iteration: IterationSpace,
-    a: &'k R,
-    b: &'k Csr<S::T>,
-    mask_cols: &'k [Idx],
-    acc: &'k mut A,
-    hstats: &'k mut HybridStats,
-}
-
-impl<S, A, R> EmitRow<S::T> for Kernel<'_, S, A, R>
-where
-    S: Semiring,
-    A: Accumulator<S>,
-    R: RowRead<S::T> + ?Sized,
-{
-    #[inline]
-    fn emit<W: RowSink<S::T> + ?Sized>(&mut self, i: usize, out: &mut W) {
-        run_row::<S, A, R, W>(
-            i,
-            self.iteration,
-            self.a,
-            self.b,
-            self.mask_cols,
-            self.acc,
-            self.hstats,
-            out,
-        );
-    }
-}
-
-/// The mask-indexed spill recompute of an overflowed row.
-struct SpillRow<'k, S: Semiring, A, R: ?Sized> {
-    spill: &'k mut OverbookSpill<S, A>,
-    a: &'k R,
-    b: &'k Csr<S::T>,
-    mask_cols: &'k [Idx],
-}
-
-impl<S, A, R> EmitRow<S::T> for SpillRow<'_, S, A, R>
-where
-    S: Semiring,
-    R: RowRead<S::T> + ?Sized,
-{
-    fn emit<W: RowSink<S::T> + ?Sized>(&mut self, i: usize, out: &mut W) {
-        self.spill.recompute(i, self.a, self.b, self.mask_cols, out);
-    }
-}
-
-/// Write one output row into its slot window: straight into the
-/// [`SlotSink`] for a node without post-ops (so a plain product keeps the
-/// exact kernel instantiation it always had), through a [`FusedSink`]
-/// over it when `FUSED`. Every call starts a fresh sink and `begin_row`,
-/// so a spilled row's recompute restarts its post-op chain. Returns the
-/// row's output nnz.
-#[inline]
-fn emit<T: Copy + PartialOrd, E: EmitRow<T>, const FUSED: bool>(
-    stages: &mut [FusedStage<'_, T>],
-    fused: &mut u64,
-    cols: &mut [Idx],
-    vals: &mut [T],
-    i: usize,
-    row: &mut E,
-) -> usize {
-    let mut slot = SlotSink::for_row(cols, vals, i);
-    if FUSED {
-        let mut sink = FusedSink::new(stages, &mut slot);
-        sink.begin_row(i);
-        row.emit(i, &mut sink);
-        *fused += sink.fused_elements();
-    } else {
-        row.emit(i, &mut slot);
-    }
-    slot.written()
+    complete.then_some(fused)
 }
 
 /// Dispatch one output row through the configured kernel into `out`,
@@ -947,85 +803,6 @@ fn run_row<S, A, R, W>(
     }
 }
 
-/// Worker-persistent scratch for overbook spill recomputes, cached in the
-/// same plan-owned cell as the overbooked accumulator.
-///
-/// The mask-bound iteration spaces (mask-accumulate, co-iteration, hybrid)
-/// never fold a product into a column outside `M[i,:]`, so an overflowed
-/// row does not need a hash table at the hard bound at all: it needs one
-/// value slot per *mask position*. The recompute walks the row's products
-/// in the same `(k, B[k,:])` order as the kernels, binary-searches each
-/// product column in the sorted mask row (the same search the
-/// co-iteration kernel uses), and folds into a mask-indexed
-/// dense scratch. Per-column folds still arrive in ascending-`k` order, so
-/// the result is bit-identical to what a hard-bound hash run writes — while
-/// skipping the `O(w)` preload and `O(w)` gather probes that make fat rows
-/// expensive in the first place. The scratch is epoch-marked (no per-row
-/// clear) and grows to the widest spilled row, so a run's spill cost is
-/// proportional to the fat rows it actually hits, never to the hard bound.
-///
-/// The vanilla kernel folds *unmasked* intermediate columns, so its bound
-/// is not the mask width; vanilla spills keep the classic recompute
-/// through a full-bound table, built lazily on the first such spill
-/// (`full`) and reused for the rest of the cell's lifetime.
-struct OverbookSpill<S: Semiring, A> {
-    vals: Vec<S::T>,
-    mark: Vec<u32>,
-    epoch: u32,
-    full: Option<A>,
-}
-
-impl<S: Semiring, A> OverbookSpill<S, A> {
-    fn new() -> Self {
-        OverbookSpill { vals: Vec::new(), mark: Vec::new(), epoch: u32::MAX, full: None }
-    }
-
-    /// Recompute one spilled row of a mask-bound iteration space into
-    /// `out`, bit-identically to a hard-bound hash run (same per-column
-    /// fold order, same first-touch/fma split, same mask-order emission).
-    fn recompute<R: RowRead<S::T> + ?Sized, W: RowSink<S::T> + ?Sized>(
-        &mut self,
-        i: usize,
-        a: &R,
-        b: &Csr<S::T>,
-        mask_cols: &[Idx],
-        out: &mut W,
-    ) {
-        let w = mask_cols.len();
-        if self.mark.len() < w {
-            self.mark.resize(w, u32::MAX);
-            self.vals.resize(w, S::zero());
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == u32::MAX {
-            // the resize fill value doubles as "never touched", so the
-            // epoch may never reach it; one full clear per 2³² spills
-            self.mark.fill(u32::MAX);
-            self.epoch = 0;
-        }
-        let e = self.epoch;
-        let (acols, avals) = a.row(i);
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                if let Ok(pos) = mask_cols.binary_search(&j) {
-                    if self.mark[pos] == e {
-                        self.vals[pos] = S::fma(self.vals[pos], av, bv);
-                    } else {
-                        self.mark[pos] = e;
-                        self.vals[pos] = S::mul(av, bv);
-                    }
-                }
-            }
-        }
-        for (pos, &j) in mask_cols.iter().enumerate() {
-            if self.mark[pos] == e {
-                out.push(j, self.vals[pos]);
-            }
-        }
-    }
-}
-
 /// What settling one job did, threaded up into [`RunStats`].
 #[derive(Clone, Copy, Debug, Default)]
 struct RetryStats {
@@ -1035,10 +812,6 @@ struct RetryStats {
     recovered: usize,
     /// Wall time of the retry pass.
     elapsed: Duration,
-    /// Overbooked-accumulator spill recomputes performed by the parallel
-    /// phase (not a retry stat, but threaded through the same per-run
-    /// accounting into [`RunStats::overbook_spills`]).
-    spills: u64,
 }
 
 /// The one settle routine, run per job after the parallel phase:
@@ -1048,8 +821,9 @@ struct RetryStats {
 ///    the cancellation (attributed to the deadline when that is what
 ///    fired) instead of serially finishing a product nobody wants; a job
 ///    whose every tile finished before the cancel was observed settles;
-/// 3. every tile a panic lost is recomputed serially — the whole chain,
-///    conservative configuration — into exactly the slots it owned;
+/// 3. every tile a panic or an accumulator overflow lost is recomputed
+///    serially — the whole chain, conservative configuration — into
+///    exactly the slots it owned;
 /// 4. each output node's slot buffers are adopted (zero slack) or
 ///    compacted, firing the `fragment-stitch` failpoint per tile copied,
 ///    and the scratch keeps what it can reuse.
@@ -1060,7 +834,7 @@ fn settle<S: Semiring>(
     failures: &[TileFailure],
     n_threads: usize,
 ) -> Result<(Vec<Csr<S::T>>, RetryStats), SparseError> {
-    let Tally { completed, duplicate, spills } = tally;
+    let Tally { completed, duplicate } = tally;
     if let Some(tile_idx) = duplicate {
         return Err(SparseError::Internal { detail: format!("tile {tile_idx} executed twice") });
     }
@@ -1076,13 +850,13 @@ fn settle<S: Semiring>(
             });
         }
     }
-    let mut retry = RetryStats { failed: missing.len(), spills, ..RetryStats::default() };
+    let mut retry = RetryStats { failed: missing.len(), ..RetryStats::default() };
     let retry_start = (retry.failed > 0).then(Instant::now);
     for tile_idx in missing {
         // The retry deliberately does NOT re-fire `tile-kernel`: the
         // degraded path is the recovery path, exercised on its own via the
         // `accum-reset` site. It is also deliberately the conservative
-        // configuration — vanilla over a dense table, no overbooking.
+        // configuration — vanilla over a dense table.
         let slots = &mut job.scratch.slots;
         match catch_tile_panic(|| retry_tile::<S>(core, job.inputs, slots, tile_idx)) {
             Ok(()) => {
@@ -1129,10 +903,7 @@ fn retry_tile<S: Semiring>(
     tile_idx: usize,
 ) {
     let tile = core.tiles[tile_idx];
-    let knobs = Knobs { iteration: IterationSpace::Vanilla, overbook: usize::MAX };
     let mut acc = DenseAccumulator::<S, u64>::new(core.max_ncols);
-    let mut spill = OverbookSpill::<S, DenseAccumulator<S, u64>>::new();
-    let make_full = || DenseAccumulator::<S, u64>::new(core.max_ncols);
     for (ni, node) in core.nodes.iter().enumerate() {
         let (earlier, rest) = slots.split_at_mut(ni);
         let Some(cur) = rest.first_mut() else { break };
@@ -1146,16 +917,16 @@ fn retry_tile<S: Semiring>(
             .collect();
         let Some(a) = operand(core, node, tile_idx, tile, inputs, &done) else { continue };
         let (lo, hi) = node.slot_ranges[tile_idx];
-        node_tile::<S, _, _>(
+        // a dense table spans every column and never latches overflow, so
+        // this always completes
+        let _ = node_tile::<S, _>(
             node,
             tile_idx,
             tile,
             inputs,
-            knobs,
+            IterationSpace::Vanilla,
             a,
             &mut acc,
-            &mut spill,
-            &make_full,
             &mut cur.cols[lo..hi],
             &mut cur.vals[lo..hi],
             &mut cur.nnz[tile.lo..tile.hi],
@@ -1316,58 +1087,10 @@ fn build_row_ptr(nrows: usize, nonempty: &[(Idx, usize)], row_nnz: &[u32]) -> (V
     (row_ptr, acc)
 }
 
-/// Slack factor for a hash table sized at `cap` entries under a plan
-/// whose hard bound is `full`.
-///
-/// A table sized at the hard bound runs at a vanishing load factor on
-/// typical rows, so the probe's freshness branch predicts perfectly; a
-/// quantile-sized table at the constructor's default 50 % load turns it
-/// into a per-probe coin flip, and on miss-heavy masked workloads that
-/// misprediction tax can cost more than the cache residency being bought.
-/// Overbooked tables (any `cap` below the hard bound) therefore get up
-/// to 32× slack — load ≤ ~3 % at the spill threshold, typically far less
-/// — which keeps them in the same predictable regime while staying
-/// orders of magnitude smaller than the max-bound table. The slack is
-/// clamped so the overbooked table never outgrows what the max-bound
-/// table would have been (a quantile close to the max deserves no
-/// amplification). The spill threshold itself is the entry limit and
-/// does not move with the slack.
-fn hash_slack(cap: usize, full: usize) -> usize {
-    if cap >= full {
-        2
-    } else {
-        (2 * full / cap.max(1)).clamp(2, 32)
-    }
-}
-
-/// Record the scratch memory overbooking saved, as a per-run estimate:
-/// the power-of-two table shrink times one entry (32-bit key + value +
-/// the common 32-bit mark) times the worker count. A no-op unless the
-/// plan actually overbooked below the hard bound.
-fn note_overbook_savings<S: Semiring>(core: &GraphCore<S::T>) {
-    if core.overbook_row_entries >= core.max_row_entries {
-        return;
-    }
-    let pow2 = |n: usize, slack: usize| (n.max(1) * slack).next_power_of_two();
-    let full = pow2(core.max_row_entries, 2);
-    let over = pow2(
-        core.overbook_row_entries,
-        hash_slack(core.overbook_row_entries, core.max_row_entries),
-    );
-    if over >= full {
-        return;
-    }
-    let entry = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>() + std::mem::size_of::<u32>();
-    obs::add(
-        obs::Counter::AccumOverbookSavedBytes,
-        ((full - over) * entry * core.n_threads) as u64,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelPolicy, Overbook};
+    use crate::config::KernelPolicy;
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
     fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64> {
@@ -1508,55 +1231,45 @@ mod tests {
         assert!(got.nnz() > 0, "structural mask should admit entries");
     }
 
-    /// A mask with one planted fat row and a uniformly thin remainder —
-    /// the skew overbooking is designed for: the quantile bound hugs the
-    /// thin rows, the fat row must spill.
-    fn skewed_mask(n: usize, fat_row: usize, fat_w: usize) -> Csr<f64> {
-        let mut coo = Coo::new(n, n);
-        for j in 0..fat_w {
-            coo.push(fat_row, j, 1.0);
-        }
-        for i in 0..n {
-            if i == fat_row {
-                continue;
-            }
-            coo.push(i, i, 1.0);
-            coo.push(i, (i * 7 + 3) % n, 1.0);
-        }
-        coo.to_csr_with(|a, _| a)
-    }
-
+    /// The overflow latch as a safety net: a worker table built below the
+    /// hard bound (which `freeze` never does; forced here) drops updates,
+    /// so the engine must leave the affected tiles to the degraded retry,
+    /// which recomputes them bit-identically.
     #[test]
-    fn overbooked_run_spills_and_stays_bit_identical() {
+    fn overflowing_worker_table_falls_back_to_the_serial_retry() {
         let a = lcg_matrix(40, 40, 6, 31);
         let b = lcg_matrix(40, 40, 5, 32);
-        let mask = skewed_mask(40, 0, 30);
-        let (_, base_stats) =
-            spgemm::<PlusTimes>(&a, &b, &mask, &Config::builder().n_threads(2).build()).unwrap();
-        assert_eq!(base_stats.overbook_spills, 0, "overbooking is off by default");
+        let mask = lcg_matrix(40, 40, 8, 33);
+        let exec = Executor::global().shared();
         for it in [
             IterationSpace::Vanilla,
             IterationSpace::MaskAccumulate,
             IterationSpace::CoIterate,
             IterationSpace::Hybrid { kappa: 1.0 },
         ] {
-            let hard = Config::builder()
+            let cfg = Config::builder()
                 .n_threads(2)
                 .n_tiles(5)
                 .kernel_policy(KernelPolicy::new().iteration(it))
                 .build();
-            let (want, _) = spgemm::<PlusTimes>(&a, &b, &mask, &hard).unwrap();
-            let over = Config::builder()
-                .n_threads(2)
-                .n_tiles(5)
-                .kernel_policy(KernelPolicy::new().iteration(it).overbook(Overbook::p90()))
-                .build();
-            let (got, stats) = spgemm::<PlusTimes>(&a, &b, &mask, &over).unwrap();
-            assert_eq!(got, want, "spill recompute must be bit-identical ({})", it.label());
-            if matches!(it, IterationSpace::MaskAccumulate | IterationSpace::Hybrid { .. }) {
-                // the fat mask row cannot fit the p90 table: guaranteed spill
-                assert!(stats.overbook_spills >= 1, "expected a spill ({})", it.label());
-            }
+            let (want, clean) = spgemm::<PlusTimes>(&a, &b, &mask, &cfg).unwrap();
+            assert_eq!(clean.retried_tiles, 0, "the hard bound never overflows");
+            let mut core = crate::graph::single_product(exec, &cfg, &a, &b, &mask).unwrap();
+            core.max_row_entries = 1;
+            let mut scratch = PlanScratch::default();
+            let job = Job {
+                core: &core,
+                inputs: &[&a, &b, &mask],
+                scratch: &mut scratch,
+                cancel: None,
+                weight: 1,
+                setup: Duration::ZERO,
+                fused_ops: 0,
+            };
+            let (got, stats) = only_output(run_job::<PlusTimes>(exec, job)).unwrap();
+            assert_eq!(got, want, "{}", it.label());
+            assert!(stats.retried_tiles >= 1, "{}: no tile overflowed", it.label());
+            assert_eq!(stats.failed_tiles, stats.retried_tiles);
         }
     }
 }

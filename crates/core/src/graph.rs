@@ -32,8 +32,8 @@
 //!
 //! A graph runs on the same tile engine as every other caller
 //! ([`crate::driver`]) — a single-product [`crate::Plan`] *is* a one-node
-//! graph — so it honours the whole kernel policy, overbooking included,
-//! and shares its fault model: a panicking tile loses only its own chain,
+//! graph — so it honours the whole kernel policy and shares its fault
+//! model: a panicking tile loses only its own chain,
 //! and the degraded serial retry recomputes
 //! **every node of that tile in order** (vanilla kernel + dense `u64`
 //! accumulator), so a retried node's successors are rebuilt from its
@@ -73,11 +73,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::config::{Config, IterationSpace, Overbook};
+use crate::config::{Config, IterationSpace};
 use crate::driver::{run_job, Job, JobResult, RunStats};
 use crate::executor::{Executor, ExecutorShared};
 use crate::plan::{structure_hash, Pin, PlanScratch};
-use mspgemm_accum::AccumulatorKind;
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
     catch_tile_panic,
@@ -340,7 +339,7 @@ fn input_pins<T>(config: &Config, nodes: &[NodeDecl<T>], n_inputs: usize) -> Vec
 /// The symbolic prologue every caller shares: shape validation, Eq. 2
 /// work estimation (on `exec`'s pool, see [`estimate_work`]), one
 /// FLOP-balanced row partition for all nodes (their summed estimates),
-/// the accumulator bounds (hard and overbooked), every node's mask-bound
+/// the hard accumulator bound, every node's mask-bound
 /// slot layout, and the per-input fingerprint pins. None of it depends on
 /// the inputs' *values*.
 pub(crate) fn freeze<T: Copy + Sync>(
@@ -407,12 +406,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
     let n_threads = config.resolved_threads();
     let n_tiles = config.resolved_tiles(nrows);
     let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
-    // Overbooking (Tailors): only the hash family can detect and recover
-    // from overflow, so everything else keeps the hard bound.
-    let quantile = match (config.kernel.overbook, config.kernel.accumulator) {
-        (Overbook::Quantile { q }, AccumulatorKind::Hash(_)) => Some(q),
-        _ => None,
-    };
 
     // --- work estimation + shared tiling + per-node slot layout. The
     // prologue runs in the calling thread; contain it so a pathological
@@ -421,8 +414,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
     let prologue = catch_tile_panic(|| {
         let mut summed: Vec<u64> = Vec::new();
         let mut max_row_entries = 1usize;
-        // every (node, row) bound, kept only to take the overbook quantile
-        let mut bounds: Vec<usize> = Vec::new();
         for (node, &ncols) in nodes.iter().zip(&node_ncols) {
             let mask = inputs[node.mask];
             let work = match node.a {
@@ -446,11 +437,7 @@ pub(crate) fn freeze<T: Copy + Sync>(
                 (true, OperandRef::Node(_)) => ncols.max(1),
             };
             for i in 0..nrows {
-                let bound = row_bound(i);
-                max_row_entries = max_row_entries.max(bound);
-                if quantile.is_some() {
-                    bounds.push(bound);
-                }
+                max_row_entries = max_row_entries.max(row_bound(i));
             }
             if summed.is_empty() {
                 summed = work;
@@ -460,23 +447,13 @@ pub(crate) fn freeze<T: Copy + Sync>(
                 }
             }
         }
-        // Overbooked sizing: the configured quantile of the *same* per-row
-        // bounds instead of their max (nearest-rank, clamped to [1, max]).
-        let overbook_row_entries = match quantile {
-            Some(q) if !bounds.is_empty() => {
-                let rank = ((q.clamp(0.0, 1.0) * bounds.len() as f64).ceil() as usize)
-                    .clamp(1, bounds.len());
-                (*bounds.select_nth_unstable(rank - 1).1).clamp(1, max_row_entries)
-            }
-            _ => max_row_entries,
-        };
         let estimated_work = total_work(&summed);
         let tiles = tiles_for(config.tiling, nrows, &summed, n_tiles);
         let layouts: Vec<SlotLayout> =
             nodes.iter().map(|node| SlotLayout::new(&tiles, inputs[node.mask])).collect();
-        (estimated_work, tiles, max_row_entries, overbook_row_entries, layouts)
+        (estimated_work, tiles, max_row_entries, layouts)
     });
-    let (estimated_work, tiles, max_row_entries, overbook_row_entries, layouts) = prologue
+    let (estimated_work, tiles, max_row_entries, layouts) = prologue
         .map_err(|msg| SparseError::Internal { detail: format!("work estimation: {msg}") })?;
 
     let pins = input_pins(&config, &nodes, inputs.len());
@@ -507,7 +484,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
         max_ncols: frozen.iter().map(|n| n.ncols).max().unwrap_or(1).max(1),
         nodes: frozen,
         max_row_entries,
-        overbook_row_entries,
         estimated_work,
         pins,
         id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
@@ -670,12 +646,8 @@ pub(crate) struct GraphCore<T> {
     pub(crate) row_ranges: Vec<(usize, usize)>,
     pub(crate) nodes: Vec<NodePlan<T>>,
     /// Accumulator sizing bound: the hard per-row bound, max over nodes.
+    /// Every worker's hash table is built at this size (§III-C).
     pub(crate) max_row_entries: usize,
-    /// Overbooked accumulator sizing: the configured quantile of the same
-    /// per-row bounds (equal to `max_row_entries` when overbooking is off
-    /// or inapplicable). Worker tables allocate at this size; a row whose
-    /// bound exceeds it may overflow and is then recomputed (the spill).
-    pub(crate) overbook_row_entries: usize,
     /// Dense-accumulator column bound, max over nodes.
     pub(crate) max_ncols: usize,
     pub(crate) estimated_work: u64,
@@ -1058,8 +1030,9 @@ mod tests {
     }
 
     #[test]
-    fn overbook_bound_is_a_quantile_of_row_bounds() {
+    fn accumulator_bound_is_the_widest_mask_row() {
         use crate::config::KernelPolicy;
+        use mspgemm_accum::{AccumulatorKind, MarkerWidth};
         // 10 rows: nine thin (1 nnz), one fat (6 nnz)
         let mut row_ptr = vec![0usize, 6];
         for r in 1..10 {
@@ -1069,26 +1042,18 @@ mod tests {
         cols.extend(std::iter::repeat(0).take(9));
         let m = Csr::try_from_parts(10, 10, row_ptr, cols, vec![1.0f64; 15]).unwrap();
 
-        let off = single_product(exec(), &Config::default(), &m, &m, &m).unwrap();
-        assert_eq!(off.max_row_entries, 6);
-        assert_eq!(off.overbook_row_entries, 6, "overbooking defaults off");
+        // the hash default is sized at the hard bound max_i nnz(M[i,:])
+        let core = single_product(exec(), &Config::default(), &m, &m, &m).unwrap();
+        assert_eq!(core.max_row_entries, 6);
 
-        let p90 = Config::builder()
-            .kernel_policy(KernelPolicy::new().overbook(Overbook::p90()))
-            .build();
-        let core = single_product(exec(), &p90, &m, &m, &m).unwrap();
-        assert_eq!(core.max_row_entries, 6, "hard bound unchanged");
-        assert_eq!(core.overbook_row_entries, 1, "p90 of [1×9, 6] is 1");
-
-        // dense accumulators cannot recover from overflow: hard bound kept
+        // the bound does not depend on the accumulator family
         let dense = Config::builder()
             .kernel_policy(
                 KernelPolicy::new()
-                    .accumulator(AccumulatorKind::Dense(mspgemm_accum::MarkerWidth::W32))
-                    .overbook(Overbook::p90()),
+                    .accumulator(AccumulatorKind::Dense(MarkerWidth::W32)),
             )
             .build();
-        assert_eq!(single_product(exec(), &dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
+        assert_eq!(single_product(exec(), &dense, &m, &m, &m).unwrap().max_row_entries, 6);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! | Tiling | [`ConfigBuilder::tiling`], [`ConfigBuilder::n_tiles`] | uniform / FLOP-balanced × any tile count |
 //! | Scheduling | [`ConfigBuilder::schedule`] | static / dynamic(chunk) |
 //! | Iteration space | [`KernelPolicy::iteration`] via [`ConfigBuilder::kernel_policy`] | vanilla (Fig. 3), mask-accumulate (Fig. 5), co-iteration (Fig. 7), hybrid-κ (Fig. 9) |
-//! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash × marker width 8/16/32/64 |
-//! | Scratch sizing | [`KernelPolicy::overbook`] | hard bound / quantile overbooking with spill recovery |
+//! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash × marker width 8/16/32/64; hash tables sized at the hard bound `max_i nnz(M[i,:])` |
 //!
 //! Three policy presets reproduce the systems the paper compares
 //! ([`presets`]), and [`tuner`] implements the staged tuning flow of
@@ -75,7 +74,7 @@ pub mod service;
 pub mod stress;
 pub mod tuner;
 
-pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy, Overbook};
+pub use config::{Config, ConfigBuilder, IterationSpace, KernelPolicy};
 pub use driver::{spgemm, RunStats};
 pub use executor::{Executor, Session};
 pub use graph::{ExtId, GraphBuilder, NodeId, Operand, PlanGraph};

@@ -33,8 +33,8 @@
 //!   nothing, and revalidation touches `O(nrows)` of the mask only;
 //! * the vanilla kernel sizes its accumulator from the Eq. 2 work
 //!   estimate, which walks `A`'s column indices into `B`'s row lengths —
-//!   an undersized hash table latches its overflow flag and forces a
-//!   full-bound spill recompute of every affected row (correct but a
+//!   an undersized hash table latches its overflow flag and sends every
+//!   affected tile through the serial degraded retry (correct but a
 //!   performance cliff), so under vanilla the fingerprint additionally
 //!   pins `A`'s row pointers *and* columns and `B`'s row pointers.
 //!
@@ -149,13 +149,13 @@ pub(crate) fn fingerprint<T: Copy>(
     }
 }
 
-/// One worker's accumulator cell: a type-erased accumulator (plus its
-/// spill scratch), keyed by the identity of the frozen core it was built
-/// for. The driver leases it with `lock` per tile and checks key and
-/// type on every lease, so a cell built for another core, or holding a
-/// stale type (the `METER` flag flipped by arming metrics), is rebuilt
-/// from clean — on the worker thread, after dropping the old value — as
-/// is a cell poisoned by a tile that panicked mid-update.
+/// One worker's accumulator cell: a type-erased accumulator, keyed by the
+/// identity of the frozen core it was built for. The driver leases it
+/// with `lock` per tile and checks key and type on every lease, so a cell
+/// built for another core, or holding a stale type (the `METER` flag
+/// flipped by arming metrics), is rebuilt from clean — on the worker
+/// thread, after dropping the old value — as is a cell poisoned by a tile
+/// that panicked mid-update.
 pub(crate) type AccCell = Arc<Mutex<AccSlot>>;
 
 /// What an [`AccCell`] holds: `(core id, accumulator)`, or nothing yet.

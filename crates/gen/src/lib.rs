@@ -26,7 +26,6 @@
 
 pub mod circuit;
 pub mod er;
-pub mod outlier;
 pub mod rmat;
 pub mod road;
 pub mod suite;
@@ -34,19 +33,27 @@ pub mod web;
 
 pub use suite::{suite_graph, suite_specs, GraphKind, SuiteSpec};
 
-use mspgemm_sparse::Csr;
+use mspgemm_sparse::{Csr, SparseError};
 
 /// Post-process an adjacency matrix the way the paper's triangle-counting
 /// setup expects: symmetric, zero-free diagonal, boolean values.
 ///
 /// All generators already return symmetric matrices; this helper is exposed
 /// for users loading their own (possibly directed) graphs via Matrix Market.
-pub fn symmetrize_boolean(a: &Csr<f64>) -> Csr<f64> {
+/// An adjacency matrix is square: a rectangular input is a
+/// [`SparseError::ShapeMismatch`].
+pub fn symmetrize_boolean(a: &Csr<f64>) -> Result<Csr<f64>, SparseError> {
+    let n = a.nrows();
+    if a.ncols() != n {
+        return Err(SparseError::ShapeMismatch {
+            expected: (n, n),
+            found: (n, a.ncols()),
+            context: "symmetrize_boolean: adjacency matrix must be square",
+        });
+    }
     let at = a.transpose();
-    // same shape by construction: `at` is the transpose of the square input
-    let sym = mspgemm_sparse::ops::ewise_add::<mspgemm_sparse::PlusTimes>(a, &at)
-        .expect("a and its transpose share a shape");
-    sym.without_diagonal().spones(1.0)
+    let sym = mspgemm_sparse::ops::ewise_add::<mspgemm_sparse::PlusTimes>(a, &at)?;
+    Ok(sym.without_diagonal().spones(1.0))
 }
 
 #[cfg(test)]
@@ -61,11 +68,22 @@ mod tests {
         coo.push(2, 3, 1.0);
         coo.push(1, 1, 1.0); // diagonal to be dropped
         let a = coo.to_csr_sum();
-        let s = symmetrize_boolean(&a);
+        let s = symmetrize_boolean(&a).unwrap();
         assert!(s.is_structurally_symmetric());
         assert!(!s.contains(1, 1));
         assert!(s.contains(1, 0));
         assert!(s.contains(3, 2));
         assert!(s.values().iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn symmetrize_rejects_a_rectangular_matrix() {
+        let mut coo = Coo::new(3, 4);
+        coo.push(0, 1, 1.0);
+        coo.push(2, 3, 1.0);
+        assert!(matches!(
+            symmetrize_boolean(&coo.to_csr_sum()),
+            Err(SparseError::ShapeMismatch { expected: (3, 3), found: (3, 4), .. })
+        ));
     }
 }

@@ -12,7 +12,6 @@
 //! | [`ACCUM_RESET`] | the accumulators' per-row reset path |
 //! | [`FRAGMENT_STITCH`] | the driver's per-tile output compaction |
 //! | [`WORK_ESTIMATE`] | each Eq. 2 work estimate of the symbolic prologue |
-//! | [`OVERBOOK_SPILL`] | the driver's overbooked-accumulator spill path |
 //!
 //! # Spec grammar
 //!
@@ -66,10 +65,6 @@ pub const FRAGMENT_STITCH: &str = "fragment-stitch";
 /// on the calling thread before any row block is dispatched; the call key
 /// is the row count of the left operand.
 pub const WORK_ESTIMATE: &str = "work-estimate";
-/// Site on the driver's overbooked-accumulator spill path, entered when a
-/// fat row overflows the quantile-sized scratch and is recomputed at the
-/// max bound; the call key is the row index.
-pub const OVERBOOK_SPILL: &str = "overbook-spill";
 
 /// Environment variable holding the failpoint spec.
 pub const ENV_VAR: &str = "MSPGEMM_FAILPOINTS";

@@ -120,8 +120,6 @@ catalogue! { Counter, COUNTERS_ALL, N_COUNTERS;
     FusionOpsFused => "fusion.ops_fused",
     FusionTilesChained => "fusion.tiles_chained",
     FusionSinkFusedElems => "fusion.sink_fused_elements",
-    AccumOverbookSpills => "accum.overbook_spills",
-    AccumOverbookSavedBytes => "accum.overbook_saved_bytes",
 }
 
 catalogue! { Hist, HISTS_ALL, N_HISTS;

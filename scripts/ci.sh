@@ -103,31 +103,6 @@ head -c1 "$obs_dir/run.trace.json" | grep -q '\[' || {
     echo "FAIL: trace file is not a JSON array" >&2; exit 1; }
 echo "ok: armed run emits schema-valid metrics and a trace"
 
-echo "== overbook smoke (spill detector fires, control stays silent) =="
-# The planted-outlier adversary books at p90 and *must* take the spill
-# path (the planted rows sit far above any bulk quantile); the uniform
-# circulant control has identical row bounds, so any quantile equals the
-# max and the same policy must never spill. Both runs emit metrics and
-# both documents must validate — the overbook counters are part of the
-# required mspgemm.run/1 counter set.
-target/release/mspgemm tc --graph planted-outlier --scale 0.1 \
-    --overbook p90 --metrics "$obs_dir/overbook.json" > /dev/null
-target/release/mspgemm check-metrics --file "$obs_dir/overbook.json"
-spills=$(grep -o '"accum.overbook_spills":[0-9]*' "$obs_dir/overbook.json" | cut -d: -f2)
-if [ "${spills:-0}" -lt 1 ]; then
-    echo "FAIL: planted outliers never spilled (accum.overbook_spills=${spills:-0})" >&2
-    exit 1
-fi
-target/release/mspgemm tc --graph uniform-bulk --scale 0.1 \
-    --overbook p90 --metrics "$obs_dir/uniform.json" > /dev/null
-target/release/mspgemm check-metrics --file "$obs_dir/uniform.json"
-ctrl=$(grep -o '"accum.overbook_spills":[0-9]*' "$obs_dir/uniform.json" | cut -d: -f2)
-if [ "${ctrl:-0}" -ne 0 ]; then
-    echo "FAIL: uniform control spilled (accum.overbook_spills=$ctrl, want 0)" >&2
-    exit 1
-fi
-echo "ok: planted outliers spill ($spills), uniform control stays at 0"
-
 echo "== zero-cost metrics grep gate =="
 # The observability design keeps atomics out of the hot loops: counters
 # are bumped in plain instance-local scratch and flushed once per tile.
@@ -170,8 +145,9 @@ echo "ok: kernel and submit/slot non-test code performs no heap allocation"
 
 echo "== panic-hygiene grep gate =="
 # Non-test code of the pool, the persistent worker layer, the driver,
-# the plan/executor layer and the graph algorithms must stay free of
-# .unwrap()/.expect(/panic!, of release-mode asserts (assert!,
+# the plan/executor layer, the generators' loader helper (gen/lib.rs,
+# which symmetrises user .mtx input) and the graph algorithms must stay
+# free of .unwrap()/.expect(/panic!, of release-mode asserts (assert!,
 # assert_eq!, assert_ne!; the debug_ forms are exempt) and of
 # unreachable!/todo!/unimplemented! — panic isolation is only as good as
 # the code that implements it, and a bad argument must come back as a
@@ -186,7 +162,7 @@ for f in crates/sched/src/lib.rs crates/sched/src/pool.rs \
          crates/core/src/stress.rs crates/core/src/graph.rs \
          crates/core/src/config.rs crates/core/src/presets.rs \
          crates/core/src/model.rs crates/core/src/lib.rs \
-         crates/graph/src/*.rs; do
+         crates/gen/src/lib.rs crates/graph/src/*.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
                 /^[[:space:]]*\/\// { next }
                 /\.unwrap\(\)|\.expect\(|panic!|(^|[^A-Za-z0-9_])assert(_eq|_ne)?!|unreachable!|todo!|unimplemented!/ \
@@ -198,7 +174,7 @@ for f in crates/sched/src/lib.rs crates/sched/src/pool.rs \
     fi
 done
 [ "$gate_fail" -eq 0 ] || exit 1
-echo "ok: sched, core engine/plan/config and graph non-test code is panic free"
+echo "ok: sched, core engine/plan/config, gen/lib.rs and graph non-test code is panic free"
 
 echo "== unsafe allowlist gate =="
 # `unsafe` is confined to two audited sites: the disjoint slot windows
@@ -282,21 +258,6 @@ for w in ktruss bc-fwd single-op; do
         echo "FAIL: fusion.csv is missing the $w rows" >&2; exit 1; }
 done
 echo "ok: fusion ablation emits schema-valid BENCH_fusion.json"
-
-echo "== overbook bench smoke (quantile vs hard-bound ablation) =="
-# The overbook ablation re-verifies bit-identity for every class × tile
-# count before timing anything, so a passing smoke is also a correctness
-# pass over the planted/R-MAT/co-iteration/uniform grid. The emitted
-# document must be schema-valid and carry all four class rows.
-(cd "$bench_dir" && MSPGEMM_SCALE=0.02 MSPGEMM_BUDGET_MS=20 MSPGEMM_THREADS=2 \
-    cargo run --release --offline -q --manifest-path "$repo/Cargo.toml" \
-    -p mspgemm-bench --bin overbook > /dev/null)
-target/release/mspgemm check-metrics --file "$bench_dir/results/BENCH_overbook.json"
-for c in planted-mask social-mask coiterate-rmat uniform-bulk; do
-    grep -q "^$c," "$bench_dir/results/overbook.csv" || {
-        echo "FAIL: overbook.csv is missing the $c rows" >&2; exit 1; }
-done
-echo "ok: overbook ablation emits schema-valid BENCH_overbook.json"
 
 echo "== executor reuse smoke (flat thread count) =="
 # 50 plan.execute iterations through one Session must spawn the worker

@@ -157,8 +157,6 @@ fn check_metrics_doc(doc: &json::Value) -> Result<String, String> {
             "fusion.ops_fused",
             "fusion.tiles_chained",
             "fusion.sink_fused_elements",
-            "accum.overbook_spills",
-            "accum.overbook_saved_bytes",
         ] {
             if !counters.iter().any(|(name, _)| name == required) {
                 return Err(format!("missing required counter {required:?}"));
@@ -234,8 +232,7 @@ fn usage() -> ! {
          \n\
          input (one of):\n\
            --mtx <file>        Matrix Market file (symmetrised, boolean)\n\
-           --graph <name>      synthetic suite graph (see `mspgemm list`), or the\n\
-                               overbook adversaries planted-outlier | uniform-bulk\n\
+           --graph <name>      synthetic suite graph (see `mspgemm list`)\n\
            --scale <f>         synthetic graph scale (default 0.3)\n\
          \n\
          tiling & scheduling — §V-A (run/tc/session):\n\
@@ -249,10 +246,6 @@ fn usage() -> ! {
            --kappa <f>         hybrid co-iteration switch factor (default 1.0)\n\
            --acc <dense|hash><8|16|32|64>          accumulator family + marker\n\
                                width (default hash32)\n\
-           --overbook <off|p90|p99|qNN>            size hash accumulators at a\n\
-                               quantile of the per-row bounds instead of the max;\n\
-                               overflowing rows are recomputed at the hard bound\n\
-                               (bit-identical; default off)\n\
          \n\
          execution (run/tc/session):\n\
            --threads <n>       worker threads (default: all cores)\n\
@@ -289,8 +282,8 @@ fn usage() -> ! {
 /// misspelled or retired flag must not silently run the defaults.
 const KNOWN_FLAGS: &[&str] = &[
     "acc", "batch", "cancel", "chunk", "deadline", "drop", "file", "graph", "iter", "iters",
-    "k", "kappa", "metrics", "mtx", "overbook", "queue", "reps", "runs", "scale", "schedule",
-    "seed", "tenants", "threads", "tiles", "tiling", "trace",
+    "k", "kappa", "metrics", "mtx", "queue", "reps", "runs", "scale", "schedule", "seed",
+    "tenants", "threads", "tiles", "tiling", "trace",
 ];
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
@@ -324,23 +317,13 @@ fn load_graph(flags: &HashMap<String, String>) -> Csr<u64> {
                 eprintln!("failed to read {path}: {e}");
                 std::process::exit(1);
             });
-        masked_spgemm_repro::gen::symmetrize_boolean(&raw).spones(1u64)
+        let adj = masked_spgemm_repro::gen::symmetrize_boolean(&raw).unwrap_or_else(|e| {
+            eprintln!("failed to load {path}: {e}");
+            std::process::exit(1);
+        });
+        adj.spones(1u64)
     } else if let Some(name) = flags.get("graph") {
         let scale: f64 = flag(flags, "scale", 0.3);
-        // the overbook adversaries live outside the Table I suite (the
-        // suite is pinned at ten graphs); resolve them by name here
-        if name.eq_ignore_ascii_case("planted-outlier") || name.eq_ignore_ascii_case("uniform-bulk")
-        {
-            use masked_spgemm_repro::gen::outlier::{planted_outliers, uniform_bulk, OutlierParams};
-            let n = ((10_000.0 * scale) as usize).max(100);
-            let p = OutlierParams { n_outliers: (n / 100).max(1), ..OutlierParams::default() };
-            let g = if name.eq_ignore_ascii_case("planted-outlier") {
-                planted_outliers(n, p, 0x0b5e55ed)
-            } else {
-                uniform_bulk(n, p, 0x0b5e55ed)
-            };
-            return g.spones(1u64);
-        }
         let spec = suite_specs()
             .into_iter()
             .find(|s| s.name.eq_ignore_ascii_case(name))
@@ -421,7 +404,7 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
         // --chunk without --schedule adjusts the default dynamic schedule
         b = b.schedule(Schedule::Dynamic { chunk });
     }
-    // --- kernel-policy group: --acc / --iter / --kappa / --overbook ---
+    // --- kernel-policy group: --acc / --iter / --kappa ---
     let mut kernel = KernelPolicy::new();
     if let Some(a) = flags.get("acc") {
         kernel = kernel.accumulator(match a.as_str() {
@@ -450,23 +433,6 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
             usage();
         }
     });
-    if let Some(o) = flags.get("overbook") {
-        kernel = kernel.overbook(match o.as_str() {
-            "off" => Overbook::Off,
-            "p90" => Overbook::p90(),
-            "p99" => Overbook::p99(),
-            other => match other.strip_prefix('q').and_then(|q| q.parse::<f64>().ok()) {
-                // qNN is a percentile: --overbook q95 books at the p95 bound
-                Some(pct) if (0.0..=100.0).contains(&pct) => {
-                    Overbook::Quantile { q: pct / 100.0 }
-                }
-                _ => {
-                    eprintln!("bad --overbook {other:?} (want off|p90|p99|qNN)");
-                    usage();
-                }
-            },
-        });
-    }
     b.kernel_policy(kernel).build()
 }
 

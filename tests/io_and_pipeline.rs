@@ -32,7 +32,7 @@ fn loaded_matrix_runs_the_full_experiment_path() {
     write_matrix_market(&path, &a).unwrap();
 
     let loaded = read_matrix_market(&path).unwrap();
-    let adj = mspgemm_gen::symmetrize_boolean(&loaded).spones(1u64);
+    let adj = mspgemm_gen::symmetrize_boolean(&loaded).unwrap().spones(1u64);
     assert!(adj.is_structurally_symmetric());
 
     let want = Dense::masked_matmul::<PlusPair, u64>(&adj, &adj, &adj);

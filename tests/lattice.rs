@@ -1,8 +1,8 @@
 //! The whole policy lattice against an independent reference.
 //!
-//! Every cell — tiling × schedule × iteration space × accumulator ×
-//! overbooking, at 2 threads and 7 tiles — runs every shipped semiring on
-//! a set of small adversarial inputs, and must equal a naive reference
+//! Every cell — tiling × schedule × iteration space × accumulator, at 2
+//! threads and 7 tiles — runs every shipped semiring on a set of small
+//! adversarial inputs, and must equal a naive reference
 //! exactly. The reference is a per-row `BTreeMap` fold that shares no
 //! code with the kernels, the accumulators or `Dense::masked_matmul`: it
 //! reads the operands through `Csr::row` and combines values with the
@@ -123,8 +123,9 @@ fn shapes() -> Vec<Shape> {
     empty_rows.mask.retain(|&(i, _)| i % 7 != 0);
     let empty_mask = square("all-empty mask", 60, (4, 4, 0));
     let dense_mask = square("mask denser than the product", 40, (2, 2, 30));
-    // one row full in A, B and M: the p90 bound spills it, and every
-    // column of that output row collects a product from each k
+    // one row full in A, B and M: it alone sets the hash tables' hard
+    // bound, and every column of that output row collects a product from
+    // each k
     let mut fat = square("one fat row", 96, (3, 3, 3));
     for j in 0..96 {
         fat.a.push((5, j));
@@ -158,7 +159,8 @@ fn matrix<S: Values>(
     coo.to_csr_with(|first, _| first)
 }
 
-/// Every cell of the lattice at 2 threads and 7 tiles.
+/// Every cell of the lattice at 2 threads and 7 tiles: 2 tilings × 2
+/// schedules × 4 iteration spaces × 8 accumulators = 128.
 fn cells() -> Vec<Config> {
     let mut cells = Vec::new();
     for tiling in TilingStrategy::all() {
@@ -170,21 +172,16 @@ fn cells() -> Vec<Config> {
                 IterationSpace::Hybrid { kappa: 1.0 },
             ] {
                 for accumulator in AccumulatorKind::all() {
-                    for overbook in [Overbook::Off, Overbook::p90()] {
-                        let kernel = KernelPolicy::new()
-                            .iteration(iteration)
-                            .accumulator(accumulator)
-                            .overbook(overbook);
-                        cells.push(
-                            Config::builder()
-                                .n_threads(2)
-                                .n_tiles(7)
-                                .tiling(tiling)
-                                .schedule(schedule)
-                                .kernel_policy(kernel)
-                                .build(),
-                        );
-                    }
+                    let kernel = KernelPolicy::new().iteration(iteration).accumulator(accumulator);
+                    cells.push(
+                        Config::builder()
+                            .n_threads(2)
+                            .n_tiles(7)
+                            .tiling(tiling)
+                            .schedule(schedule)
+                            .kernel_policy(kernel)
+                            .build(),
+                    );
                 }
             }
         }
@@ -196,6 +193,7 @@ fn cells() -> Vec<Config> {
 /// differ from the reference, and the first few.
 fn sweep<S: Values>(seed: u64) {
     let cells = cells();
+    assert_eq!(cells.len(), 128, "the lattice has 128 cells");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut failures = Vec::new();
     let mut retried = 0;
