@@ -2,9 +2,10 @@
 //!
 //! "In GrB, all `M[i,j] ≠ 0` slots of the accumulator are reset explicitly
 //! after each row" (§III-C). This is the strategy the paper's marker-based
-//! modification replaces; we keep it as (a) the faithful ingredient of the
-//! `GrBLike` policy preset and (b) the baseline of the reset-policy
-//! ablation bench.
+//! modification replaces; we keep it as the baseline of the reset-policy
+//! ablation bench. The engine cannot run it: `AccumulatorKind` has no
+//! explicit-reset arm, and the `GrBLike` preset resets by markers through
+//! a 64-bit hash accumulator.
 //!
 //! The cost profile differs from [`crate::DenseAccumulator`]: per-row reset
 //! is `O(nnz(M[i,:]))` instead of `O(1)`, but the state array is a single

@@ -13,9 +13,9 @@
 //!   scheduling (§V-A observations 1 and 4), κ = 1 (§V-B), 32-bit markers
 //!   (§V-C).
 //!
-//! The prediction is validated against the measuring tuner in the
-//! integration tests: it must always be correct, and on the synthetic
-//! suite it should land within a small factor of the swept optimum.
+//! The integration tests check that the predicted configuration computes
+//! the correct product on every graph class, against the dense oracle. No
+//! test or benchmark compares its speed with the measuring tuner's pick.
 
 use crate::config::{resolve_threads, Config, IterationSpace, KernelPolicy};
 use mspgemm_accum::{AccumulatorKind, MarkerWidth};

@@ -1,12 +1,13 @@
 //! Betweenness centrality (Brandes' algorithm over BFS waves).
 //!
 //! The paper's §I cites betweenness centrality (Solomonik et al.) as a
-//! masked-SpGEMM consumer: the batched GraphBLAS formulation multiplies
-//! frontier matrices against the adjacency matrix with the visited set as
-//! a complement mask. Here we implement the single-source wave form with
-//! the same masked frontier expansion used by [`crate::bfs`], accumulating
-//! path counts on the forward sweep and dependencies on the backward
-//! sweep.
+//! masked-SpGEMM consumer. [`betweenness_centrality`] is the scalar
+//! Brandes algorithm: a level-synchronous forward wave that counts
+//! shortest paths, then a backward sweep that accumulates dependencies.
+//! [`bc_forward_fused`] and [`bc_forward_unfused`] run the forward sweep
+//! in the batched form Solomonik et al. use: a `k × n` path-count matrix
+//! per BFS depth, each level one masked product whose mask is the next
+//! wave, known ahead from [`bfs_levels_multi`].
 
 use crate::bfs::{bfs_levels_multi, UNREACHED};
 use mspgemm_core::{Config, Executor, GraphBuilder, Operand, Session};
@@ -221,64 +222,6 @@ pub fn bc_forward_unfused_from_levels<T: Copy>(
     Ok(sigmas)
 }
 
-/// Exact betweenness centrality with the forward sweep batched through
-/// the fused graph ([`bc_forward_fused`]) and a scalar backward
-/// dependency accumulation. Agrees with [`betweenness_centrality`] up to
-/// floating-point rounding (the forward path counts are identical; the
-/// backward sweep sums in a different order).
-pub fn betweenness_centrality_batched<T: Copy>(
-    a: &Csr<T>,
-    sources: &[usize],
-    config: &Config,
-) -> Result<Vec<f64>, SparseError> {
-    let levels = bfs_levels_multi(a, sources)?;
-    let sigmas = bc_forward_fused_from_levels(a, &levels, config)?;
-    let n = a.nrows();
-    let k = sources.len();
-
-    // scatter the per-depth σ matrices into dense per-source path counts
-    let mut sigma = vec![0.0f64; k * n];
-    for m in &sigmas {
-        for (s, v, val) in m.iter() {
-            sigma[s * n + v as usize] += val;
-        }
-    }
-
-    let mut bc = vec![0.0f64; n];
-    let mut delta = vec![0.0f64; n];
-    for (s, &src) in sources.iter().enumerate() {
-        let depth = &levels[s];
-        let sig = &sigma[s * n..(s + 1) * n];
-        // bucket reached vertices by depth for the reverse walk
-        let d_max = depth.iter().filter(|&&l| l != UNREACHED).max().copied().unwrap_or(0);
-        let mut waves: Vec<Vec<usize>> = vec![Vec::new(); d_max as usize + 1];
-        for (v, &l) in depth.iter().enumerate() {
-            if l != UNREACHED {
-                waves[l as usize].push(v);
-            }
-        }
-        delta.fill(0.0);
-        for wave in waves.iter().rev() {
-            for &u in wave {
-                let (cols, _) = a.row(u);
-                for &v in cols {
-                    let vu = v as usize;
-                    if depth[vu] != UNREACHED
-                        && depth[vu] == depth[u] + 1
-                        && sig[vu] > 0.0
-                    {
-                        delta[u] += sig[u] / sig[vu] * (1.0 + delta[vu]);
-                    }
-                }
-                if u != src {
-                    bc[u] += delta[u];
-                }
-            }
-        }
-    }
-    Ok(bc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,21 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_bc_matches_scalar_bc() {
-        let g = mspgemm_gen::er::erdos_renyi(120, 500, 13);
-        let sources = all_sources(120);
-        let scalar = betweenness_centrality(&g, &sources).unwrap();
-        let batched = betweenness_centrality_batched(&g, &sources, &cfg()).unwrap();
-        for (v, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-            assert!((s - b).abs() < 1e-9 * (1.0 + s.abs()), "vertex {v}: {s} vs {b}");
-        }
-    }
-
-    #[test]
-    fn batched_bc_propagates_structured_errors() {
+    fn fused_forward_propagates_structured_errors() {
         let a = undirected(&[(0, 1)], 2);
-        let e = betweenness_centrality_batched(&a, &[0, 9], &cfg()).unwrap_err();
-        assert!(matches!(e, SparseError::RowOutOfBounds { row: 9, nrows: 2 }), "{e}");
         let e = bc_forward_fused(&a, &[7], &cfg()).unwrap_err();
         assert!(matches!(e, SparseError::RowOutOfBounds { row: 7, nrows: 2 }), "{e}");
     }

@@ -1,12 +1,12 @@
 //! Level-synchronous BFS in the language of sparse linear algebra.
 //!
-//! Each level expands the frontier with a masked sparse matrix-sparse
-//! vector product: `next = A^T ⊗ frontier` under the boolean semiring,
-//! masked by `!visited` — the vector analogue of the paper's
-//! masked-SpGEMM (the complement mask plays the role `M` does for `mxm`).
-//! The paper's §I lists BFS among the kernel's consumers; Beamer et al.'s
-//! direction optimisation is the vector analogue of the push/pull
-//! (linear-scan vs co-iteration) choice studied in §III-B.
+//! Each level expands the frontier with a masked sparse vector × sparse
+//! matrix product under the boolean semiring, `next = ¬visited ⊙
+//! (frontier ⊗ A)` ([`masked_vxm`]): the vector analogue of the paper's
+//! masked-SpGEMM, with the complement of the visited set as the mask. The
+//! paper's §I lists BFS among the kernel's consumers. Expansion is
+//! push-only: every frontier vertex scatters along its row of `A`.
+//! [`bfs_levels`] and [`bfs_levels_multi`] run the same level loop.
 
 use mspgemm_sparse::vector::{masked_vxm, SparseVec};
 use mspgemm_sparse::{BoolOrAnd, Csr, SparseError};
@@ -33,19 +33,21 @@ pub const UNREACHED: u32 = u32::MAX;
 /// matrix and [`SparseError::RowOutOfBounds`] on an out-of-range source.
 pub fn bfs_levels<T: Copy>(a: &Csr<T>, source: usize) -> Result<BfsResult, SparseError> {
     check_square(a, "bfs_levels: adjacency")?;
-    check_source(source, a.nrows())?;
-    let n = a.nrows();
+    bfs_from(&a.spones(true), source)
+}
 
-    // masked_vxm computes y = xᵀ·A: scattering the frontier along its
-    // rows reaches each vertex's out-neighbours — BFS push
-    let ab = a.spones(true);
-
+/// The level loop of both entry points, over a square boolean adjacency
+/// matrix. [`masked_vxm`] computes `y = xᵀ·A`: scattering the frontier
+/// along its rows reaches each vertex's out-neighbours, which is BFS push.
+/// An out-of-range `source` is rejected by the unit frontier.
+fn bfs_from(ab: &Csr<bool>, source: usize) -> Result<BfsResult, SparseError> {
+    let n = ab.nrows();
+    let mut frontier = SparseVec::unit(n, source, true)?;
     let mut levels = vec![UNREACHED; n];
     let mut unvisited = vec![true; n];
     levels[source] = 0;
     unvisited[source] = false;
 
-    let mut frontier = SparseVec::unit(n, source, true);
     let mut reached = 1usize;
     let mut depth = 0u32;
     let mut iterations = 0usize;
@@ -53,8 +55,8 @@ pub fn bfs_levels<T: Copy>(a: &Csr<T>, source: usize) -> Result<BfsResult, Spars
     while !frontier.is_empty() {
         iterations += 1;
         depth += 1;
-        // next = (frontier ⊗ A) ⊙ ¬visited
-        let next = masked_vxm::<BoolOrAnd>(&frontier, &ab, |v| unvisited[v as usize]);
+        // next = ¬visited ⊙ (frontier ⊗ A)
+        let next = masked_vxm::<BoolOrAnd>(&frontier, ab, |v| unvisited[v as usize])?;
         for (v, _) in next.iter() {
             levels[v as usize] = depth;
             unvisited[v as usize] = false;
@@ -78,65 +80,21 @@ fn check_square<T: Copy>(a: &Csr<T>, context: &'static str) -> Result<(), Sparse
     Ok(())
 }
 
-/// Shared source-bounds check for the BFS entry points.
-fn check_source(source: usize, n: usize) -> Result<(), SparseError> {
-    if source >= n {
-        return Err(SparseError::RowOutOfBounds { row: source, nrows: n });
-    }
-    Ok(())
-}
-
-/// Batched multi-source BFS in pure linear algebra: the frontier is a
-/// `k × n` boolean matrix (one row per source) and each level is one
-/// complement-masked matrix product
-///
-/// ```text
-/// F' = ¬V ⊙ (F × A)
-/// ```
-///
-/// where `V` accumulates the visited sets. This is the formulation
-/// Solomonik et al. (the paper's betweenness-centrality citation) batch
-/// their BFS waves with, and it exercises the complemented-mask product
-/// (`GrB_DESC_C`) end-to-end.
+/// Multi-source BFS: one level vector per entry of `sources`, in order,
+/// each equal to the `levels` [`bfs_levels`] returns for that source.
+/// Every source runs the same level loop over one shared boolean copy of
+/// `A`.
 ///
 /// Errors with [`SparseError::ShapeMismatch`] on a non-square adjacency
-/// matrix and [`SparseError::RowOutOfBounds`] on any out-of-range source.
+/// matrix, even when `sources` is empty, and otherwise with
+/// [`SparseError::RowOutOfBounds`] on the first out-of-range source.
 pub fn bfs_levels_multi<T: Copy>(
     a: &Csr<T>,
     sources: &[usize],
 ) -> Result<Vec<Vec<u32>>, SparseError> {
     check_square(a, "bfs_levels_multi: adjacency")?;
-    let n = a.nrows();
-    let k = sources.len();
     let ab = a.spones(true);
-
-    // frontier and visited matrices, k × n
-    let mut coo = mspgemm_sparse::Coo::new(k, n);
-    for (s, &v) in sources.iter().enumerate() {
-        check_source(v, n)?;
-        coo.push(s, v, true);
-    }
-    let mut frontier: Csr<bool> = coo.to_csr_with(|x, _| x);
-    let mut visited = frontier.clone();
-
-    let mut levels = vec![vec![UNREACHED; n]; k];
-    for (s, &v) in sources.iter().enumerate() {
-        levels[s][v] = 0;
-    }
-
-    let mut depth = 0u32;
-    while frontier.nnz() > 0 {
-        depth += 1;
-        // F' = ¬V ⊙ (F × A)
-        let next =
-            crate::grb::masked_mxm_complemented::<BoolOrAnd>(&visited, &frontier, &ab)?;
-        for (s, v, _) in next.iter() {
-            levels[s][v as usize] = depth;
-        }
-        visited = mspgemm_sparse::ops::ewise_add::<BoolOrAnd>(&visited, &next)?;
-        frontier = next;
-    }
-    Ok(levels)
+    sources.iter().map(|&s| bfs_from(&ab, s).map(|r| r.levels)).collect()
 }
 
 /// Reference BFS with an explicit queue, for tests.
@@ -237,7 +195,8 @@ mod tests {
         let a = undirected(&[(0, 1)], 2);
         let e = bfs_levels(&a, 5).unwrap_err();
         assert!(matches!(e, SparseError::RowOutOfBounds { row: 5, nrows: 2 }), "{e}");
-        let e = bfs_levels_multi(&a, &[0, 5]).unwrap_err();
+        // the first out-of-range source is the one reported
+        let e = bfs_levels_multi(&a, &[0, 5, 7]).unwrap_err();
         assert!(matches!(e, SparseError::RowOutOfBounds { row: 5, nrows: 2 }), "{e}");
     }
 
@@ -248,8 +207,10 @@ mod tests {
         let a = coo.to_csr_sum();
         let e = bfs_levels(&a, 0).unwrap_err();
         assert!(matches!(e, SparseError::ShapeMismatch { .. }), "{e}");
-        let e = bfs_levels_multi(&a, &[0]).unwrap_err();
-        assert!(matches!(e, SparseError::ShapeMismatch { .. }), "{e}");
+        for sources in [&[0usize][..], &[], &[9]] {
+            let e = bfs_levels_multi(&a, sources).unwrap_err();
+            assert!(matches!(e, SparseError::ShapeMismatch { .. }), "{sources:?}: {e}");
+        }
     }
 
     #[test]
@@ -257,9 +218,9 @@ mod tests {
         let g = mspgemm_gen::er::erdos_renyi(120, 260, 11);
         let sources = [0usize, 7, 33, 99];
         let batched = bfs_levels_multi(&g, &sources).unwrap();
+        assert_eq!(batched.len(), sources.len());
         for (s, &src) in sources.iter().enumerate() {
-            let single = bfs_levels(&g, src).unwrap();
-            assert_eq!(batched[s], single.levels, "source {src}");
+            assert_eq!(batched[s], bfs_levels_naive(&g, src), "source {src}");
         }
     }
 

@@ -13,9 +13,7 @@
 //! kernel, included because the paper cites it as the origin of the
 //! masked-SpGEMM primitive.
 
-use crate::grb::masked_mxm;
 use mspgemm_core::{spgemm, Config, RunStats};
-use mspgemm_rt::obs;
 use mspgemm_sparse::csr::reduce_values;
 use mspgemm_sparse::{Csr, PlusPair, SparseError};
 
@@ -31,7 +29,6 @@ pub fn count_triangles_with_stats<T: Copy>(
     a: &Csr<T>,
     config: &Config,
 ) -> Result<(u64, RunStats), SparseError> {
-    obs::incr(obs::Counter::GrbMxmMasked);
     let ap = a.spones(1u64);
     let (c, stats) = spgemm::<PlusPair>(&ap, &ap, &ap, config)?;
     let total = reduce_values(&c, 0u64, |acc, v| acc + v);
@@ -46,7 +43,7 @@ pub fn count_triangles_with_stats<T: Copy>(
 /// `i → k → w` with mask edge `(i, w)`.
 pub fn count_triangles_ll<T: Copy>(a: &Csr<T>, config: &Config) -> Result<u64, SparseError> {
     let l = a.tril().spones(1u64);
-    let c = masked_mxm::<PlusPair>(&l, &l, &l, config)?;
+    let (c, _) = spgemm::<PlusPair>(&l, &l, &l, config)?;
     Ok(reduce_values(&c, 0u64, |acc, v| acc + v))
 }
 
@@ -55,30 +52,7 @@ pub fn count_triangles_ll<T: Copy>(a: &Csr<T>, config: &Config) -> Result<u64, S
 /// kernel of k-truss (§I cites k-truss as a masked-SpGEMM consumer).
 pub fn triangle_support<T: Copy>(a: &Csr<T>, config: &Config) -> Result<Csr<u64>, SparseError> {
     let ap = a.spones(1u64);
-    masked_mxm::<PlusPair>(&ap, &ap, &ap, config)
-}
-
-/// Per-vertex local clustering coefficients:
-/// `cc[v] = 2·T(v) / (deg(v)·(deg(v)−1))` where `T(v)` is the number of
-/// triangles through `v` — computed from the same masked product as
-/// [`triangle_support`] (`T(v) = ½ Σ_j S[v,j]`).
-pub fn clustering_coefficients<T: Copy>(
-    a: &Csr<T>,
-    config: &Config,
-) -> Result<Vec<f64>, SparseError> {
-    let support = triangle_support(a, config)?;
-    let mut out = Vec::with_capacity(a.nrows());
-    for v in 0..a.nrows() {
-        let deg = a.row_nnz(v);
-        if deg < 2 {
-            out.push(0.0);
-            continue;
-        }
-        let (_, vals) = support.row(v);
-        let tv: u64 = vals.iter().sum::<u64>() / 2;
-        out.push(2.0 * tv as f64 / (deg as f64 * (deg as f64 - 1.0)));
-    }
-    Ok(out)
+    spgemm::<PlusPair>(&ap, &ap, &ap, config).map(|(c, _)| c)
 }
 
 /// Brute-force oracle: enumerate all vertex triples (test-sized inputs
@@ -176,25 +150,6 @@ mod tests {
         assert_eq!(s.get(1, 2), Some(1));
         // Σ support = 6 · 2 triangles
         assert_eq!(reduce_values(&s, 0u64, |a, v| a + v), 12);
-    }
-
-    #[test]
-    fn clustering_coefficient_values() {
-        // triangle: every vertex fully clustered
-        let tri = undirected(&[(0, 1), (1, 2), (0, 2)], 3);
-        let cc = clustering_coefficients(&tri, &cfg()).unwrap();
-        for v in 0..3 {
-            assert!((cc[v] - 1.0).abs() < 1e-12, "{cc:?}");
-        }
-        // path: no triangles, middle vertex cc = 0; endpoints deg < 2
-        let path = undirected(&[(0, 1), (1, 2)], 3);
-        let cc = clustering_coefficients(&path, &cfg()).unwrap();
-        assert_eq!(cc, vec![0.0, 0.0, 0.0]);
-        // bowtie centre: deg 4, two triangles → cc = 2·2/(4·3) = 1/3
-        let bow = undirected(&[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)], 5);
-        let cc = clustering_coefficients(&bow, &cfg()).unwrap();
-        assert!((cc[2] - 1.0 / 3.0).abs() < 1e-12, "{cc:?}");
-        assert!((cc[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -104,8 +104,6 @@ catalogue! { Counter, COUNTERS_ALL, N_COUNTERS;
     ExecPlanBuilds => "exec.plan_builds",
     ExecPlanExecutes => "exec.plan_executes",
     ExecPlanRebuilds => "exec.plan_rebuilds",
-    GrbMxmMasked => "grb.mxm_masked",
-    GrbMxmUnmasked => "grb.mxm_unmasked",
     SvcSubmitted => "svc.submitted",
     SvcCompleted => "svc.completed",
     SvcRejected => "svc.rejected",

@@ -7,7 +7,7 @@
 //! that is the 1-D restriction of the paper's masked-SpGEMM.
 
 use crate::semiring::Semiring;
-use crate::{Csr, Idx};
+use crate::{Csr, Idx, SparseError};
 
 /// A sparse vector: sorted, duplicate-free `(index, value)` pairs plus a
 /// logical dimension.
@@ -20,9 +20,13 @@ pub struct SparseVec<T> {
 
 impl<T: Copy> SparseVec<T> {
     /// A single-entry vector (e.g. a BFS source frontier).
-    pub fn unit(dim: usize, i: usize, v: T) -> Self {
-        assert!(i < dim);
-        SparseVec { dim, idx: vec![i as Idx], val: vec![v] }
+    ///
+    /// Errors with [`SparseError::RowOutOfBounds`] when `i >= dim`.
+    pub fn unit(dim: usize, i: usize, v: T) -> Result<Self, SparseError> {
+        if i >= dim {
+            return Err(SparseError::RowOutOfBounds { row: i, nrows: dim });
+        }
+        Ok(SparseVec { dim, idx: vec![i as Idx], val: vec![v] })
     }
 
     /// Logical dimension.
@@ -53,12 +57,21 @@ impl<T: Copy> SparseVec<T> {
 ///
 /// This is BFS's frontier expansion: `frontier ⊗ A` under the boolean
 /// semiring with the `!visited` mask.
+///
+/// Errors with [`SparseError::ShapeMismatch`] unless `x.dim() ==
+/// a.nrows()`.
 pub fn masked_vxm<S: Semiring>(
     x: &SparseVec<S::T>,
     a: &Csr<S::T>,
     mut mask_allow: impl FnMut(Idx) -> bool,
-) -> SparseVec<S::T> {
-    assert_eq!(x.dim(), a.nrows(), "vxm: dimension mismatch");
+) -> Result<SparseVec<S::T>, SparseError> {
+    if x.dim() != a.nrows() {
+        return Err(SparseError::ShapeMismatch {
+            expected: (1, a.nrows()),
+            found: (1, x.dim()),
+            context: "masked_vxm: vector dimension",
+        });
+    }
     let mut acc: Vec<Option<S::T>> = vec![None; a.ncols()];
     let mut touched: Vec<Idx> = Vec::new();
     for (k, xv) in x.iter() {
@@ -77,8 +90,10 @@ pub fn masked_vxm<S: Semiring>(
         }
     }
     touched.sort_unstable();
-    let val: Vec<S::T> = touched.iter().map(|&j| acc[j as usize].unwrap()).collect();
-    SparseVec { dim: a.ncols(), idx: touched, val }
+    // every touched index holds a value; pairing them keeps idx and val
+    // the same length without a panic path
+    let (idx, val) = touched.iter().filter_map(|&j| Some((j, acc[j as usize]?))).unzip();
+    Ok(SparseVec { dim: a.ncols(), idx, val })
 }
 
 #[cfg(test)]
@@ -100,12 +115,12 @@ mod tests {
             coo.push_symmetric(i, i + 1, true);
         }
         let a = coo.to_csr_with(|x, _| x);
-        let frontier = SparseVec::unit(4, 1, true);
+        let frontier = SparseVec::unit(4, 1, true).unwrap();
         // mask forbids going back to 0
-        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |j| j != 0);
+        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |j| j != 0).unwrap();
         assert_eq!(indices(&next), [2]);
         // no mask: both neighbours
-        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |_| true);
+        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |_| true).unwrap();
         assert_eq!(indices(&next), [0, 2]);
     }
 
@@ -118,9 +133,9 @@ mod tests {
         coo.push(1, 3, 1.0);
         coo.push(2, 3, 1.0);
         let a = coo.to_csr_sum();
-        let x = SparseVec::unit(4, 0, 1.0);
-        let step1 = masked_vxm::<PlusTimes>(&x, &a, |_| true);
-        let step2 = masked_vxm::<PlusTimes>(&step1, &a, |_| true);
+        let x = SparseVec::unit(4, 0, 1.0).unwrap();
+        let step1 = masked_vxm::<PlusTimes>(&x, &a, |_| true).unwrap();
+        let step2 = masked_vxm::<PlusTimes>(&step1, &a, |_| true).unwrap();
         let at3 = step2.iter().find(|&(i, _)| i == 3).map(|(_, v)| v);
         assert_eq!(at3, Some(2.0), "two shortest paths to 3");
     }
@@ -134,7 +149,20 @@ mod tests {
         coo.push(1, 2, 1.0);
         let a = coo.to_csr_sum();
         let x = SparseVec { dim: 3, idx: vec![0, 1], val: vec![1.0, 1.0] };
-        let y = masked_vxm::<PlusTimes>(&x, &a, |j| j != 2);
+        let y = masked_vxm::<PlusTimes>(&x, &a, |j| j != 2).unwrap();
         assert!(y.is_empty());
+    }
+
+    #[test]
+    fn bad_inputs_are_structured_errors() {
+        let e = SparseVec::unit(3, 3, true).unwrap_err();
+        assert!(matches!(e, SparseError::RowOutOfBounds { row: 3, nrows: 3 }), "{e}");
+        // a 3-vector against a 4-row matrix
+        let mut coo = Coo::new(4, 4);
+        coo.push(0, 1, true);
+        let a = coo.to_csr_with(|x, _| x);
+        let x = SparseVec::unit(3, 0, true).unwrap();
+        let e = masked_vxm::<BoolOrAnd>(&x, &a, |_| true).unwrap_err();
+        assert!(matches!(e, SparseError::ShapeMismatch { .. }), "{e}");
     }
 }

@@ -146,7 +146,8 @@ echo "ok: kernel and submit/slot non-test code performs no heap allocation"
 echo "== panic-hygiene grep gate =="
 # Non-test code of the pool, the persistent worker layer, the driver,
 # the plan/executor layer, the generators' loader helper (gen/lib.rs,
-# which symmetrises user .mtx input) and the graph algorithms must stay
+# which symmetrises user .mtx input), the graph algorithms and the
+# sparse vector product their BFS runs on (sparse/vector.rs) must stay
 # free of .unwrap()/.expect(/panic!, of release-mode asserts (assert!,
 # assert_eq!, assert_ne!; the debug_ forms are exempt) and of
 # unreachable!/todo!/unimplemented! — panic isolation is only as good as
@@ -162,7 +163,8 @@ for f in crates/sched/src/lib.rs crates/sched/src/pool.rs \
          crates/core/src/stress.rs crates/core/src/graph.rs \
          crates/core/src/config.rs crates/core/src/presets.rs \
          crates/core/src/model.rs crates/core/src/lib.rs \
-         crates/gen/src/lib.rs crates/graph/src/*.rs; do
+         crates/gen/src/lib.rs crates/graph/src/*.rs \
+         crates/sparse/src/vector.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
                 /^[[:space:]]*\/\// { next }
                 /\.unwrap\(\)|\.expect\(|panic!|(^|[^A-Za-z0-9_])assert(_eq|_ne)?!|unreachable!|todo!|unimplemented!/ \
@@ -174,7 +176,7 @@ for f in crates/sched/src/lib.rs crates/sched/src/pool.rs \
     fi
 done
 [ "$gate_fail" -eq 0 ] || exit 1
-echo "ok: sched, core engine/plan/config, gen/lib.rs and graph non-test code is panic free"
+echo "ok: sched, core engine/plan/config, gen/lib.rs, graph and sparse/vector.rs non-test code is panic free"
 
 echo "== unsafe allowlist gate =="
 # `unsafe` is confined to two audited sites: the disjoint slot windows

@@ -37,10 +37,9 @@ pub mod prelude {
     };
     pub use mspgemm_gen::{er, rmat, road, suite_graph, suite_specs, web, GraphKind};
     pub use mspgemm_graph::{
-        bc_forward_fused, bc_forward_unfused, betweenness_centrality,
-        betweenness_centrality_batched, bfs_levels, bfs_levels_multi, clustering_coefficients,
-        count_triangles, count_triangles_ll, count_triangles_with_stats, ktruss, ktruss_unfused,
-        masked_mxm, masked_mxm_complemented, mxm, mxm_desc, triangles, Descriptor,
+        bc_forward_fused, bc_forward_unfused, betweenness_centrality, bfs_levels,
+        bfs_levels_multi, count_triangles, count_triangles_ll, count_triangles_with_stats, ktruss,
+        ktruss_unfused, triangles,
     };
     pub use mspgemm_sched::{Schedule, TilingStrategy};
     pub use mspgemm_sparse::{BoolOrAnd, Coo, Csr, Dense, MinPlus, PlusPair, PlusTimes, Semiring};
