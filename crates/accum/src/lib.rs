@@ -36,7 +36,7 @@ pub use dense::DenseAccumulator;
 pub use explicit::DenseExplicitReset;
 pub use hash::HashAccumulator;
 pub use marker::{Marker, MarkerWidth};
-pub use sink::{FusedOp, FusedSink, FusedStage, RowSink, SlotSink, VecSink};
+pub use sink::{FusedOp, FusedSink, RowSink, SlotSink, VecSink};
 
 use mspgemm_sparse::{Idx, Semiring};
 

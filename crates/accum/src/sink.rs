@@ -14,7 +14,7 @@
 //!   bound (a buggy accumulator emitting a non-mask column twice) lands on
 //!   the slice bounds check and unwinds into the driver's panic isolation.
 
-use mspgemm_sparse::{Csr, Idx};
+use mspgemm_sparse::Idx;
 
 /// Destination for one output row's `(column, value)` pairs, emitted in
 /// ascending column order by [`Accumulator::gather_into`].
@@ -125,112 +125,62 @@ impl<T> RowSink<T> for SlotSink<'_, T> {
 ///
 /// These are the consumers that would otherwise run as separate
 /// memory-bound passes over a materialised intermediate: `select` by
-/// threshold, `spones`, and row-local pattern intersection/subtraction
-/// (`ewise_mult` / `ewise_without` against a structural pattern). Fusing
-/// them into the gather means the intermediate row never leaves the
-/// accumulator's cache-resident slot.
-pub enum FusedOp<'p, T> {
+/// threshold and `spones`. Fusing them into the gather means the
+/// intermediate row never leaves the accumulator's cache-resident slot.
+#[derive(Clone, Copy, Debug)]
+pub enum FusedOp<T> {
     /// Keep entries whose value satisfies `v >= threshold` (GraphBLAS
     /// `select` with `GrB_VALUEGE`) — the k-truss support filter.
     SelectGe(T),
     /// Replace every surviving value (`spones` re-canonicalisation).
     Fill(T),
-    /// Keep only columns present in the pattern's matching row
-    /// (structural `ewise_mult`; pattern values are ignored).
-    Intersect(&'p Csr<T>),
-    /// Drop columns present in the pattern's matching row (structural
-    /// `ewise_without`, the complemented mask).
-    Subtract(&'p Csr<T>),
 }
 
-/// A [`FusedOp`] plus its per-row cursor state. Pushes arrive in
-/// ascending column order, so pattern ops co-iterate with a monotone
-/// cursor instead of binary searching — one amortised comparison per
-/// pushed entry.
-pub struct FusedStage<'p, T> {
-    op: FusedOp<'p, T>,
-    row: &'p [Idx],
-    cursor: usize,
-}
-
-impl<'p, T: Copy + PartialOrd> FusedStage<'p, T> {
-    /// Wrap one op; call [`FusedSink::begin_row`] before each row.
-    pub fn new(op: FusedOp<'p, T>) -> Self {
-        FusedStage { op, row: &[], cursor: 0 }
-    }
-
-    fn begin_row(&mut self, i: usize) {
-        self.row = match &self.op {
-            FusedOp::Intersect(p) | FusedOp::Subtract(p) => p.row(i).0,
-            _ => &[],
-        };
-        self.cursor = 0;
-    }
-
+impl<T: Copy + PartialOrd> FusedOp<T> {
     /// Filter/transform one entry; `None` drops it.
     #[inline(always)]
-    fn apply(&mut self, j: Idx, v: T) -> Option<T> {
-        match &self.op {
-            FusedOp::SelectGe(t) => (v >= *t).then_some(v),
-            FusedOp::Fill(one) => Some(*one),
-            FusedOp::Intersect(_) => {
-                while self.cursor < self.row.len() && self.row[self.cursor] < j {
-                    self.cursor += 1;
-                }
-                (self.cursor < self.row.len() && self.row[self.cursor] == j).then_some(v)
-            }
-            FusedOp::Subtract(_) => {
-                while self.cursor < self.row.len() && self.row[self.cursor] < j {
-                    self.cursor += 1;
-                }
-                (self.cursor >= self.row.len() || self.row[self.cursor] != j).then_some(v)
-            }
+    fn apply(&self, v: T) -> Option<T> {
+        match *self {
+            FusedOp::SelectGe(t) => (v >= t).then_some(v),
+            FusedOp::Fill(one) => Some(one),
         }
     }
 }
 
-/// A sink adapter applying a chain of [`FusedStage`]s to each pushed
-/// entry before forwarding survivors to the inner sink. Ascending column
-/// order is preserved (stages filter and map values; they never reorder).
+/// A sink adapter applying a chain of [`FusedOp`]s to each pushed entry
+/// before forwarding survivors to the inner sink. Ascending column order
+/// is preserved (ops filter and map values; they never reorder), and no
+/// op depends on the row, so one chain serves every row of a tile.
 ///
 /// Counters are plain instance-local integers — the zero-cost metrics
 /// contract (no atomics in sink code) holds; callers fold
 /// [`fused_elements`](Self::fused_elements) into the global registry at
 /// most once per tile.
-pub struct FusedSink<'a, 'p, T, W: RowSink<T> + ?Sized> {
-    stages: &'a mut [FusedStage<'p, T>],
+pub struct FusedSink<'a, T, W: RowSink<T> + ?Sized> {
+    ops: &'a [FusedOp<T>],
     inner: &'a mut W,
     fused: u64,
 }
 
-impl<'a, 'p, T: Copy + PartialOrd, W: RowSink<T> + ?Sized> FusedSink<'a, 'p, T, W> {
-    /// Chain `stages` (applied in order) in front of `inner`.
-    pub fn new(stages: &'a mut [FusedStage<'p, T>], inner: &'a mut W) -> Self {
-        FusedSink { stages, inner, fused: 0 }
+impl<'a, T: Copy + PartialOrd, W: RowSink<T> + ?Sized> FusedSink<'a, T, W> {
+    /// Chain `ops` (applied in order) in front of `inner`.
+    pub fn new(ops: &'a [FusedOp<T>], inner: &'a mut W) -> Self {
+        FusedSink { ops, inner, fused: 0 }
     }
 
-    /// Reset per-row pattern cursors for output row `i`. Must be called
-    /// before the kernel gathers row `i`.
-    pub fn begin_row(&mut self, i: usize) {
-        for stage in self.stages.iter_mut() {
-            stage.begin_row(i);
-        }
-    }
-
-    /// Entries that passed through the stage chain (pushed × stages),
-    /// whether or not they survived — the `fusion.sink_fused_elements`
-    /// quantity.
+    /// Entries that passed through the op chain (pushed × ops), whether
+    /// or not they survived — the `fusion.sink_fused_elements` quantity.
     pub fn fused_elements(&self) -> u64 {
         self.fused
     }
 }
 
-impl<T: Copy + PartialOrd, W: RowSink<T> + ?Sized> RowSink<T> for FusedSink<'_, '_, T, W> {
+impl<T: Copy + PartialOrd, W: RowSink<T> + ?Sized> RowSink<T> for FusedSink<'_, T, W> {
     #[inline(always)]
     fn push(&mut self, j: Idx, mut v: T) {
-        for stage in self.stages.iter_mut() {
+        for op in self.ops {
             self.fused += 1;
-            match stage.apply(j, v) {
+            match op.apply(v) {
                 Some(next) => v = next,
                 None => return,
             }
@@ -275,12 +225,10 @@ mod tests {
     fn fused_select_then_fill_matches_select_spones() {
         // the k-truss chain: keep v >= 2, then re-canonicalise to ones
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        let mut stages =
-            [FusedStage::new(FusedOp::SelectGe(2u64)), FusedStage::new(FusedOp::Fill(1u64))];
+        let ops = [FusedOp::SelectGe(2u64), FusedOp::Fill(1u64)];
         {
             let mut inner = VecSink { cols: &mut cols, vals: &mut vals };
-            let mut sink = FusedSink::new(&mut stages, &mut inner);
-            sink.begin_row(0);
+            let mut sink = FusedSink::new(&ops, &mut inner);
             sink.push(1, 1);
             sink.push(4, 2);
             sink.push(9, 5);
@@ -291,42 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_pattern_ops_co_iterate_per_row() {
-        use mspgemm_sparse::Coo;
-        let mut coo = Coo::new(2, 8);
-        for j in [1, 4, 6] {
-            coo.push(0, j, 0.0f64);
-        }
-        coo.push(1, 2, 0.0);
-        let pattern: Csr<f64> = coo.to_csr_sum();
-
-        let run = |op: FusedOp<'_, f64>, row: usize, pushes: &[Idx]| {
-            let (mut cols, mut vals) = (Vec::new(), Vec::new());
-            let mut stages = [FusedStage::new(op)];
-            let mut inner = VecSink { cols: &mut cols, vals: &mut vals };
-            let mut sink = FusedSink::new(&mut stages, &mut inner);
-            sink.begin_row(row);
-            for &j in pushes {
-                sink.push(j, 1.0);
-            }
-            drop(sink);
-            cols
-        };
-        // intersect keeps the pattern columns, subtract drops them
-        assert_eq!(run(FusedOp::Intersect(&pattern), 0, &[0, 1, 2, 4, 7]), vec![1, 4]);
-        assert_eq!(run(FusedOp::Subtract(&pattern), 0, &[0, 1, 2, 4, 7]), vec![0, 2, 7]);
-        // row 1 has its own pattern row; cursors reset via begin_row
-        assert_eq!(run(FusedOp::Intersect(&pattern), 1, &[1, 2, 3]), vec![2]);
-    }
-
-    #[test]
-    fn empty_stage_chain_is_a_transparent_passthrough() {
+    fn empty_op_chain_is_a_transparent_passthrough() {
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        let mut stages: [FusedStage<'_, f64>; 0] = [];
+        let ops: [FusedOp<f64>; 0] = [];
         {
             let mut inner = VecSink { cols: &mut cols, vals: &mut vals };
-            let mut sink = FusedSink::new(&mut stages, &mut inner);
-            sink.begin_row(0);
+            let mut sink = FusedSink::new(&ops, &mut inner);
             sink.push(5, 2.5);
             assert_eq!(sink.fused_elements(), 0);
         }

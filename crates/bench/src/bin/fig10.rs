@@ -54,7 +54,7 @@ fn measure_sweep(opts: &HarnessOptions) -> SweepData {
     let grid = tile_grid(threads);
     let mut data: SweepData = BTreeMap::new();
     for tiling in [TilingStrategy::FlopBalanced, TilingStrategy::Uniform] {
-        for schedule in [Schedule::Dynamic { chunk: 1 }, Schedule::Static] {
+        for schedule in [Schedule::Dynamic, Schedule::Static] {
             for acc in [
                 AccumulatorKind::Dense(MarkerWidth::W32),
                 AccumulatorKind::Hash(MarkerWidth::W32),

@@ -57,7 +57,7 @@ fn main() {
             ] {
                 for tiling in [TilingStrategy::FlopBalanced, TilingStrategy::Uniform] {
                     let mut pair = Vec::new();
-                    for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 1 }] {
+                    for schedule in [Schedule::Static, Schedule::Dynamic] {
                         let cfg = Config::builder()
                             .n_threads(opts.threads)
                             .n_tiles(n_tiles)

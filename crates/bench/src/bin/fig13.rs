@@ -34,7 +34,7 @@ fn main() {
                 .n_threads(opts.threads)
                 .n_tiles(2048)
                 .tiling(TilingStrategy::FlopBalanced)
-                .schedule(Schedule::Dynamic { chunk: 1 })
+                .schedule(Schedule::Dynamic)
                 .kernel_policy(mspgemm_core::KernelPolicy::new().accumulator(acc).hybrid(1.0))
                 .build();
             eprintln!("[fig13] {}", acc.label());

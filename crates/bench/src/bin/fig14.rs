@@ -40,7 +40,7 @@ fn main() {
             .n_threads(opts.threads)
             .n_tiles(2048)
             .tiling(TilingStrategy::FlopBalanced)
-            .schedule(Schedule::Dynamic { chunk: 1 })
+            .schedule(Schedule::Dynamic)
             .kernel_policy(
                 mspgemm_core::KernelPolicy::new()
                     .accumulator(acc)

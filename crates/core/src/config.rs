@@ -144,7 +144,7 @@ impl Default for Config {
             n_threads: 0,
             n_tiles: 2048,
             tiling: TilingStrategy::FlopBalanced,
-            schedule: Schedule::Dynamic { chunk: 1 },
+            schedule: Schedule::Dynamic,
             kernel: KernelPolicy::default(),
         }
     }
@@ -274,7 +274,7 @@ mod tests {
     fn default_is_the_papers_recommendation() {
         let c = Config::default();
         assert_eq!(c.tiling, TilingStrategy::FlopBalanced);
-        assert_eq!(c.schedule, Schedule::Dynamic { chunk: 1 });
+        assert_eq!(c.schedule, Schedule::Dynamic);
         assert_eq!(c.n_tiles, 2048);
         assert!(matches!(c.kernel.iteration, IterationSpace::Hybrid { kappa } if kappa == 1.0));
         assert_eq!(c.kernel.accumulator, AccumulatorKind::Hash(MarkerWidth::W32));

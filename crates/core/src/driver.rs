@@ -56,15 +56,15 @@
 
 use crate::config::{Config, IterationSpace};
 use crate::executor::{Executor, ExecutorShared};
-use crate::graph::{GraphCore, NodePlan, OperandRef, PostOpSpec};
+use crate::graph::{GraphCore, NodePlan, OperandRef};
 use crate::kernels::{
     row_coiterate, row_hybrid, row_mask_accumulate, row_vanilla, tally_row_hybrid, HybridStats,
     RowRead,
 };
 use crate::plan::{AccCell, AccSlot, PlanScratch, SlotBufs};
 use mspgemm_accum::{
-    Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, FusedStage,
-    HashAccumulator, MarkerWidth, RowSink, SlotSink,
+    Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, HashAccumulator,
+    MarkerWidth, RowSink, SlotSink,
 };
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
@@ -174,9 +174,6 @@ pub(crate) struct Job<'r, S: Semiring> {
     /// this job's tiles and settle reports [`SparseError::Cancelled`] /
     /// [`SparseError::DeadlineExceeded`]. Sibling jobs are untouched.
     pub(crate) cancel: Option<&'r CancelToken>,
-    /// Tiles this job contributes per round of a batch's interleaved claim
-    /// order (see [`mspgemm_sched::MultiRun::weight`]).
-    pub(crate) weight: u32,
     /// Symbolic-phase wall time attributed to this job, reported in its
     /// `RunStats`.
     pub(crate) setup: Duration,
@@ -227,7 +224,7 @@ pub(crate) fn run_jobs<S: Semiring>(
     let n_threads = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1);
     let schedule = match jobs.as_slice() {
         [job] => job.core.config.schedule,
-        _ => Schedule::Dynamic { chunk: 1 },
+        _ => Schedule::Dynamic,
     };
     for job in jobs.iter_mut() {
         obs::incr(obs::Counter::DriverRuns);
@@ -250,22 +247,20 @@ pub(crate) fn run_jobs<S: Semiring>(
                     return (0..n_jobs).map(|_| Err(e.clone())).collect();
                 }
             }
-            views.push((job.core, job.inputs, accums.as_slice(), job.cancel, job.weight));
+            views.push((job.core, job.inputs, accums.as_slice(), job.cancel));
         }
         let bodies: Vec<TileFn<'_>> = views
             .iter()
             .zip(&ledgers)
-            .map(|(&(core, inputs, cells, _, _), ledger)| {
-                let body = TileBody { core, inputs, cells, ledger };
-                dispatch_accumulator::<S, _>(core, metered, body)
+            .map(|(&(core, inputs, cells, _), ledger)| {
+                dispatch_accumulator::<S>(TileBody { core, inputs, cells, ledger }, metered)
             })
             .collect();
         let runs: Vec<MultiRun<'_>> = views
             .iter()
             .zip(&bodies)
-            .map(|(&(core, _, _, cancel, weight), body)| MultiRun {
+            .map(|(&(core, _, _, cancel), body)| MultiRun {
                 n_tiles: core.tiles.len(),
-                weight,
                 cancel,
                 body: body.as_ref(),
             })
@@ -291,7 +286,7 @@ pub(crate) fn run_jobs<S: Semiring>(
         .zip(&out.failures)
         .map(|((job, tally), failures)| {
             let settle_start = Instant::now();
-            let (outputs, retry) = settle::<S>(exec, job, tally, failures, n_threads)?;
+            let (outputs, retry) = settle::<S>(job, tally, failures)?;
             let stats = RunStats {
                 elapsed: (par_elapsed + settle_start.elapsed()).saturating_sub(retry.elapsed),
                 setup: job.setup,
@@ -370,28 +365,6 @@ struct TileBody<'x, S: Semiring> {
     ledger: &'x Ledger<'x, S::T>,
 }
 
-/// The receiver of [`dispatch_accumulator`]'s choice: gets the concrete
-/// accumulator type through `make()`.
-trait WithAccumulator<S: Semiring> {
-    type Out;
-    fn with<A, F>(self, make: F) -> Self::Out
-    where
-        A: Accumulator<S> + Send + 'static,
-        F: Fn() -> A + Sync + 'static;
-}
-
-impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
-    type Out = TileFn<'x>;
-
-    fn with<A, F>(self, make: F) -> TileFn<'x>
-    where
-        A: Accumulator<S> + Send + 'static,
-        F: Fn() -> A + Sync + 'static,
-    {
-        Box::new(move |t, tile| run_tile::<S, A, F>(&self, &make, t, tile))
-    }
-}
-
 /// The one accumulator dispatch: monomorphise on the accumulator family ×
 /// marker width — and on the metering flag: armed runs use
 /// the counting (`METER = true`) accumulator instantiations, unarmed runs
@@ -402,50 +375,54 @@ impl<'x, S: Semiring> WithAccumulator<S> for TileBody<'x, S> {
 ///
 /// Hash tables are built at the plan's hard bound `max_row_entries`
 /// (§III-C); dense tables span the full column range.
-fn dispatch_accumulator<S: Semiring, V: WithAccumulator<S>>(
-    core: &GraphCore<S::T>,
-    metered: bool,
-    v: V,
-) -> V::Out {
+fn dispatch_accumulator<S: Semiring>(body: TileBody<'_, S>, metered: bool) -> TileFn<'_> {
     if metered {
-        pick_accumulator::<S, V, true>(core, v)
+        pick_accumulator::<S, true>(body)
     } else {
-        pick_accumulator::<S, V, false>(core, v)
+        pick_accumulator::<S, false>(body)
     }
 }
 
-fn pick_accumulator<S: Semiring, V: WithAccumulator<S>, const METER: bool>(
-    core: &GraphCore<S::T>,
-    v: V,
-) -> V::Out {
+fn pick_accumulator<S: Semiring, const METER: bool>(body: TileBody<'_, S>) -> TileFn<'_> {
+    let core = body.core;
     let ncols = core.max_ncols;
     let cap = core.max_row_entries;
     match core.config.kernel.accumulator {
         AccumulatorKind::Dense(MarkerWidth::W8) => {
-            v.with(move || DenseAccumulator::<S, u8, METER>::new(ncols))
+            tile_fn(body, move || DenseAccumulator::<S, u8, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W16) => {
-            v.with(move || DenseAccumulator::<S, u16, METER>::new(ncols))
+            tile_fn(body, move || DenseAccumulator::<S, u16, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W32) => {
-            v.with(move || DenseAccumulator::<S, u32, METER>::new(ncols))
+            tile_fn(body, move || DenseAccumulator::<S, u32, METER>::new(ncols))
         }
         AccumulatorKind::Dense(MarkerWidth::W64) => {
-            v.with(move || DenseAccumulator::<S, u64, METER>::new(ncols))
+            tile_fn(body, move || DenseAccumulator::<S, u64, METER>::new(ncols))
         }
         AccumulatorKind::Hash(MarkerWidth::W8) => {
-            v.with(move || HashAccumulator::<S, u8, METER>::with_row_capacity(cap))
+            tile_fn(body, move || HashAccumulator::<S, u8, METER>::with_row_capacity(cap))
         }
         AccumulatorKind::Hash(MarkerWidth::W16) => {
-            v.with(move || HashAccumulator::<S, u16, METER>::with_row_capacity(cap))
+            tile_fn(body, move || HashAccumulator::<S, u16, METER>::with_row_capacity(cap))
         }
         AccumulatorKind::Hash(MarkerWidth::W32) => {
-            v.with(move || HashAccumulator::<S, u32, METER>::with_row_capacity(cap))
+            tile_fn(body, move || HashAccumulator::<S, u32, METER>::with_row_capacity(cap))
         }
         AccumulatorKind::Hash(MarkerWidth::W64) => {
-            v.with(move || HashAccumulator::<S, u64, METER>::with_row_capacity(cap))
+            tile_fn(body, move || HashAccumulator::<S, u64, METER>::with_row_capacity(cap))
         }
     }
+}
+
+/// Box [`run_tile`] for one concrete accumulator type, built by `make`.
+fn tile_fn<'x, S, A, F>(body: TileBody<'x, S>, make: F) -> TileFn<'x>
+where
+    S: Semiring,
+    A: Accumulator<S> + Send + 'static,
+    F: Fn() -> A + Sync + 'static,
+{
+    Box::new(move |t, tile| run_tile::<S, A, F>(&body, &make, t, tile))
 }
 
 /// Lease one worker's accumulator cell for a tile. A poisoned cell (a
@@ -648,36 +625,21 @@ where
         vals,
         nnz,
     };
-    // patterns borrow the external inputs directly — co-iterated per row,
-    // never copied (a node without post-ops builds an empty, unallocated
-    // chain)
-    let mut stages: Vec<FusedStage<'_, S::T>> = node
-        .post
-        .iter()
-        .map(|p| {
-            FusedStage::new(match *p {
-                PostOpSpec::SelectGe(t) => FusedOp::SelectGe(t),
-                PostOpSpec::Fill(v) => FusedOp::Fill(v),
-                PostOpSpec::Intersect(e) => FusedOp::Intersect(inputs[e]),
-                PostOpSpec::Subtract(e) => FusedOp::Subtract(inputs[e]),
-            })
-        })
-        .collect();
     let (b, mask) = (inputs[node.b], inputs[node.mask]);
     // monomorphic row loops: a node without post-ops never sees FusedSink
-    let st = &mut stages;
-    match (a, st.is_empty()) {
+    let ops = node.post.as_slice();
+    match (a, ops.is_empty()) {
         (Operand::Ext(m), true) => {
-            node_rows::<S, A, _, false>(&mut w, iteration, m, b, mask, st, acc)
+            node_rows::<S, A, _, false>(&mut w, iteration, m, b, mask, ops, acc)
         }
         (Operand::Ext(m), false) => {
-            node_rows::<S, A, _, true>(&mut w, iteration, m, b, mask, st, acc)
+            node_rows::<S, A, _, true>(&mut w, iteration, m, b, mask, ops, acc)
         }
         (Operand::Chained(v), true) => {
-            node_rows::<S, A, _, false>(&mut w, iteration, &v, b, mask, st, acc)
+            node_rows::<S, A, _, false>(&mut w, iteration, &v, b, mask, ops, acc)
         }
         (Operand::Chained(v), false) => {
-            node_rows::<S, A, _, true>(&mut w, iteration, &v, b, mask, st, acc)
+            node_rows::<S, A, _, true>(&mut w, iteration, &v, b, mask, ops, acc)
         }
     }
 }
@@ -720,7 +682,7 @@ fn node_rows<S, A, R, const FUSED: bool>(
     a: &R,
     b: &Csr<S::T>,
     mask: &Csr<S::T>,
-    stages: &mut [FusedStage<'_, S::T>],
+    ops: &[FusedOp<S::T>],
     acc: &mut A,
 ) -> Option<u64>
 where
@@ -739,8 +701,7 @@ where
         let mut slot =
             SlotSink::for_row(&mut w.cols[base..base + width], &mut w.vals[base..base + width], i);
         if FUSED {
-            let mut sink = FusedSink::new(&mut *stages, &mut slot);
-            sink.begin_row(i);
+            let mut sink = FusedSink::new(ops, &mut slot);
             run_row::<S, A, R, _>(i, iteration, a, b, mask_cols, acc, &mut hstats, &mut sink);
             fused += sink.fused_elements();
         } else {
@@ -828,11 +789,9 @@ struct RetryStats {
 ///    compacted, firing the `fragment-stitch` failpoint per tile copied,
 ///    and the scratch keeps what it can reuse.
 fn settle<S: Semiring>(
-    exec: &ExecutorShared,
     job: &mut Job<'_, S>,
     tally: Tally,
     failures: &[TileFailure],
-    n_threads: usize,
 ) -> Result<(Vec<Csr<S::T>>, RetryStats), SparseError> {
     let Tally { completed, duplicate } = tally;
     if let Some(tile_idx) = duplicate {
@@ -884,7 +843,7 @@ fn settle<S: Semiring>(
     let mut outputs = Vec::new();
     for (node, bufs) in core.nodes.iter().zip(job.scratch.slots.iter_mut()) {
         if node.output {
-            outputs.push(assemble::<S>(exec, core, node, bufs, n_threads)?);
+            outputs.push(assemble::<S>(core, node, bufs)?);
         }
     }
     Ok((outputs, retry))
@@ -934,38 +893,17 @@ fn retry_tile<S: Semiring>(
     }
 }
 
-/// Minimum compacted-output volume, in bytes, before the slack-squeeze
-/// pass is scheduled on the pool instead of running serially. Small
-/// outputs aren't worth a fork/join (and keeping unit-test-sized runs
-/// serial keeps per-run scheduler counters single-pass). Overridable via
-/// `MSPGEMM_COMPACT_PAR_MIN`, read once per process.
-fn compact_par_min() -> usize {
-    static MIN: OnceLock<usize> = OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("MSPGEMM_COMPACT_PAR_MIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(4 << 20)
-    })
-}
-
 /// Turn one output node's slot buffers into its CSR. With no slack the
 /// slot buffers *are* the output — zero bytes moved: they leave with the
 /// result, and the scratch keeps only the (cheap) per-row nnz array and
-/// re-allocates slots next run. Otherwise the slack is squeezed out — per
-/// tile on the pool above [`compact_par_min`], serially below it or when
-/// the parallel pass lost a tile (the serial redo overwrites every window,
-/// so a partial parallel attempt cannot leak) — and the buffers stay for
-/// reuse.
+/// re-allocates slots next run. Otherwise the slack is squeezed out by a
+/// serial copy, tile by tile, and the buffers stay for reuse.
 fn assemble<S: Semiring>(
-    exec: &ExecutorShared,
     core: &GraphCore<S::T>,
     node: &NodePlan<S::T>,
     bufs: &mut SlotBufs<S::T>,
-    n_threads: usize,
 ) -> Result<Csr<S::T>, SparseError> {
     let nrows = core.nrows;
-    let tiles = &core.tiles;
     let (row_ptr, output_nnz) = build_row_ptr(nrows, &node.nonempty, &bufs.nnz);
     // mask bound minus realised output: the per-row slack the slot
     // buffers preallocated and compaction squeezes away
@@ -977,71 +915,35 @@ fn assemble<S: Semiring>(
 
     let mut out_cols = vec![0 as Idx; output_nnz];
     let mut out_vals = vec![S::zero(); output_nnz];
-    let entry_bytes = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>();
-    let parallel =
-        n_threads > 1 && tiles.len() > 1 && output_nnz * entry_bytes >= compact_par_min();
-    let copy = |idx: usize, cols: &mut [Idx], vals: &mut [S::T]| {
-        failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        let (nlo, nhi) = node.nonempty_ranges[idx];
-        let bytes = copy_tile_rows::<S>(
-            tiles[idx],
-            &node.nonempty[nlo..nhi],
-            &row_ptr,
-            &bufs.cols,
-            &bufs.vals,
-            cols,
-            vals,
-        );
-        obs::add(obs::Counter::DriverCompactionBytes, bytes);
-    };
-    let mut done = false;
-    if parallel {
-        // tile t's destination window is [row_ptr[t.lo], row_ptr[t.hi])
-        let dest_ranges: Vec<(usize, usize)> =
-            tiles.iter().map(|t| (row_ptr[t.lo], row_ptr[t.hi])).collect();
-        let copied: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-        {
-            let dc = DisjointSlots::new(&mut out_cols, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            let dv = DisjointSlots::new(&mut out_vals, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            // a lost tile falls through to the serial redo below; a pool
-            // failure leaves `copied` incomplete and does the same
-            let _ = exec.pool.run_tiles(
-                n_threads,
-                tiles.len(),
-                Schedule::Dynamic { chunk: 1 },
-                |_, idx| {
-                    if let (Some(c), Some(v)) = (dc.take(idx), dv.take(idx)) {
-                        copy(idx, c, v);
-                        let _ = copied[idx].set(());
-                    }
-                },
+    let copied = catch_tile_panic(|| {
+        for (idx, &tile) in core.tiles.iter().enumerate() {
+            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
+            let (dlo, dhi) = (row_ptr[tile.lo], row_ptr[tile.hi]);
+            let (nlo, nhi) = node.nonempty_ranges[idx];
+            let bytes = copy_tile_rows::<S>(
+                tile,
+                &node.nonempty[nlo..nhi],
+                &row_ptr,
+                &bufs.cols,
+                &bufs.vals,
+                &mut out_cols[dlo..dhi],
+                &mut out_vals[dlo..dhi],
             );
+            obs::add(obs::Counter::DriverCompactionBytes, bytes);
         }
-        done = copied.iter().all(|c| c.get().is_some());
-    }
-    if !done {
-        let serial = catch_tile_panic(|| {
-            for (idx, t) in tiles.iter().enumerate() {
-                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-                copy(idx, &mut out_cols[dlo..dhi], &mut out_vals[dlo..dhi]);
-            }
-        });
-        if let Err(msg) = serial {
-            return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-        }
+    });
+    if let Err(msg) = copied {
+        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
     }
     Ok(Csr::from_parts_unchecked(nrows, node.ncols, row_ptr, out_cols, out_vals))
 }
 
 /// Copy one tile's rows from their slack-padded slots into the compacted
 /// output window `[row_ptr[tile.lo], row_ptr[tile.hi])`, returning the
-/// bytes moved. Pure per-tile function, safe to run from any worker: the
-/// sources are disjoint reads and the destination window is exclusive.
-/// `nonempty` is the tile's slice of the node's nonempty-mask-row list —
-/// rows outside it own no slots and hold no output, so only the rows the
-/// mask asks about are visited (the frontier-mask settle cost).
+/// bytes moved. `nonempty` is the tile's slice of the node's
+/// nonempty-mask-row list — rows outside it own no slots and hold no
+/// output, so only the rows the mask asks about are visited (the
+/// frontier-mask settle cost).
 fn copy_tile_rows<S: Semiring>(
     tile: Tile,
     nonempty: &[(Idx, usize)],
@@ -1262,7 +1164,6 @@ mod tests {
                 inputs: &[&a, &b, &mask],
                 scratch: &mut scratch,
                 cancel: None,
-                weight: 1,
                 setup: Duration::ZERO,
                 fused_ops: 0,
             };

@@ -146,7 +146,6 @@ impl Executor {
             inputs: &[a, b, mask],
             scratch: &mut scratch,
             cancel: None,
-            weight: 1,
             setup,
             fused_ops: 0,
         };

@@ -15,10 +15,10 @@
 //!   are *external* inputs (their structure is needed at freeze time for
 //!   the slot layout) while `A` may be either an external input or the
 //!   output of an earlier node;
-//! * element-wise consumers — `select`-by-threshold, `spones`
-//!   re-canonicalisation, structural intersect/subtract — fuse into the
-//!   kernel's row sink ([`mspgemm_accum::FusedSink`]) instead of running
-//!   as separate passes over a materialised intermediate;
+//! * element-wise consumers — `select`-by-threshold and `spones`
+//!   re-canonicalisation — fuse into the kernel's row sink
+//!   ([`mspgemm_accum::FusedSink`]) instead of running as separate passes
+//!   over a materialised intermediate;
 //! * all nodes share one FLOP-balanced row partition (their summed Eq. 2
 //!   estimates), and one pool run executes the *entire chain per tile*:
 //!   the worker that finishes node `j`'s rows `[lo, hi)` immediately runs
@@ -77,6 +77,7 @@ use crate::config::{Config, IterationSpace};
 use crate::driver::{run_job, Job, JobResult, RunStats};
 use crate::executor::{Executor, ExecutorShared};
 use crate::plan::{structure_hash, Pin, PlanScratch};
+use mspgemm_accum::FusedOp;
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
     catch_tile_panic,
@@ -126,23 +127,12 @@ pub(crate) enum OperandRef {
     Node(usize),
 }
 
-/// One element-wise consumer fused into a node's row gather. Pattern ops
-/// name an external input by index; the pattern is read fresh at run
-/// time, so only its shape is load-bearing for the frozen graph.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PostOpSpec<T> {
-    SelectGe(T),
-    Fill(T),
-    Intersect(usize),
-    Subtract(usize),
-}
-
 /// One node as declared on the builder, before freezing.
 pub(crate) struct NodeDecl<T> {
     a: OperandRef,
     b: usize,
     mask: usize,
-    post: Vec<PostOpSpec<T>>,
+    post: Vec<FusedOp<T>>,
     output: bool,
 }
 
@@ -202,7 +192,7 @@ impl<S: Semiring> GraphBuilder<S> {
         NodeId(self.nodes.len() - 1)
     }
 
-    fn push_post(&mut self, node: NodeId, op: PostOpSpec<S::T>) {
+    fn push_post(&mut self, node: NodeId, op: FusedOp<S::T>) {
         match self.nodes.get_mut(node.0) {
             Some(n) => n.post.push(op),
             None => self.broken = Some("post-op references a foreign node"),
@@ -212,31 +202,13 @@ impl<S: Semiring> GraphBuilder<S> {
     /// Fuse a `select`-by-threshold onto `node`: keep entries with
     /// `v >= threshold` (the k-truss support filter).
     pub fn select_ge(&mut self, node: NodeId, threshold: S::T) {
-        self.push_post(node, PostOpSpec::SelectGe(threshold));
+        self.push_post(node, FusedOp::SelectGe(threshold));
     }
 
     /// Fuse an `spones`-style re-canonicalisation onto `node`: every
     /// surviving value becomes `one`.
     pub fn fill(&mut self, node: NodeId, one: S::T) {
-        self.push_post(node, PostOpSpec::Fill(one));
-    }
-
-    /// Fuse a structural `ewise_mult` onto `node`: keep only columns
-    /// present in `pattern`'s matching row.
-    pub fn intersect(&mut self, node: NodeId, pattern: ExtId) {
-        if pattern.0 >= self.n_ext {
-            self.broken = Some("intersect pattern references an undeclared input");
-        }
-        self.push_post(node, PostOpSpec::Intersect(pattern.0));
-    }
-
-    /// Fuse a structural `ewise_without` onto `node`: drop columns
-    /// present in `pattern`'s matching row.
-    pub fn subtract(&mut self, node: NodeId, pattern: ExtId) {
-        if pattern.0 >= self.n_ext {
-            self.broken = Some("subtract pattern references an undeclared input");
-        }
-        self.push_post(node, PostOpSpec::Subtract(pattern.0));
+        self.push_post(node, FusedOp::Fill(one));
     }
 
     /// Mark `node`'s (post-op-filtered) result for materialisation. If no
@@ -330,8 +302,6 @@ fn input_pins<T>(config: &Config, nodes: &[NodeDecl<T>], n_inputs: usize) -> Vec
             pins[e] = pins[e].max(Pin::RowsAndCols);
             pins[node.b] = pins[node.b].max(Pin::Rows);
         }
-        // intersect/subtract patterns are read fresh at run time; only
-        // their shape is load-bearing (Pin::Dims covers it)
     }
     pins
 }
@@ -387,18 +357,6 @@ pub(crate) fn freeze<T: Copy + Sync>(
                 found: (mask.nrows(), mask.ncols()),
                 context: "masked_spgemm: mask shape",
             });
-        }
-        for post in &node.post {
-            if let PostOpSpec::Intersect(p) | PostOpSpec::Subtract(p) = *post {
-                let pat = inputs[p];
-                if (pat.nrows(), pat.ncols()) != (nrows, b.ncols()) {
-                    return Err(SparseError::ShapeMismatch {
-                        expected: (nrows, b.ncols()),
-                        found: (pat.nrows(), pat.ncols()),
-                        context: "plan graph: fused pattern shape",
-                    });
-                }
-            }
         }
         node_ncols.push(b.ncols());
     }
@@ -537,9 +495,9 @@ fn estimate_on_pool<T: Copy + Sync>(
     mask: &Csr<T>,
     work: &mut [u64],
 ) -> bool {
-    let (per_worker, schedule) = match schedule {
-        Schedule::Static => (1, Schedule::Static),
-        _ => (8, Schedule::Dynamic { chunk: 1 }),
+    let per_worker = match schedule {
+        Schedule::Static => 1,
+        Schedule::Dynamic => 8,
     };
     let nrows = a.nrows();
     let n_blocks = n_threads.saturating_mul(per_worker).min(nrows);
@@ -615,7 +573,7 @@ pub(crate) struct NodePlan<T> {
     pub(crate) a: OperandRef,
     pub(crate) b: usize,
     pub(crate) mask: usize,
-    pub(crate) post: Vec<PostOpSpec<T>>,
+    pub(crate) post: Vec<FusedOp<T>>,
     pub(crate) output: bool,
     /// Output column count (`B.ncols`).
     pub(crate) ncols: usize,
@@ -754,7 +712,6 @@ impl<S: Semiring> PlanGraph<S> {
             inputs,
             scratch: &mut self.scratch,
             cancel,
-            weight: 1,
             setup,
             fused_ops,
         };
@@ -766,7 +723,7 @@ impl<S: Semiring> PlanGraph<S> {
 mod tests {
     use super::*;
     use crate::{spgemm, Session};
-    use mspgemm_sparse::{ops, PlusPair, PlusTimes};
+    use mspgemm_sparse::{PlusPair, PlusTimes};
 
     fn ring_with_chords(n: usize, seed: u64) -> Csr<f64> {
         let mut coo = mspgemm_sparse::Coo::new(n, n);
@@ -821,32 +778,6 @@ mod tests {
         let (support, _) = spgemm::<PlusPair>(&a, &a, &a, &cfg()).unwrap();
         let want = support.select(|_, _, v| v >= 1).spones(1u64);
         assert_eq!(outs[0], want);
-    }
-
-    #[test]
-    fn fused_pattern_ops_match_ewise_reference() {
-        let a = ring_with_chords(48, 11);
-        let pat = ring_with_chords(48, 5).spones(1.0f64);
-        let session = Session::<PlusTimes>::new(cfg());
-
-        let mut gb = session.graph();
-        let x = gb.input();
-        let p = gb.input();
-        let n = gb.product(x, x, x);
-        gb.intersect(n, p);
-        let mut g = gb.build(&[&a, &pat]).unwrap();
-        let (outs, _) = g.execute(&[&a, &pat]).unwrap();
-        let (c, _) = spgemm::<PlusTimes>(&a, &a, &a, &cfg()).unwrap();
-        assert_eq!(outs[0], ops::ewise_mult::<PlusTimes>(&c, &pat).unwrap(), "intersect");
-
-        let mut gb = session.graph();
-        let x = gb.input();
-        let p = gb.input();
-        let n = gb.product(x, x, x);
-        gb.subtract(n, p);
-        let mut g = gb.build(&[&a, &pat]).unwrap();
-        let (outs, _) = g.execute(&[&a, &pat]).unwrap();
-        assert_eq!(outs[0], ops::ewise_without(&c, &pat).unwrap(), "subtract");
     }
 
     #[test]

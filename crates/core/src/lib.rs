@@ -9,7 +9,7 @@
 //! | Dimension (paper §III) | Knob | Options |
 //! |---|---|---|
 //! | Tiling | [`ConfigBuilder::tiling`], [`ConfigBuilder::n_tiles`] | uniform / FLOP-balanced × any tile count |
-//! | Scheduling | [`ConfigBuilder::schedule`] | static / dynamic(chunk) |
+//! | Scheduling | [`ConfigBuilder::schedule`] | static / dynamic (one tile per claim) |
 //! | Iteration space | [`KernelPolicy::iteration`] via [`ConfigBuilder::kernel_policy`] | vanilla (Fig. 3), mask-accumulate (Fig. 5), co-iteration (Fig. 7), hybrid-κ (Fig. 9) |
 //! | Accumulator | [`KernelPolicy::accumulator`] via [`ConfigBuilder::kernel_policy`] | dense / hash × marker width 8/16/32/64; hash tables sized at the hard bound `max_i nnz(M[i,:])` |
 //!
@@ -82,8 +82,6 @@ pub use model::predict_config;
 pub use plan::Plan;
 pub use presets::{preset_config, Preset};
 pub use mspgemm_sched::CancelToken;
-pub use service::{
-    CancelStatus, JobTicket, RetryPolicy, Service, ServiceOptions, ServiceReply, SubmitOptions,
-};
+pub use service::{CancelStatus, JobTicket, Service, ServiceOptions, ServiceReply, SubmitOptions};
 pub use stress::{run_stress, StressCase, StressReport, StressSpec};
 pub use tuner::{tune, TuneReport, TunerOptions};

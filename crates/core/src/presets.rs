@@ -83,7 +83,7 @@ pub fn preset_config<S: Semiring>(
             n_threads: p,
             n_tiles: 2 * p,
             tiling: TilingStrategy::FlopBalanced,
-            schedule: Schedule::Dynamic { chunk: 1 },
+            schedule: Schedule::Dynamic,
             kernel: KernelPolicy::new()
                 .accumulator(suitesparse_accumulator_heuristic::<S>(a, b, mask))
                 .iteration(IterationSpace::Hybrid { kappa: 1.0 }),
@@ -92,7 +92,7 @@ pub fn preset_config<S: Semiring>(
             n_threads: p,
             n_tiles: 2048,
             tiling: TilingStrategy::FlopBalanced,
-            schedule: Schedule::Dynamic { chunk: 1 },
+            schedule: Schedule::Dynamic,
             kernel: KernelPolicy::new()
                 .accumulator(AccumulatorKind::Hash(MarkerWidth::W32))
                 .iteration(IterationSpace::Hybrid { kappa: 1.0 }),
@@ -168,7 +168,7 @@ mod tests {
         let a = banded(100, 2);
         let c = preset_config::<PlusTimes>(Preset::SuiteSparseLike, &a, &a, &a, 4);
         assert_eq!(c.n_tiles, 8);
-        assert_eq!(c.schedule, Schedule::Dynamic { chunk: 1 });
+        assert_eq!(c.schedule, Schedule::Dynamic);
         assert!(matches!(c.kernel.iteration, IterationSpace::Hybrid { kappa } if kappa == 1.0));
     }
 

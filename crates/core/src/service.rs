@@ -11,7 +11,7 @@
 //!   A full queue is a structured refusal ([`SparseError::QueueFull`]),
 //!   never a block-forever: backpressure is the *caller's* decision.
 //! * A single dispatcher thread pops jobs in **fair batches**
-//!   (per-tenant deficit round-robin with priority/deadline hints — see
+//!   (per-tenant deficit round-robin with deadline tie-breaks — see
 //!   [`mspgemm_sched::SubmitQueue`]) and coalesces each batch into one
 //!   tiled run on the same tile engine every other caller uses: every
 //!   job's tiles are multiplexed onto a single pool synchronisation
@@ -38,9 +38,7 @@
 //! is *enforced* through the same token — an expired job is shed from the
 //! queue before dispatch and an in-flight run past its deadline is
 //! abandoned at the next tile boundary, both surfacing
-//! [`SparseError::DeadlineExceeded`]. For `QueueFull` backpressure,
-//! [`Service::submit_with_retry`] adds bounded exponential backoff with
-//! deterministic jitter on the client side.
+//! [`SparseError::DeadlineExceeded`].
 //!
 //! Shutdown is deterministic: dropping the service closes the queue,
 //! cancels everything still queued ([`SparseError::Cancelled`]) and joins
@@ -94,71 +92,14 @@ pub struct SubmitOptions {
     /// Fairness domain: the queue's deficit round-robin balances dispatch
     /// slots across distinct tenant ids.
     pub tenant: u32,
-    /// Higher dispatches first; also weights the job's share of the
-    /// multiplexed tile interleave.
-    pub priority: u8,
-    /// Enforced deadline. It still orders the queue (among equal-priority
-    /// jobs, earlier deadlines dispatch first), but it is no longer only a
-    /// hint: a job whose deadline passes while queued is shed before
-    /// dispatch, and an in-flight run past its deadline is abandoned at
-    /// the next tile boundary — both complete the ticket with
+    /// Enforced deadline. It orders the queue (among jobs of equal
+    /// fairness standing, earlier deadlines dispatch first); a job whose
+    /// deadline passes while queued is shed before dispatch, and an
+    /// in-flight run past its deadline is abandoned at the next tile
+    /// boundary — both complete the ticket with
     /// [`SparseError::DeadlineExceeded`]. Admission itself never rejects
     /// on deadline.
     pub deadline: Option<Instant>,
-}
-
-/// Client-side retry shape for [`Service::submit_with_retry`]: bounded
-/// exponential backoff with deterministic jitter, applied **only** to
-/// [`SparseError::QueueFull`] — backpressure is the one refusal that is
-/// expected to clear by itself. Every other error returns immediately.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total submit attempts (including the first); at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt; attempt `k` waits about
-    /// `base · 2^(k-1)`, capped at [`max_backoff`](Self::max_backoff).
-    pub base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter (SplitMix64 of `seed ^ attempt`):
-    /// each sleep is scaled into `[50%, 100%]` of its nominal backoff so
-    /// colliding clients decorrelate, yet a fixed seed replays exactly.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            seed: 0,
-        }
-    }
-}
-
-/// SplitMix64 — the jitter generator for [`RetryPolicy`]. Pure and
-/// allocation-free; good enough to decorrelate backoff, not a CSPRNG.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One backoff sleep of a [`RetryPolicy`]: `base · 2^(attempt-1)` capped
-/// at `max_backoff`, scaled by the deterministic jitter into
-/// `[50%, 100%]`.
-fn retry_backoff(policy: &RetryPolicy, attempt: u32) -> Duration {
-    let shift = attempt.saturating_sub(1).min(20);
-    let nominal = policy
-        .base
-        .saturating_mul(1u32 << shift)
-        .min(policy.max_backoff);
-    let r = splitmix64(policy.seed ^ u64::from(attempt));
-    // top 53 bits → uniform fraction in [0, 1)
-    let frac = (r >> 11) as f64 / (1u64 << 53) as f64;
-    nominal.mul_f64(0.5 + 0.5 * frac)
 }
 
 /// A completed service call: the product plus queue-side measurements.
@@ -411,8 +352,7 @@ impl<S: Semiring> Service<S> {
             None => CancelToken::new(),
         };
         let payload = JobPayload { a, b, mask, config, cancel: cancel.clone(), writer };
-        let tag =
-            QueueTag { tenant: opts.tenant, priority: opts.priority, deadline: opts.deadline };
+        let tag = QueueTag { tenant: opts.tenant, deadline: opts.deadline };
         match self.queue.try_push(payload, tag) {
             Ok(id) => {
                 obs::incr(obs::Counter::SvcSubmitted);
@@ -426,43 +366,6 @@ impl<S: Semiring> Service<S> {
                     RefusalReason::Full { capacity } => Err(SparseError::QueueFull { capacity }),
                     RefusalReason::Closed => Err(self.poison_error()),
                 }
-            }
-        }
-    }
-
-    /// [`submit`](Self::submit) with client-side retry on
-    /// [`SparseError::QueueFull`]: bounded exponential backoff with
-    /// deterministic jitter (see [`RetryPolicy`]). Blocks only in the
-    /// backoff sleeps — at most `max_attempts - 1` of them — and returns
-    /// the last refusal if the queue never clears. Any error other than
-    /// `QueueFull` (poison, closed service) returns immediately: only
-    /// backpressure is worth waiting out.
-    pub fn submit_with_retry(
-        &self,
-        a: Arc<Csr<S::T>>,
-        b: Arc<Csr<S::T>>,
-        mask: Arc<Csr<S::T>>,
-        config: Config,
-        opts: SubmitOptions,
-        policy: RetryPolicy,
-    ) -> Result<JobTicket<S>, SparseError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 1u32;
-        loop {
-            match self.submit(
-                Arc::clone(&a),
-                Arc::clone(&b),
-                Arc::clone(&mask),
-                config,
-                opts,
-            ) {
-                Err(SparseError::QueueFull { capacity }) if attempt < attempts => {
-                    obs::incr(obs::Counter::SvcSubmitRetries);
-                    let _ = capacity;
-                    std::thread::sleep(retry_backoff(&policy, attempt));
-                    attempt += 1;
-                }
-                outcome => return outcome,
             }
         }
     }
@@ -634,23 +537,16 @@ fn dispatch_loop<S: Semiring>(
             for p in prepared.iter_mut() {
                 let PreparedJob { entry, core, scratch, setup, .. } = p;
                 operands.push([&*entry.job.a, &*entry.job.b, &*entry.job.mask]);
-                parts.push((
-                    &*core,
-                    scratch,
-                    &entry.job.cancel,
-                    1 + u32::from(entry.tag.priority),
-                    *setup,
-                ));
+                parts.push((&*core, scratch, &entry.job.cancel, *setup));
             }
             let jobs: Vec<Job<'_, S>> = parts
                 .into_iter()
                 .zip(&operands)
-                .map(|((core, scratch, cancel, weight, setup), inputs)| Job {
+                .map(|((core, scratch, cancel, setup), inputs)| Job {
                     core,
                     inputs,
                     scratch,
                     cancel: Some(cancel),
-                    weight,
                     setup,
                     fused_ops: 0,
                 })

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::Config;
 use crate::executor::Executor;
-use crate::service::{CancelStatus, RetryPolicy, Service, ServiceOptions, SubmitOptions};
+use crate::service::{CancelStatus, Service, ServiceOptions, SubmitOptions};
 use mspgemm_rt::{ChaCha8Rng, Rng};
 use mspgemm_sparse::{Csr, Semiring, SparseError};
 
@@ -101,7 +101,8 @@ pub struct StressReport {
     /// abandoned at a tile boundary. Only possible with
     /// [`StressSpec::deadline_permille`] > 0.
     pub deadline_exceeded: u64,
-    /// Jobs refused with `QueueFull` (each was retried until admitted).
+    /// Submissions refused with `QueueFull` (each job was resubmitted
+    /// until admitted).
     pub rejected: u64,
     /// Tickets the schedule dropped without waiting.
     pub dropped: u64,
@@ -175,7 +176,7 @@ pub fn run_stress<S: Semiring>(
             let (cancel_requested, deadline_exceeded) = (&cancel_requested, &deadline_exceeded);
             scope.spawn(move || {
                 let mut rng = ChaCha8Rng::seed_from_u64(spec.seed ^ tenant as u64);
-                for run in 0..spec.runs_per_tenant {
+                for _ in 0..spec.runs_per_tenant {
                     let idx = rng.gen_range(0..cases.len());
                     let case = &cases[idx];
                     // a deadline storm hands out enforced deadlines tight
@@ -184,30 +185,17 @@ pub fn run_stress<S: Semiring>(
                     let deadline = (rng.gen_range(0..1000u32) < spec.deadline_permille).then(|| {
                         Instant::now() + Duration::from_micros(rng.gen_range(0..500u32) as u64)
                     });
-                    let opts = SubmitOptions {
-                        tenant: tenant as u32,
-                        priority: (rng.gen_range(0..3u32)) as u8,
-                        deadline,
-                    };
-                    // admission with backpressure: the client-side retry
-                    // (bounded backoff, deterministic jitter) absorbs most
-                    // `QueueFull` refusals; a queue still full after the
-                    // policy's attempts falls back to yield-and-retry so
-                    // the schedule never sheds a planned submission
-                    let policy = RetryPolicy {
-                        max_attempts: 3,
-                        base: Duration::from_micros(50),
-                        max_backoff: Duration::from_millis(2),
-                        seed: spec.seed ^ ((tenant as u64) << 32) ^ run as u64,
-                    };
+                    let opts = SubmitOptions { tenant: tenant as u32, deadline };
+                    // admission with backpressure: a `QueueFull` refusal
+                    // yields and resubmits, so the schedule never sheds a
+                    // planned submission
                     let ticket = loop {
-                        match service.submit_with_retry(
+                        match service.submit(
                             Arc::clone(&case.a),
                             Arc::clone(&case.b),
                             Arc::clone(&case.mask),
                             case.config,
                             opts,
-                            policy,
                         ) {
                             Ok(t) => break Some(t),
                             Err(SparseError::QueueFull { .. }) => {

@@ -6,10 +6,9 @@
 //! `row_ptr`. The oracle folds products in the same k-order per row, so
 //! equality is exact, not approximate.
 //!
-//! This binary pins `MSPGEMM_COMPACT_PAR_MIN=0` before the first driver
-//! call (the threshold is read once per process), so the *parallel*
-//! compaction pass is exercised even on the tiny matrices used here —
-//! without the pin every test-sized run would take the serial branch.
+//! Every test first makes the failpoint registry armable: the registry
+//! freezes on the engine's first read, and the fault tests below arm it
+//! per test.
 
 use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy};
 use mspgemm_rt::failpoint;
@@ -18,15 +17,13 @@ use mspgemm_sched::{Schedule, TilingStrategy};
 use mspgemm_sparse::{Coo, Csr, Dense, PlusTimes};
 use std::sync::{Mutex, Once};
 
-/// Force the parallel compaction branch for every run in this binary, and
-/// make sure the failpoint registry is armable whichever test touches the
+/// Make sure the failpoint registry is armable whichever test touches the
 /// driver first (without `MSPGEMM_FAILPOINTS` it would otherwise freeze
 /// unarmed and the fault tests could not arm it). Must win the race
-/// against the driver's one-shot reads, so every test calls it first.
-fn force_parallel_compaction() {
+/// against the engine's one-shot read, so every test calls it first.
+fn arm_failpoint_registry() {
     static PIN: Once = Once::new();
     PIN.call_once(|| {
-        std::env::set_var("MSPGEMM_COMPACT_PAR_MIN", "0");
         if std::env::var_os(failpoint::ENV_VAR).is_none() {
             failpoint::arm(ALL_OFF).expect("registry must be armable before first use");
         }
@@ -60,7 +57,7 @@ fn assert_matches_oracle(a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>, base: &Config
 
 #[test]
 fn assembly_matches_oracle_across_full_config_grid() {
-    force_parallel_compaction();
+    arm_failpoint_registry();
     let a = lcg_matrix(64, 64, 5, 1);
     let b = lcg_matrix(64, 64, 4, 2);
     let m = lcg_matrix(64, 64, 6, 3);
@@ -91,7 +88,7 @@ fn assembly_matches_oracle_across_full_config_grid() {
 
 #[test]
 fn assembly_matches_oracle_on_random_operands() {
-    force_parallel_compaction();
+    arm_failpoint_registry();
     const CASES: usize = 64;
     let s = (
         vec_of((0..24usize, 0..24usize, 1..100i32), 0..=120usize),
@@ -114,7 +111,7 @@ fn assembly_matches_oracle_on_random_operands() {
 
 #[test]
 fn zero_slack_run_adopts_slot_buffers() {
-    force_parallel_compaction();
+    arm_failpoint_registry();
     // mask = the product's own pattern ⇒ every mask entry is filled,
     // slack is zero and the engine adopts the slot buffers without
     // copying (driver.compaction_bytes == 0 is asserted in metrics.rs;
@@ -155,14 +152,14 @@ fn with_failpoints<R>(spec: &str, f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn fault_retried_tile_lands_in_its_slots_bit_identically() {
-    force_parallel_compaction();
+    arm_failpoint_registry();
     let a = lcg_matrix(64, 64, 5, 4);
     let b = lcg_matrix(64, 64, 4, 5);
     let m = lcg_matrix(64, 64, 6, 6);
     let base = Config::builder()
         .n_threads(2)
         .n_tiles(8)
-        .schedule(Schedule::Dynamic { chunk: 1 })
+        .schedule(Schedule::Dynamic)
         .build();
     with_failpoints("", || {
         let (want, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
@@ -180,7 +177,7 @@ fn fault_retried_tile_lands_in_its_slots_bit_identically() {
 
 #[test]
 fn fault_all_tiles_retried_still_assemble_in_place() {
-    force_parallel_compaction();
+    arm_failpoint_registry();
     let a = lcg_matrix(50, 50, 5, 7);
     let base = Config::builder()
         .n_threads(2)

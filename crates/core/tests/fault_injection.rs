@@ -34,7 +34,7 @@ fn test_config() -> Config {
     Config::builder()
         .n_threads(2)
         .n_tiles(8)
-        .schedule(Schedule::Dynamic { chunk: 1 })
+        .schedule(Schedule::Dynamic)
         .build()
 }
 

@@ -140,7 +140,7 @@ fn trace_spans_cover_every_tile() {
     let cfg = Config::builder()
         .n_threads(2)
         .n_tiles(5)
-        .schedule(Schedule::Dynamic { chunk: 1 })
+        .schedule(Schedule::Dynamic)
         .build();
     with_armed_metrics(|| {
         let _ = spgemm::<PlusTimes>(&a, &a, &a, &cfg).unwrap();

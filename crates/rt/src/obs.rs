@@ -114,7 +114,6 @@ catalogue! { Counter, COUNTERS_ALL, N_COUNTERS;
     SvcPlanCacheMisses => "svc.plan_cache_misses",
     SvcDeadlineShed => "svc.deadline_shed",
     SvcCancelledInFlight => "svc.cancelled_in_flight",
-    SvcSubmitRetries => "svc.submit_retries",
     FusionOpsFused => "fusion.ops_fused",
     FusionTilesChained => "fusion.tiles_chained",
     FusionSinkFusedElems => "fusion.sink_fused_elements",

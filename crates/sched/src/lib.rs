@@ -17,8 +17,8 @@
 //! * [`Schedule::Static`] — tiles are assigned to threads offline in
 //!   contiguous blocks (OpenMP `schedule(static)` semantics);
 //! * [`Schedule::Dynamic`] — threads grab the next unprocessed tile from a
-//!   shared atomic counter as they finish (OpenMP `schedule(dynamic)`;
-//!   the `chunk` field matches OpenMP's chunk parameter).
+//!   shared atomic counter as they finish (OpenMP `schedule(dynamic)` at
+//!   its default chunk of one tile).
 //!
 //! The paper's GrB baseline is `balanced_tiles(p) × Static`; its
 //! SuiteSparse baseline behaviour is `balanced_tiles(2p) × Dynamic`; the

@@ -248,23 +248,22 @@ impl WorkerPool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        let run = MultiRun { n_tiles, weight: 1, cancel: None, body: &body };
+        let run = MultiRun { n_tiles, cancel: None, body: &body };
         self.run_tiles_multi(n_threads, schedule, &[run])
     }
 
     /// Execute one or more independent tile runs on one worker team — the
     /// pool's single claim loop. Workers claim *positions* of one claim
-    /// order under `schedule` (static blocks or dynamic chunks, exactly as
-    /// for a lone run): a single run's order is its own tile sequence, so
-    /// the schedule applies to it verbatim; several runs are interleaved
-    /// first, so a batch of small products costs one pool synchronisation
-    /// instead of one per product.
+    /// order under `schedule` (static blocks or single dynamic claims,
+    /// exactly as for a lone run): a single run's order is its own tile
+    /// sequence, so the schedule applies to it verbatim; several runs are
+    /// interleaved first, so a batch of small products costs one pool
+    /// synchronisation instead of one per product.
     ///
-    /// The interleave is weighted round-robin: each fairness round, run
-    /// `r` contributes up to `runs[r].weight` of its remaining tiles (a
-    /// weight of 0 counts as 1). The order is a pure function of
-    /// `(n_tiles, weight)` across the slice — scheduling is deterministic
-    /// even though which *worker* executes a given tile is not.
+    /// The interleave is round-robin: each round, every run with tiles
+    /// left contributes its next one, in slice order. The order is a pure
+    /// function of the runs' `n_tiles` — scheduling is deterministic even
+    /// though which *worker* executes a given tile is not.
     ///
     /// A run whose [`MultiRun::cancel`] token has fired has its remaining
     /// tiles skipped at claim time (counted in [`MultiOutcome::skipped`]
@@ -292,17 +291,15 @@ impl WorkerPool {
             });
         }
         // The claim order: identity for a lone run (no table needed), the
-        // deterministic weighted-round-robin interleave for a batch.
+        // deterministic round-robin interleave for a batch.
         let mut order: Vec<(usize, usize)> = Vec::new();
         if runs.len() > 1 {
             order.reserve(total);
-            let mut next: Vec<usize> = vec![0; runs.len()];
-            while order.len() < total {
+            let rounds = runs.iter().map(|run| run.n_tiles).max().unwrap_or(0);
+            for tile in 0..rounds {
                 for (r, run) in runs.iter().enumerate() {
-                    let take = (run.weight.max(1) as usize).min(run.n_tiles - next[r]);
-                    for _ in 0..take {
-                        order.push((r, next[r]));
-                        next[r] += 1;
+                    if tile < run.n_tiles {
+                        order.push((r, tile));
                     }
                 }
             }
@@ -424,9 +421,6 @@ impl WorkerPool {
 pub struct MultiRun<'a> {
     /// Number of tiles this run contributes; the body sees `0..n_tiles`.
     pub n_tiles: usize,
-    /// Interleave weight: tiles this run contributes per fairness round of
-    /// the deterministic claim order (0 is treated as 1).
-    pub weight: u32,
     /// Cooperative cancellation for *this run only*: once the token
     /// reports cancelled, the run's not-yet-started tiles are skipped at
     /// claim time while sibling runs keep draining untouched. `None`
@@ -526,7 +520,7 @@ mod tests {
     fn workers_are_spawned_once_and_reused() {
         let pool = WorkerPool::new();
         for _ in 0..10 {
-            pool.run_tiles(3, 32, Schedule::Dynamic { chunk: 1 }, |_, _| {}).unwrap();
+            pool.run_tiles(3, 32, Schedule::Dynamic, |_, _| {}).unwrap();
         }
         assert_eq!(pool.spawned_workers(), 3, "thread count stays flat across runs");
         // a wider run grows the pool once; narrower runs after that reuse it
@@ -539,7 +533,7 @@ mod tests {
     fn tile_panic_is_isolated_and_does_not_poison_the_pool() {
         let pool = WorkerPool::new();
         let out = pool
-            .run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, tile| {
+            .run_tiles(4, 40, Schedule::Dynamic, |_, tile| {
                 if tile == 13 {
                     panic!("kernel died on tile {tile}");
                 }
@@ -555,7 +549,7 @@ mod tests {
             "survivors drain the queue"
         );
         // the pool is still healthy: a follow-up run succeeds
-        let out = pool.run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _| {}).unwrap();
+        let out = pool.run_tiles(4, 40, Schedule::Dynamic, |_, _| {}).unwrap();
         assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), 40);
     }
 
@@ -603,7 +597,7 @@ mod tests {
     #[test]
     fn drop_joins_all_workers() {
         let pool = WorkerPool::new();
-        pool.run_tiles(4, 16, Schedule::Dynamic { chunk: 1 }, |_, _| {}).unwrap();
+        pool.run_tiles(4, 16, Schedule::Dynamic, |_, _| {}).unwrap();
         drop(pool); // must not hang or leak threads
     }
 
@@ -627,9 +621,9 @@ mod tests {
         let runs: Vec<MultiRun<'_>> = sizes
             .iter()
             .zip(&bodies)
-            .map(|(&n_tiles, body)| MultiRun { n_tiles, weight: 1, cancel: None, body: body.as_ref() })
+            .map(|(&n_tiles, body)| MultiRun { n_tiles, cancel: None, body: body.as_ref() })
             .collect();
-        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic, &runs).unwrap();
         for (r, c) in counts.iter().enumerate() {
             for (i, n) in c.iter().enumerate() {
                 assert_eq!(n.load(Ordering::Relaxed), 1, "run {r} tile {i}");
@@ -644,32 +638,28 @@ mod tests {
     }
 
     #[test]
-    fn multi_run_interleave_is_weighted_and_deterministic() {
+    fn multi_run_interleave_is_round_robin_and_deterministic() {
         // One worker drains the claim order sequentially, exposing the
-        // interleave: with weights 2:1 the schedule must alternate two
-        // tiles of run 0 with one of run 1 until run 0 drains.
+        // interleave: each round takes the next tile of every run that
+        // still has one, in slice order, until the longest run drains.
         let pool = WorkerPool::new();
         let seen: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-        let body0 = |_: usize, tile: usize| {
-            seen.lock().unwrap().push((0, tile));
+        let body = |r: usize| {
+            let seen = &seen;
+            move |_: usize, tile: usize| seen.lock().unwrap().push((r, tile))
         };
-        let body1 = |_: usize, tile: usize| {
-            seen.lock().unwrap().push((1, tile));
-        };
+        let (body0, body1, body2) = (body(0), body(1), body(2));
         let runs = [
-            MultiRun { n_tiles: 4, weight: 2, cancel: None, body: &body0 },
-            MultiRun { n_tiles: 4, weight: 1, cancel: None, body: &body1 },
+            MultiRun { n_tiles: 3, cancel: None, body: &body0 },
+            MultiRun { n_tiles: 1, cancel: None, body: &body1 },
+            MultiRun { n_tiles: 2, cancel: None, body: &body2 },
         ];
-        pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
+        pool.run_tiles_multi(1, Schedule::Dynamic, &runs).unwrap();
         let seen = seen.into_inner().unwrap();
         assert_eq!(
             seen,
-            vec![
-                (0, 0), (0, 1), (1, 0),
-                (0, 2), (0, 3), (1, 1),
-                (1, 2), (1, 3),
-            ],
-            "weighted round-robin order"
+            vec![(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2)],
+            "round-robin order"
         );
     }
 
@@ -683,11 +673,11 @@ mod tests {
             }
         };
         let runs = [
-            MultiRun { n_tiles: 20, weight: 1, cancel: None, body: &body_ok },
-            MultiRun { n_tiles: 10, weight: 1, cancel: None, body: &body_bad },
-            MultiRun { n_tiles: 20, weight: 1, cancel: None, body: &body_ok },
+            MultiRun { n_tiles: 20, cancel: None, body: &body_ok },
+            MultiRun { n_tiles: 10, cancel: None, body: &body_bad },
+            MultiRun { n_tiles: 20, cancel: None, body: &body_ok },
         ];
-        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic, &runs).unwrap();
         assert!(out.failures[0].is_empty(), "healthy run 0 sees no failures");
         assert!(out.failures[2].is_empty(), "healthy run 2 sees no failures");
         assert_eq!(out.failures[1].len(), 1);
@@ -703,7 +693,7 @@ mod tests {
     #[test]
     fn multi_run_empty_batch_is_a_noop() {
         let pool = WorkerPool::new();
-        let out = pool.run_tiles_multi(4, Schedule::Dynamic { chunk: 1 }, &[]).unwrap();
+        let out = pool.run_tiles_multi(4, Schedule::Dynamic, &[]).unwrap();
         assert!(out.completed.is_empty());
         assert_eq!(pool.spawned_workers(), 0, "no work, no threads");
     }
@@ -712,7 +702,7 @@ mod tests {
     fn reports_account_for_busy_time() {
         let pool = WorkerPool::new();
         let out = pool
-            .run_tiles(2, 8, Schedule::Dynamic { chunk: 1 }, |_, _| {
+            .run_tiles(2, 8, Schedule::Dynamic, |_, _| {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             })
             .unwrap();
@@ -756,10 +746,10 @@ mod tests {
         };
         let body_b = |_: usize, _: usize| {};
         let runs = [
-            MultiRun { n_tiles: 6, weight: 1, cancel: Some(&token), body: &body_a },
-            MultiRun { n_tiles: 6, weight: 1, cancel: None, body: &body_b },
+            MultiRun { n_tiles: 6, cancel: Some(&token), body: &body_a },
+            MultiRun { n_tiles: 6, cancel: None, body: &body_b },
         ];
-        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &runs).unwrap();
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic, &runs).unwrap();
         assert_eq!(out.completed[0], 3, "A ran tiles 0..=2 then stopped");
         assert_eq!(out.skipped[0], 3, "A3..A5 skipped at claim time");
         assert!(out.failures[0].is_empty(), "cancelled tiles are skipped, not failed");
@@ -782,8 +772,8 @@ mod tests {
                 tok.cancel();
             }
         };
-        let run = MultiRun { n_tiles: 100, weight: 1, cancel: Some(&token), body: &body };
-        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &[run]).unwrap();
+        let run = MultiRun { n_tiles: 100, cancel: Some(&token), body: &body };
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic, &[run]).unwrap();
         let n = ran.load(Ordering::Relaxed) as usize;
         assert_eq!(n, 5, "tiles after the cancelling one are never started");
         assert_eq!(out.reports.iter().map(|r| r.tiles_run).sum::<usize>(), n);
@@ -801,8 +791,8 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(4));
         };
-        let run = MultiRun { n_tiles: 50, weight: 1, cancel: Some(&token), body: &body };
-        let out = pool.run_tiles_multi(1, Schedule::Dynamic { chunk: 1 }, &[run]).unwrap();
+        let run = MultiRun { n_tiles: 50, cancel: Some(&token), body: &body };
+        let out = pool.run_tiles_multi(1, Schedule::Dynamic, &[run]).unwrap();
         let n = ran.load(Ordering::Relaxed) as usize;
         assert!(n < 50, "the deadline must cut the run short");
         assert!(token.deadline_expired());
@@ -817,13 +807,8 @@ mod tests {
         // (1, p−1, p, 64·p) plus the more-threads-than-tiles regime
         let pool = WorkerPool::new();
         let p = 4usize;
-        let variants = [
-            Schedule::Static,
-            Schedule::Dynamic { chunk: 1 },
-            Schedule::Dynamic { chunk: 7 },
-        ];
         let cases = [(p, 1usize), (p, p - 1), (p, p), (p, 64 * p), (4 * p, p / 2), (3, 97)];
-        for schedule in variants {
+        for schedule in Schedule::all() {
             for (n_threads, n_tiles) in cases {
                 let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
                 let out = pool
@@ -863,7 +848,7 @@ mod tests {
         // let the other worker absorb the remaining tiles
         let pool = WorkerPool::new();
         let reports = pool
-            .run_tiles(2, 64, Schedule::Dynamic { chunk: 1 }, |_, tile| {
+            .run_tiles(2, 64, Schedule::Dynamic, |_, tile| {
                 spin(if tile == 0 { 6_000_000 } else { 5_000 });
             })
             .unwrap()
@@ -904,7 +889,7 @@ mod tests {
     fn multiple_failures_are_sorted_by_tile() {
         let pool = WorkerPool::new();
         let out = pool
-            .run_tiles(3, 30, Schedule::Dynamic { chunk: 2 }, |_, tile| {
+            .run_tiles(3, 30, Schedule::Dynamic, |_, tile| {
                 if tile % 7 == 0 {
                     panic!("bad tile");
                 }
@@ -935,7 +920,7 @@ mod tests {
             .iter()
             .zip(&bodies)
             .map(|(&n_tiles, body)| {
-                MultiRun { n_tiles, weight: 2, cancel: None, body: body.as_ref() }
+                MultiRun { n_tiles, cancel: None, body: body.as_ref() }
             })
             .collect();
         for schedule in Schedule::all() {

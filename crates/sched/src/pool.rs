@@ -10,7 +10,7 @@
 //!   one per thread, no runtime coordination at all ("the tasks are
 //!   scheduled offline and no runtime load balancing is used", §III-A);
 //! * **dynamic** — a shared atomic counter; each thread claims the next
-//!   `chunk` tiles when it runs dry ("a runtime system schedules threads to
+//!   tile when it runs dry ("a runtime system schedules threads to
 //!   remaining tasks as soon as they complete their current task").
 //!
 //! The pool that executes tiles under these disciplines is the persistent
@@ -69,25 +69,22 @@ impl ObsScratch {
 pub enum Schedule {
     /// Contiguous blocks of tiles assigned offline (OpenMP `static`).
     Static,
-    /// Atomic work queue; threads claim `chunk` tiles at a time (OpenMP
-    /// `dynamic, chunk`). The paper (and OpenMP's default) uses chunk 1.
-    Dynamic {
-        /// Tiles claimed per queue operation.
-        chunk: usize,
-    },
+    /// Atomic work queue; a thread claims one tile per queue operation
+    /// (OpenMP `dynamic` at its default chunk of 1, as the paper runs it).
+    Dynamic,
 }
 
 impl Schedule {
-    /// The two policies the paper sweeps, with the default dynamic chunk.
+    /// The two policies the paper sweeps.
     pub fn all() -> [Schedule; 2] {
-        [Schedule::Dynamic { chunk: 1 }, Schedule::Static]
+        [Schedule::Dynamic, Schedule::Static]
     }
 
     /// Label matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
             Schedule::Static => "Static",
-            Schedule::Dynamic { .. } => "Dynamic",
+            Schedule::Dynamic => "Dynamic",
         }
     }
 }
@@ -146,7 +143,7 @@ fn install_quiet_hook() {
 ///
 /// * static — the worker's single offline block (`*static_done` marks it
 ///   claimed; same arithmetic as uniform tiling);
-/// * dynamic — `fetch_add(chunk)` on the shared queue.
+/// * dynamic — `fetch_add(1)` on the shared queue, one tile per claim.
 pub(crate) fn next_range(
     schedule: Schedule,
     t: usize,
@@ -167,10 +164,9 @@ pub(crate) fn next_range(
             let len = base + usize::from(t < extra);
             Some((lo, lo + len))
         }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let lo = queue.fetch_add(chunk, Ordering::Relaxed);
-            (lo < n_tiles).then(|| (lo, (lo + chunk).min(n_tiles)))
+        Schedule::Dynamic => {
+            let lo = queue.fetch_add(1, Ordering::Relaxed);
+            (lo < n_tiles).then_some((lo, lo + 1))
         }
     }
 }
@@ -242,7 +238,7 @@ mod tests {
     #[test]
     fn schedule_labels() {
         assert_eq!(Schedule::Static.label(), "Static");
-        assert_eq!(Schedule::Dynamic { chunk: 1 }.label(), "Dynamic");
+        assert_eq!(Schedule::Dynamic.label(), "Dynamic");
         assert_eq!(Schedule::all().len(), 2, "the paper's sweep stays two-policy");
     }
 }

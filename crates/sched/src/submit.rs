@@ -19,14 +19,14 @@
 //! # Fairness
 //!
 //! [`SubmitQueue::pop_batch`] does not pop FIFO. Each slot goes to the
-//! queued entry that wins on, in order: highest [`QueueTag::priority`];
-//! then the tenant with the fewest pops so far (deficit round-robin, so a
-//! tenant submitting 10× faster than its neighbour cannot starve it);
-//! then the earliest [`QueueTag::deadline`]; then submission order. The
-//! per-tenant pop counts are the fairness state — a tenant's share of
-//! dispatch slots while it has queued work is at least `1/k` with `k`
-//! active tenants at its priority, which is the bound the fairness
-//! regression test asserts (with slack) downstream.
+//! queued entry that wins on, in order: the tenant with the fewest pops
+//! so far (deficit round-robin, so a tenant submitting 10× faster than
+//! its neighbour cannot starve it); then the earliest
+//! [`QueueTag::deadline`]; then submission order. The per-tenant pop
+//! counts are the fairness state — a tenant's share of dispatch slots
+//! while it has queued work is at least `1/k` with `k` active tenants,
+//! which is the bound the fairness regression test asserts (with slack)
+//! downstream.
 //!
 //! # Allocation discipline
 //!
@@ -182,21 +182,13 @@ impl<T> Ticket<T> {
 }
 
 /// Scheduling hints attached to one submission.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct QueueTag {
     /// Tenant identity — the unit of fairness accounting.
     pub tenant: u32,
-    /// Higher priorities always dispatch first.
-    pub priority: u8,
-    /// Optional deadline hint: among equal priority and fairness standing,
-    /// the earliest deadline dispatches first (`None` sorts last).
+    /// Optional deadline hint: among equal fairness standing, the
+    /// earliest deadline dispatches first (`None` sorts last).
     pub deadline: Option<Instant>,
-}
-
-impl Default for QueueTag {
-    fn default() -> Self {
-        QueueTag { tenant: 0, priority: 0, deadline: None }
-    }
 }
 
 /// One queued submission, as handed to the dispatcher by
@@ -406,21 +398,10 @@ impl<J> SubmitQueue<J> {
                     let cur = &st.entries[b];
                     let served_e = st.served.get(&e.tag.tenant).copied().unwrap_or(0);
                     let served_c = st.served.get(&cur.tag.tenant).copied().unwrap_or(0);
-                    // priority desc, tenant deficit asc, deadline asc
-                    // (None last), admission order asc
-                    (
-                        std::cmp::Reverse(e.tag.priority),
-                        served_e,
-                        e.tag.deadline.is_none(),
-                        e.tag.deadline,
-                        e.id,
-                    ) < (
-                        std::cmp::Reverse(cur.tag.priority),
-                        served_c,
-                        cur.tag.deadline.is_none(),
-                        cur.tag.deadline,
-                        cur.id,
-                    )
+                    // tenant deficit asc, deadline asc (None last),
+                    // admission order asc
+                    (served_e, e.tag.deadline.is_none(), e.tag.deadline, e.id)
+                        < (served_c, cur.tag.deadline.is_none(), cur.tag.deadline, cur.id)
                 }
             };
             if better {
@@ -646,24 +627,13 @@ mod tests {
     }
 
     #[test]
-    fn priority_beats_fifo() {
-        let q = SubmitQueue::new(8);
-        q.try_push("low", QueueTag { priority: 0, ..QueueTag::default() }).unwrap();
-        q.try_push("high", QueueTag { priority: 3, ..QueueTag::default() }).unwrap();
-        let mut out = Vec::new();
-        q.try_pop_batch(2, &mut out);
-        assert_eq!(out[0].job, "high");
-        assert_eq!(out[1].job, "low");
-    }
-
-    #[test]
-    fn deadline_orders_within_a_priority() {
+    fn deadline_orders_within_a_fairness_round() {
         let q = SubmitQueue::new(8);
         let now = Instant::now();
-        q.try_push("late", QueueTag { deadline: Some(now + Duration::from_secs(9)), tenant: 1, priority: 0 })
+        q.try_push("late", QueueTag { deadline: Some(now + Duration::from_secs(9)), tenant: 1 })
             .unwrap();
-        q.try_push("none", QueueTag { deadline: None, tenant: 2, priority: 0 }).unwrap();
-        q.try_push("soon", QueueTag { deadline: Some(now + Duration::from_secs(1)), tenant: 3, priority: 0 })
+        q.try_push("none", QueueTag { deadline: None, tenant: 2 }).unwrap();
+        q.try_push("soon", QueueTag { deadline: Some(now + Duration::from_secs(1)), tenant: 3 })
             .unwrap();
         let mut out = Vec::new();
         q.try_pop_batch(3, &mut out);
@@ -717,8 +687,8 @@ mod tests {
     fn drain_empties_the_queue_regardless_of_tags() {
         let q = SubmitQueue::new(8);
         for t in 0..5u32 {
-            q.try_push(t, QueueTag { tenant: t, priority: (t % 3) as u8, deadline: None })
-                .unwrap();
+            let deadline = (t % 2 == 0).then(|| Instant::now() + Duration::from_secs(u64::from(t)));
+            q.try_push(t, QueueTag { tenant: t, deadline }).unwrap();
         }
         let mut out = Vec::new();
         q.drain(&mut out);

@@ -5,7 +5,7 @@
 //! queue drainable to depth zero.
 //!
 //! The queue's unit tests (in `src/submit.rs`) pin the *policy* —
-//! priority order, deficit round-robin, deadline tie-breaks. These
+//! deficit round-robin, deadline tie-breaks. These
 //! properties pin the *accounting*: for every generated op schedule,
 //!
 //! * `depth()` equals (admitted − cancelled − popped) at every step;
@@ -34,12 +34,13 @@ fn ops(max_len: usize) -> mspgemm_rt::testkit::VecStrategy<(
     std::ops::Range<u32>,
     std::ops::Range<u32>,
 )> {
-    // kind 0..=2: submit / cancel / pop; tenant 0..4; priority 0..4
+    // kind 0..=2: submit / cancel / pop; tenant 0..4; size 0..4 (a pop
+    // takes 1 + size % 2 entries)
     vec_of((0..3u32, 0..4u32, 0..4u32), 0..=max_len)
 }
 
-fn tag(tenant: u32, priority: u32) -> QueueTag {
-    QueueTag { tenant, priority: priority as u8, deadline: None }
+fn tag(tenant: u32) -> QueueTag {
+    QueueTag { tenant, deadline: None }
 }
 
 #[test]
@@ -53,9 +54,9 @@ fn schedules_never_leak_slots_or_entries() {
         let mut popped_ids: HashSet<u64> = HashSet::new();
         let mut out = Vec::new();
 
-        for &(kind, tenant, priority) in &schedule {
+        for &(kind, tenant, size) in &schedule {
             match kind {
-                0 => match queue.try_push(admitted, tag(tenant, priority)) {
+                0 => match queue.try_push(admitted, tag(tenant)) {
                     Ok(id) => {
                         live.push(id);
                         admitted += 1;
@@ -88,7 +89,7 @@ fn schedules_never_leak_slots_or_entries() {
                     }
                 }
                 _ => {
-                    let n = queue.try_pop_batch(1 + (priority as usize % 2), &mut out);
+                    let n = queue.try_pop_batch(1 + (size as usize % 2), &mut out);
                     assert_eq!(n, out.len());
                     for entry in out.drain(..) {
                         assert!(
@@ -158,10 +159,10 @@ fn racing_submitters_and_poppers_never_deadlock_or_leak() {
                             let mut pushed = 0u64;
                             let mut cancelled = 0u64;
                             let mut mine: Vec<u64> = Vec::new();
-                            for &(kind, tenant, priority) in half {
+                            for &(kind, tenant, _) in half {
                                 match kind {
                                     0 => {
-                                        if let Ok(id) = queue.try_push(0, tag(tenant, priority)) {
+                                        if let Ok(id) = queue.try_push(0, tag(tenant)) {
                                             mine.push(id);
                                             pushed += 1;
                                         }

@@ -1,8 +1,8 @@
 //! Element-wise building blocks.
 //!
 //! These are the GraphBLAS primitives the algorithm layer (`mspgemm-graph`)
-//! composes with masked-SpGEMM: `eWiseAdd`, `eWiseMult` (set union /
-//! intersection of patterns) and the complemented-mask subtraction.
+//! composes with masked-SpGEMM: `eWiseAdd` and `eWiseMult` (set union /
+//! intersection of patterns).
 
 use crate::error::SparseError;
 use crate::semiring::Semiring;
@@ -92,37 +92,6 @@ pub fn ewise_add<S: Semiring>(a: &Csr<S::T>, b: &Csr<S::T>) -> Result<Csr<S::T>,
     Ok(Csr::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, values))
 }
 
-/// Element-wise "difference" (pattern **subtraction**): keep the entries of
-/// `a` whose positions are *not* stored in `pattern` — the complemented
-/// structural mask of GraphBLAS (`GrB_DESC_C`). Values of `pattern` are
-/// ignored.
-pub fn ewise_without<T: Copy, U: Copy>(
-    a: &Csr<T>,
-    pattern: &Csr<U>,
-) -> Result<Csr<T>, SparseError> {
-    check_same_shape(a, pattern, "ewise_without")?;
-    let m = a.nrows();
-    let mut row_ptr = vec![0usize; m + 1];
-    let mut col_idx: Vec<Idx> = Vec::new();
-    let mut values: Vec<T> = Vec::new();
-    for i in 0..m {
-        let (ac, av) = a.row(i);
-        let (pc, _) = pattern.row(i);
-        let mut q = 0usize;
-        for (&c, &v) in ac.iter().zip(av) {
-            while q < pc.len() && pc[q] < c {
-                q += 1;
-            }
-            if q >= pc.len() || pc[q] != c {
-                col_idx.push(c);
-                values.push(v);
-            }
-        }
-        row_ptr[i + 1] = col_idx.len();
-    }
-    Ok(Csr::from_parts_unchecked(m, a.ncols(), row_ptr, col_idx, values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,25 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn ewise_without_subtracts_pattern() {
-        let a = a3(); // entries (0,0) (0,1) (1,2) (2,0) (2,2)
-        // pattern covers (0,0) and (2,0), plus (2,1) which is absent in a
-        let p =
-            Csr::try_from_parts(3, 3, vec![0, 1, 1, 3], vec![0, 0, 1], vec![(), (), ()]).unwrap();
-        let c = ewise_without(&a, &p).unwrap();
-        assert_eq!(c.nnz(), 3);
-        assert_eq!(c.get(0, 0), None);
-        assert_eq!(c.get(2, 0), None);
-        assert_eq!(c.get(0, 1), Some(2.0));
-        assert_eq!(c.get(2, 2), Some(5.0));
-        // subtracting the full pattern leaves nothing
-        assert_eq!(ewise_without(&a, &a).unwrap().nnz(), 0);
-        // subtracting nothing is identity
-        let z: Csr<f64> = Csr::zeros(3, 3);
-        assert_eq!(ewise_without(&a, &z).unwrap(), a);
-    }
-
-    #[test]
     fn mismatched_shapes_return_structured_errors() {
         let a = a3();
         let wide = Csr::<f64>::zeros(3, 4);
@@ -197,7 +147,6 @@ mod tests {
         for e in [
             ewise_mult::<PlusTimes>(&a, &wide).unwrap_err(),
             ewise_add::<PlusTimes>(&a, &tall).unwrap_err(),
-            ewise_without(&a, &wide).unwrap_err(),
         ] {
             assert!(
                 matches!(e, SparseError::DimensionMismatch { expected: (3, 3), .. }),

@@ -222,6 +222,28 @@ if [ -n "$hits" ]; then
 fi
 echo "ok: threads are spawned only in $spawn_allowed"
 
+echo "== environment-read allowlist gate =="
+# Every behaviour a caller can set is a `Config` field or a function
+# argument, where the policy lattice, the presets and the tuner see it.
+# Only the observability switches (obs.rs), the fault-injection spec
+# (failpoint.rs) and the property-test harness (testkit.rs) read the
+# environment. The same files as the thread-spawn gate must not call
+# env::var/env::var_os anywhere else, so a new env knob has to be added
+# to this list on purpose.
+env_allowed="crates/rt/src/obs.rs crates/rt/src/failpoint.rs crates/rt/src/testkit.rs"
+hits=$(for f in $spawn_scanned; do
+    case " $env_allowed " in *" $f "*) continue ;; esac
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /env::var/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "FAIL: environment read outside the allowlisted files:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "ok: the environment is read only in $env_allowed"
+
 echo "== fusion smoke (fused vs unfused k-truss + counters) =="
 # The ktruss subcommand runs the fused PlanGraph pipeline and the unfused
 # Session loop back to back and exits non-zero if the trusses diverge.

@@ -153,7 +153,6 @@ fn check_metrics_doc(doc: &json::Value) -> Result<String, String> {
             "sched.tiles_cancelled",
             "svc.deadline_shed",
             "svc.cancelled_in_flight",
-            "svc.submit_retries",
             "fusion.ops_fused",
             "fusion.tiles_chained",
             "fusion.sink_fused_elements",
@@ -239,7 +238,6 @@ fn usage() -> ! {
            --tiles <n>         tile count (default 2048)\n\
            --tiling <balanced|uniform>             FLOP-balanced vs equal rows\n\
            --schedule <static|dynamic>\n\
-           --chunk <n>         claim granularity for dynamic (default 1)\n\
          \n\
          kernel policy — §V-B/§V-C (run/tc/session):\n\
            --iter <vanilla|mask|coiter|hybrid>     iteration space (default hybrid)\n\
@@ -281,9 +279,9 @@ fn usage() -> ! {
 /// Every `--name` some subcommand reads. Anything else is a usage error: a
 /// misspelled or retired flag must not silently run the defaults.
 const KNOWN_FLAGS: &[&str] = &[
-    "acc", "batch", "cancel", "chunk", "deadline", "drop", "file", "graph", "iter", "iters",
-    "k", "kappa", "metrics", "mtx", "queue", "reps", "runs", "scale", "schedule", "seed",
-    "tenants", "threads", "tiles", "tiling", "trace",
+    "acc", "batch", "cancel", "deadline", "drop", "file", "graph", "iter", "iters", "k",
+    "kappa", "metrics", "mtx", "queue", "reps", "runs", "scale", "schedule", "seed", "tenants",
+    "threads", "tiles", "tiling", "trace",
 ];
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
@@ -390,19 +388,15 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
             }
         });
     }
-    let chunk: usize = flag(flags, "chunk", 1);
     if let Some(s) = flags.get("schedule") {
         b = b.schedule(match s.as_str() {
             "static" => Schedule::Static,
-            "dynamic" => Schedule::Dynamic { chunk },
+            "dynamic" => Schedule::Dynamic,
             other => {
                 eprintln!("bad --schedule {other:?}");
                 usage();
             }
         });
-    } else if chunk != 1 {
-        // --chunk without --schedule adjusts the default dynamic schedule
-        b = b.schedule(Schedule::Dynamic { chunk });
     }
     // --- kernel-policy group: --acc / --iter / --kappa ---
     let mut kernel = KernelPolicy::new();

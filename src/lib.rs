@@ -31,9 +31,8 @@ pub mod prelude {
     pub use mspgemm_core::{
         predict_config, preset_config, run_stress, spgemm, tune, CancelStatus, CancelToken,
         Config, ConfigBuilder, Executor, GraphBuilder, IterationSpace, JobTicket, KernelPolicy,
-        Operand, Plan, PlanGraph, Preset, RetryPolicy, RunStats, Service, ServiceOptions,
-        ServiceReply, Session, StressCase, StressReport, StressSpec, SubmitOptions,
-        TunerOptions,
+        Operand, Plan, PlanGraph, Preset, RunStats, Service, ServiceOptions, ServiceReply,
+        Session, StressCase, StressReport, StressSpec, SubmitOptions, TunerOptions,
     };
     pub use mspgemm_gen::{er, rmat, road, suite_graph, suite_specs, web, GraphKind};
     pub use mspgemm_graph::{

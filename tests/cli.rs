@@ -19,7 +19,9 @@ fn retired_assembly_flag_is_a_usage_error() {
 
 #[test]
 fn retired_simd_and_bands_flags_are_usage_errors() {
-    for (flag, value) in [("--simd", "force"), ("--bands", "4"), ("--overbook", "p90")] {
+    for (flag, value) in
+        [("--simd", "force"), ("--bands", "4"), ("--overbook", "p90"), ("--chunk", "4")]
+    {
         let out = mspgemm(&["run", "--graph", "GAP-road", "--scale", "0.02", flag, value]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");

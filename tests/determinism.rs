@@ -31,18 +31,13 @@ fn output_independent_of_thread_count() {
 }
 
 #[test]
-fn output_independent_of_schedule_and_chunk() {
+fn output_independent_of_schedule() {
     let spec = suite_specs().into_iter().find(|s| s.name == "stokes").unwrap();
     let a = suite_graph(&spec, 0.04).spones(1u64);
     let reference =
         spgemm::<PlusPair>(&a, &a, &a, &Config::builder().n_threads(2).build())
             .unwrap().0;
-    for schedule in [
-        Schedule::Static,
-        Schedule::Dynamic { chunk: 1 },
-        Schedule::Dynamic { chunk: 4 },
-        Schedule::Dynamic { chunk: 64 },
-    ] {
+    for schedule in Schedule::all() {
         let got = spgemm::<PlusPair>(
             &a,
             &a,
