@@ -94,11 +94,11 @@ fn main() {
         let kind = g.spec.kind.letter();
 
         let unfused = measure_ms(&opts, || {
-            let r = ktruss_unfused(a, KTRUSS_K, &cfg).expect("suite graphs are square");
+            let r = ktruss_unfused(a, KTRUSS_K, &cfg).expect("suite graphs are symmetric");
             std::hint::black_box(r.truss.nnz());
         });
         let fused = measure_ms(&opts, || {
-            let r = ktruss(a, KTRUSS_K, &cfg).expect("suite graphs are square");
+            let r = ktruss(a, KTRUSS_K, &cfg).expect("suite graphs are symmetric");
             std::hint::black_box(r.truss.nnz());
         });
         report("ktruss", g.spec.name, kind, unfused, fused);
@@ -139,7 +139,7 @@ fn main() {
     obs::arm_metrics();
     let before = obs::snapshot();
     for g in &graphs {
-        let _ = ktruss(&g.a, KTRUSS_K, &cfg).expect("square");
+        let _ = ktruss(&g.a, KTRUSS_K, &cfg).expect("suite graphs are symmetric");
         let sources = spread_sources(g.a.nrows(), BC_SOURCES);
         let levels = bfs_levels_multi(&g.a, &sources).expect("in range");
         let _ = bc_forward_fused_from_levels(&g.a, &levels, &cfg).expect("level-consistent");

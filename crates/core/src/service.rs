@@ -61,8 +61,7 @@ use crate::graph::{single_product, GraphCore};
 use crate::plan::{self, Fingerprint, PlanScratch};
 use mspgemm_rt::obs;
 use mspgemm_sched::{
-    ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, SubmitQueue, Ticket,
-    TicketWriter,
+    ticket, CancelOutcome, CancelToken, Entry, RefusalReason, SubmitQueue, Ticket, TicketWriter,
 };
 use mspgemm_sparse::{Csr, Semiring, SparseError};
 
@@ -86,21 +85,9 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Per-submission scheduling hints.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SubmitOptions {
-    /// Fairness domain: the queue's deficit round-robin balances dispatch
-    /// slots across distinct tenant ids.
-    pub tenant: u32,
-    /// Enforced deadline. It orders the queue (among jobs of equal
-    /// fairness standing, earlier deadlines dispatch first); a job whose
-    /// deadline passes while queued is shed before dispatch, and an
-    /// in-flight run past its deadline is abandoned at the next tile
-    /// boundary — both complete the ticket with
-    /// [`SparseError::DeadlineExceeded`]. Admission itself never rejects
-    /// on deadline.
-    pub deadline: Option<Instant>,
-}
+/// Per-submission scheduling hints: the queue's own tag, which travels
+/// with the job unchanged.
+pub use mspgemm_sched::QueueTag as SubmitOptions;
 
 /// A completed service call: the product plus queue-side measurements.
 #[derive(Debug)]
@@ -352,8 +339,7 @@ impl<S: Semiring> Service<S> {
             None => CancelToken::new(),
         };
         let payload = JobPayload { a, b, mask, config, cancel: cancel.clone(), writer };
-        let tag = QueueTag { tenant: opts.tenant, deadline: opts.deadline };
-        match self.queue.try_push(payload, tag) {
+        match self.queue.try_push(payload, opts) {
             Ok(id) => {
                 obs::incr(obs::Counter::SvcSubmitted);
                 Ok(JobTicket { ticket: Some(ticket), id, queue: self.queue.clone(), cancel })

@@ -6,9 +6,11 @@
 //! masked-SpGEMM, with the complement of the visited set as the mask. The
 //! paper's §I lists BFS among the kernel's consumers. Expansion is
 //! push-only: every frontier vertex scatters along its row of `A`.
-//! [`bfs_levels`] and [`bfs_levels_multi`] run the same level loop.
+//! [`bfs_levels`] and [`bfs_levels_multi`] run the same level loop, which
+//! keeps one accumulator for the whole traversal, so a level costs its
+//! frontier's edges rather than `n`.
 
-use mspgemm_sparse::vector::{masked_vxm, SparseVec};
+use mspgemm_sparse::vector::{masked_vxm, SparseVec, VxmScratch};
 use mspgemm_sparse::{BoolOrAnd, Csr, SparseError};
 
 /// Result of a BFS traversal.
@@ -44,9 +46,8 @@ fn bfs_from(ab: &Csr<bool>, source: usize) -> Result<BfsResult, SparseError> {
     let n = ab.nrows();
     let mut frontier = SparseVec::unit(n, source, true)?;
     let mut levels = vec![UNREACHED; n];
-    let mut unvisited = vec![true; n];
     levels[source] = 0;
-    unvisited[source] = false;
+    let mut scratch = VxmScratch::default();
 
     let mut reached = 1usize;
     let mut depth = 0u32;
@@ -56,10 +57,14 @@ fn bfs_from(ab: &Csr<bool>, source: usize) -> Result<BfsResult, SparseError> {
         iterations += 1;
         depth += 1;
         // next = ¬visited ⊙ (frontier ⊗ A)
-        let next = masked_vxm::<BoolOrAnd>(&frontier, ab, |v| unvisited[v as usize])?;
+        let next = masked_vxm::<BoolOrAnd>(
+            &frontier,
+            ab,
+            |v| levels[v as usize] == UNREACHED,
+            &mut scratch,
+        )?;
         for (v, _) in next.iter() {
             levels[v as usize] = depth;
-            unvisited[v as usize] = false;
         }
         reached += next.nnz();
         frontier = next;
@@ -188,6 +193,33 @@ mod tests {
         let r = bfs_levels(&g, 0).unwrap();
         let max_level = *r.levels.iter().filter(|&&l| l != UNREACHED).max().unwrap();
         assert!(max_level >= 30, "grid BFS depth {max_level} too small");
+    }
+
+    #[test]
+    fn long_diameter_lattice_matches_the_queue_oracle() {
+        // a full 120 × 40 lattice: 158 levels from a corner, each with a
+        // frontier of at most 40 vertices out of 4,800
+        let g = mspgemm_gen::road::road(
+            120,
+            40,
+            mspgemm_gen::road::RoadParams {
+                keep_prob: 1.0,
+                shortcut_rate: 0.0,
+                shortcut_radius: 0,
+            },
+            3,
+        );
+        let sources = [0, 2_459, 4_799];
+        for &s in &sources {
+            let got = bfs_levels(&g, s).unwrap();
+            assert_eq!(got.levels, bfs_levels_naive(&g, s), "source {s}");
+            assert_eq!(got.reached, g.nrows(), "source {s}");
+        }
+        assert_eq!(bfs_levels(&g, 0).unwrap().iterations, 159);
+        let multi = bfs_levels_multi(&g, &sources).unwrap();
+        for (levels, &s) in multi.iter().zip(&sources) {
+            assert_eq!(levels, &bfs_levels_naive(&g, s), "multi, source {s}");
+        }
     }
 
     #[test]

@@ -181,13 +181,21 @@ impl<T> Ticket<T> {
     }
 }
 
-/// Scheduling hints attached to one submission.
+/// Scheduling hints attached to one submission. `mspgemm_core` re-exports
+/// it as `SubmitOptions`, the hints its `Service::submit` takes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueTag {
-    /// Tenant identity — the unit of fairness accounting.
+    /// Fairness domain: the queue's deficit round-robin balances dispatch
+    /// slots across distinct tenant ids.
     pub tenant: u32,
-    /// Optional deadline hint: among equal fairness standing, the
-    /// earliest deadline dispatches first (`None` sorts last).
+    /// Enforced deadline. It orders the queue: among jobs of equal
+    /// fairness standing, the earliest deadline dispatches first (`None`
+    /// sorts last). The service enforces it: a job whose deadline passes
+    /// while queued is shed before dispatch, and an in-flight run past
+    /// its deadline is abandoned at the next tile boundary — both
+    /// complete the ticket with
+    /// [`SparseError::DeadlineExceeded`](mspgemm_sparse::SparseError::DeadlineExceeded).
+    /// Admission itself never rejects on deadline.
     pub deadline: Option<Instant>,
 }
 

@@ -50,10 +50,27 @@ impl<T: Copy> SparseVec<T> {
     }
 }
 
+/// The dense accumulator [`masked_vxm`] scatters into, kept across calls
+/// so that a BFS allocates and fills it once instead of once per level.
+/// Between calls only the entries the last call wrote are set; the next
+/// call clears just those, so a call costs the edges it scans, not
+/// `ncols`.
+#[derive(Debug)]
+pub struct VxmScratch<T> {
+    acc: Vec<Option<T>>,
+    touched: Vec<Idx>,
+}
+
+impl<T> Default for VxmScratch<T> {
+    fn default() -> Self {
+        VxmScratch { acc: Vec::new(), touched: Vec::new() }
+    }
+}
+
 /// Masked vector × matrix product — the 1-D masked-SpGEMM:
 /// `y = x ⊗ A` with `y[j] = ⊕_k x[k] ⊗ A[k,j]`, restricted to indices
 /// where `mask_allow` holds (structural complement masks pass
-/// `|j| !visited[j]`).
+/// `|j| !visited[j]`). `scratch` may come from a call on any matrix.
 ///
 /// This is BFS's frontier expansion: `frontier ⊗ A` under the boolean
 /// semiring with the `!visited` mask.
@@ -64,6 +81,7 @@ pub fn masked_vxm<S: Semiring>(
     x: &SparseVec<S::T>,
     a: &Csr<S::T>,
     mut mask_allow: impl FnMut(Idx) -> bool,
+    scratch: &mut VxmScratch<S::T>,
 ) -> Result<SparseVec<S::T>, SparseError> {
     if x.dim() != a.nrows() {
         return Err(SparseError::ShapeMismatch {
@@ -72,8 +90,15 @@ pub fn masked_vxm<S: Semiring>(
             context: "masked_vxm: vector dimension",
         });
     }
-    let mut acc: Vec<Option<S::T>> = vec![None; a.ncols()];
-    let mut touched: Vec<Idx> = Vec::new();
+    let VxmScratch { acc, touched } = scratch;
+    // clear what the previous call wrote, even if it unwound midway
+    for &j in touched.iter() {
+        if let Some(slot) = acc.get_mut(j as usize) {
+            *slot = None;
+        }
+    }
+    touched.clear();
+    acc.resize(a.ncols(), None);
     for (k, xv) in x.iter() {
         let (cols, vals) = a.row(k as usize);
         for (&j, &av) in cols.iter().zip(vals) {
@@ -116,11 +141,12 @@ mod tests {
         }
         let a = coo.to_csr_with(|x, _| x);
         let frontier = SparseVec::unit(4, 1, true).unwrap();
+        let mut scratch = VxmScratch::default();
         // mask forbids going back to 0
-        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |j| j != 0).unwrap();
+        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |j| j != 0, &mut scratch).unwrap();
         assert_eq!(indices(&next), [2]);
         // no mask: both neighbours
-        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |_| true).unwrap();
+        let next = masked_vxm::<BoolOrAnd>(&frontier, &a, |_| true, &mut scratch).unwrap();
         assert_eq!(indices(&next), [0, 2]);
     }
 
@@ -134,8 +160,9 @@ mod tests {
         coo.push(2, 3, 1.0);
         let a = coo.to_csr_sum();
         let x = SparseVec::unit(4, 0, 1.0).unwrap();
-        let step1 = masked_vxm::<PlusTimes>(&x, &a, |_| true).unwrap();
-        let step2 = masked_vxm::<PlusTimes>(&step1, &a, |_| true).unwrap();
+        let mut scratch = VxmScratch::default();
+        let step1 = masked_vxm::<PlusTimes>(&x, &a, |_| true, &mut scratch).unwrap();
+        let step2 = masked_vxm::<PlusTimes>(&step1, &a, |_| true, &mut scratch).unwrap();
         let at3 = step2.iter().find(|&(i, _)| i == 3).map(|(_, v)| v);
         assert_eq!(at3, Some(2.0), "two shortest paths to 3");
     }
@@ -149,8 +176,32 @@ mod tests {
         coo.push(1, 2, 1.0);
         let a = coo.to_csr_sum();
         let x = SparseVec { dim: 3, idx: vec![0, 1], val: vec![1.0, 1.0] };
-        let y = masked_vxm::<PlusTimes>(&x, &a, |j| j != 2).unwrap();
+        let y = masked_vxm::<PlusTimes>(&x, &a, |j| j != 2, &mut VxmScratch::default()).unwrap();
         assert!(y.is_empty());
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_one_across_widths() {
+        // a 5-wide then a 3-wide matrix through one scratch: no value of
+        // an earlier call may leak into a later one
+        let mut wide = Coo::new(2, 5);
+        for (i, j) in [(0, 1), (0, 4), (1, 1), (1, 3)] {
+            wide.push(i, j, 1.0 + j as f64);
+        }
+        let wide = wide.to_csr_sum();
+        let mut narrow = Coo::new(2, 3);
+        for (i, j) in [(0, 0), (0, 1), (1, 2)] {
+            narrow.push(i, j, 2.0);
+        }
+        let narrow = narrow.to_csr_sum();
+        let x = SparseVec { dim: 2, idx: vec![0, 1], val: vec![1.0, 3.0] };
+        let mut scratch = VxmScratch::default();
+        for (a, mask) in [(&wide, 4), (&narrow, 9), (&wide, 9), (&wide, 1)] {
+            let reused = masked_vxm::<PlusTimes>(&x, a, |j| j != mask, &mut scratch).unwrap();
+            let fresh =
+                masked_vxm::<PlusTimes>(&x, a, |j| j != mask, &mut VxmScratch::default()).unwrap();
+            assert_eq!(reused, fresh, "ncols {}, mask {mask}", a.ncols());
+        }
     }
 
     #[test]
@@ -162,7 +213,7 @@ mod tests {
         coo.push(0, 1, true);
         let a = coo.to_csr_with(|x, _| x);
         let x = SparseVec::unit(3, 0, true).unwrap();
-        let e = masked_vxm::<BoolOrAnd>(&x, &a, |_| true).unwrap_err();
+        let e = masked_vxm::<BoolOrAnd>(&x, &a, |_| true, &mut VxmScratch::default()).unwrap_err();
         assert!(matches!(e, SparseError::ShapeMismatch { .. }), "{e}");
     }
 }

@@ -263,6 +263,16 @@ if [ "${fused_ops:-0}" -lt 1 ] || [ "${sink_elems:-0}" -lt 1 ]; then
     exit 1
 fi
 echo "ok: fused k-truss matches unfused (ops_fused=$fused_ops, sink_fused_elements=$sink_elems)"
+# The road graph above peels to 12 entries. A truss that survives several
+# rounds checks the mirrored upper-triangle survivors too: com-LiveJournal
+# at scale 0.05 keeps 11,080 entries of its 4-truss after 3 rounds.
+lj_truss=$(target/release/mspgemm ktruss --graph com-LiveJournal --scale 0.05 --k 4)
+case "$lj_truss" in
+    "4-truss: 0 edges"*)
+        echo "FAIL: the com-LiveJournal 4-truss smoke kept no edges: $lj_truss" >&2
+        exit 1 ;;
+esac
+echo "ok: ${lj_truss%% |*}, fused matches unfused"
 
 # The bench smokes below run from a scratch working directory: the bins
 # write results/ relative to the current directory, and a smoke-scale run

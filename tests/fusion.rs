@@ -70,18 +70,57 @@ fn preset_grid() -> Vec<(&'static str, Config)> {
     ]
 }
 
+/// The k-truss and its round count by the plain full-mask peel: support
+/// on every stored entry (`triangle_support`, `A ⊙ (A × A)`), keep
+/// `v >= k - 2`, back to ones, until a round peels nothing or nothing is
+/// left. It shares no code with `ktruss` but the masked product.
+fn independent_peel(g: &Csr<f64>, k: usize, cfg: &Config) -> (Csr<u64>, usize) {
+    let min_support = k as u64 - 2;
+    let mut current = g.spones(1u64);
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        let support = triangles::triangle_support(&current, cfg).unwrap();
+        let kept = support.select(|_, _, v| v >= min_support).spones(1u64);
+        if kept.nnz() == current.nnz() || kept.nnz() == 0 {
+            return (kept, rounds);
+        }
+        current = kept;
+    }
+}
+
+/// `g` plus a self-loop on each of `vertices`.
+fn with_self_loops(g: &Csr<f64>, vertices: &[usize]) -> Csr<f64> {
+    let mut coo = g.to_coo();
+    for &v in vertices {
+        coo.push(v, v, 1.0);
+    }
+    coo.to_csr_with(|x, _| x)
+}
+
+/// Both k-truss paths return the truss and round count of the independent
+/// full-mask peel — so they match each other, and the truss is maximal —
+/// on every class, preset and k, and on one graph with self-loops, whose
+/// diagonal entries the upper-triangle mask keeps and never mirrors.
 #[test]
 fn ktruss_fused_matches_unfused_on_every_preset_and_class() {
-    for (gname, g) in graph_grid() {
+    let mut graphs = graph_grid();
+    let looped = with_self_loops(&graphs[0].1, &[0, 15, 23, 55, 100]);
+    graphs.push(("rmat + self-loops", looped));
+    for (gname, g) in &graphs {
         for (pname, cfg) in preset_grid() {
-            for k in [3, 4] {
-                let fused = ktruss(&g, k, &cfg).unwrap();
-                let unfused = ktruss_unfused(&g, k, &cfg).unwrap();
-                assert_eq!(
-                    fused.truss, unfused.truss,
-                    "{gname} / {pname} / k = {k}: fused truss differs"
-                );
-                assert_eq!(fused.rounds, unfused.rounds, "{gname} / {pname} / k = {k}");
+            for k in [3, 4, 5] {
+                let want = independent_peel(g, k, &cfg);
+                for (path, got) in
+                    [("fused", ktruss(g, k, &cfg)), ("unfused", ktruss_unfused(g, k, &cfg))]
+                {
+                    let got = got.unwrap();
+                    assert_eq!(
+                        (got.truss, got.rounds),
+                        want,
+                        "{gname} / {pname} / k = {k}: {path} truss or rounds differ"
+                    );
+                }
             }
         }
     }
